@@ -426,6 +426,12 @@ std::vector<sta::TimingPath> TuningFlow::tracePaths(
 DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
                                       double period) {
   SCT_TRACE_SPAN("flow.measure");
+  // Wall time for the CLI's per-stage table, like the cached stages'
+  // `<stage>.ns` counters.
+  static obs::Counter& durationNs =
+      obs::MetricsRegistry::global().counter("flow.stage.measure.ns");
+  const bool timed = obs::metricsEnabled();
+  const std::uint64_t start = timed ? obs::monotonicNanos() : 0;
   DesignMeasurement out;
   out.clockPeriod = period;
   out.synthesis = std::move(result);
@@ -433,30 +439,37 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
   sta::ClockSpec clock = config_.clock;
   clock.period = period;
   sta::TimingAnalyzer analyzer(out.synthesis.design, nominalLibrary(), clock);
-  if (!analyzer.analyze()) return out;
-
-  const std::vector<sta::TimingPath> paths = analyzer.endpointWorstPaths();
-  const variation::PathStatistics stats(statLibrary(), config_.rho);
-  out.design = stats.designStats(paths);
-  out.paths.reserve(paths.size());
-  for (const sta::TimingPath& path : paths) {
-    const variation::PathStats ps = stats.pathStats(path);
-    PathRecord record;
-    record.depth = ps.depth;
-    record.mean = ps.mean;
-    record.sigma = ps.sigma;
-    record.arrival = path.endpoint.arrival;
-    record.slack = path.endpoint.slack;
-    record.endpoint = analyzer.endpointName(path.endpoint);
-    out.paths.push_back(std::move(record));
+  if (analyzer.analyze()) {
+    const std::vector<sta::TimingPath> paths = analyzer.endpointWorstPaths();
+    const variation::PathStatistics stats(statLibrary(), config_.rho);
+    // Each endpoint path is convolved once (on the pool); eq. (11) and the
+    // per-path records both read the same results.
+    const std::vector<variation::PathStats> pathStats =
+        stats.allPathStats(paths);
+    out.design = variation::foldDesignStats(pathStats);
+    out.paths.reserve(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const sta::TimingPath& path = paths[i];
+      const variation::PathStats& ps = pathStats[i];
+      PathRecord record;
+      record.depth = ps.depth;
+      record.mean = ps.mean;
+      record.sigma = ps.sigma;
+      record.arrival = path.endpoint.arrival;
+      record.slack = path.endpoint.slack;
+      record.endpoint = analyzer.endpointName(path.endpoint);
+      out.paths.push_back(std::move(record));
+    }
+    // Dynamic-power totals at the measured operating points (satellite of
+    // the scenario work: the report and trade-off output carry power
+    // alongside sigma/area). Deterministic per-instance streams from
+    // powerSeed.
+    const power::PowerModel powerModel(characterizer_.model());
+    out.power = power::analyzeDesignPower(
+        out.synthesis.design, analyzer, characterizer_, powerModel,
+        config_.powerActivity, config_.powerSamples, config_.powerSeed);
   }
-  // Dynamic-power totals at the measured operating points (satellite of the
-  // scenario work: the report and trade-off output carry power alongside
-  // sigma/area). Deterministic per-instance streams from powerSeed.
-  const power::PowerModel powerModel(characterizer_.model());
-  out.power = power::analyzeDesignPower(
-      out.synthesis.design, analyzer, characterizer_, powerModel,
-      config_.powerActivity, config_.powerSamples, config_.powerSeed);
+  if (timed) durationNs.add(obs::monotonicNanos() - start);
   return out;
 }
 

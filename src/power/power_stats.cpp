@@ -1,8 +1,11 @@
 #include "power/power_stats.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "numeric/statistics.hpp"
+#include "parallel/parallel.hpp"
 #include "tuning/rectangle.hpp"
 
 namespace sct::power {
@@ -75,11 +78,21 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
                                const charlib::Characterizer& characterizer,
                                const PowerModel& model, double activity,
                                std::size_t samples, std::uint64_t seed) {
-  DesignPower out;
-  const double period = sta.clock().period;
-  numeric::Rng master(seed);
-  double varSum = 0.0;  // (uW)^2
+  // One counted instance: its operating point and its own mismatch stream.
+  struct Site {
+    const charlib::CellSpec* spec;
+    double slew;  ///< worst input slew
+    double load;  ///< total driven load
+    numeric::Rng rng;
+  };
 
+  // Serial pre-pass in instance order. Rng::fork() advances `master`, so
+  // each counted instance's stream depends on how many were forked before
+  // it: forking here, in order, keeps every stream independent of the
+  // thread count. Skipped instances (dead, unmapped, outside the
+  // catalogue) consume no fork.
+  numeric::Rng master(seed);
+  std::vector<Site> sites;
   for (std::size_t i = 0; i < design.instanceCount(); ++i) {
     const netlist::Instance& inst =
         design.instance(static_cast<netlist::InstIndex>(i));
@@ -88,7 +101,6 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
         characterizer.specs().find(inst.cell->name());
     if (spec == nullptr) continue;  // cells outside the catalogue
 
-    // Operating point: worst input slew, total driven load.
     double slew = sta.clock().clockSlew;
     for (netlist::NetIndex in : inst.inputs) {
       slew = std::max(slew, sta.netSlew(in));
@@ -97,20 +109,39 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
     for (netlist::NetIndex outNet : inst.outputs) {
       load += sta.netLoad(outNet);
     }
-
-    // Per-instance energy statistics from fresh mismatch draws.
-    numeric::Rng instRng = master.fork(numeric::Rng::hashTag(inst.name));
-    numeric::RunningStats energy;
-    for (std::size_t k = 0; k < samples; ++k) {
-      energy.add(model.transitionEnergy(
-          *spec, slew, load, characterizer.model().drawLocal(*spec, instRng)));
-    }
-    const double toPower = activity / period;  // fJ -> uW
-    out.meanPower += energy.mean() * toPower;
-    const double sigmaPower = energy.stddev() * toPower;
-    varSum += sigmaPower * sigmaPower;
-    ++out.cells;
+    sites.push_back(
+        {spec, slew, load, master.fork(numeric::Rng::hashTag(inst.name))});
   }
+
+  // Per-instance energy statistics from fresh mismatch draws: the bulk of
+  // the work, independent per instance, so it runs on the pool.
+  struct Energy {
+    double mean;
+    double stddev;
+  };
+  const std::vector<Energy> energies =
+      parallel::parallelMap(sites.size(), [&](std::size_t i) {
+        const Site& site = sites[i];
+        numeric::Rng rng = site.rng;
+        numeric::RunningStats energy;
+        for (std::size_t k = 0; k < samples; ++k) {
+          energy.add(model.transitionEnergy(
+              *site.spec, site.slew, site.load,
+              characterizer.model().drawLocal(*site.spec, rng)));
+        }
+        return Energy{energy.mean(), energy.stddev()};
+      });
+
+  // Ordered fold: the same floating-point operations, in instance order.
+  DesignPower out;
+  const double toPower = activity / sta.clock().period;  // fJ -> uW
+  double varSum = 0.0;  // (uW)^2
+  for (const Energy& energy : energies) {
+    out.meanPower += energy.mean * toPower;
+    const double sigmaPower = energy.stddev * toPower;
+    varSum += sigmaPower * sigmaPower;
+  }
+  out.cells = energies.size();
   out.sigmaPower = std::sqrt(varSum);
   return out;
 }

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "parallel/parallel.hpp"
+
 namespace sct::variation {
 
 double convolveMean(std::span<const double> means) noexcept {
@@ -53,15 +55,24 @@ PathStats PathStatistics::pathStats(const sta::TimingPath& path) const {
   return out;
 }
 
+std::vector<PathStats> PathStatistics::allPathStats(
+    std::span<const sta::TimingPath> paths) const {
+  return parallel::parallelMap(
+      paths.size(), [&](std::size_t i) { return pathStats(paths[i]); });
+}
+
 DesignStats PathStatistics::designStats(
     std::span<const sta::TimingPath> paths) const {
+  return foldDesignStats(allPathStats(paths));
+}
+
+DesignStats foldDesignStats(std::span<const PathStats> paths) noexcept {
   // Eq. (11): the design distribution aggregates the endpoint paths the
   // same way a path aggregates cells (with rho = 0 across paths).
   DesignStats out;
   out.paths = paths.size();
   double varSum = 0.0;
-  for (const sta::TimingPath& path : paths) {
-    const PathStats stats = pathStats(path);
+  for (const PathStats& stats : paths) {
     out.mean += stats.mean;
     varSum += stats.sigma * stats.sigma;
   }

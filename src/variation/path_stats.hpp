@@ -42,6 +42,11 @@ class PathStatistics {
   /// Convolution along one traced path.
   [[nodiscard]] PathStats pathStats(const sta::TimingPath& path) const;
 
+  /// pathStats() of every path, out[i] for paths[i], computed on the
+  /// parallel pool (bit-identical for any thread count).
+  [[nodiscard]] std::vector<PathStats> allPathStats(
+      std::span<const sta::TimingPath> paths) const;
+
   /// Eq. (11) over a path population (typically one worst path per unique
   /// endpoint).
   [[nodiscard]] DesignStats designStats(
@@ -51,6 +56,12 @@ class PathStatistics {
   const statlib::StatLibrary& library_;
   double rho_;
 };
+
+/// Eq. (11) over already-convolved paths, summed in span order:
+/// designStats(paths) is foldDesignStats(allPathStats(paths)), bit for bit,
+/// so callers that keep the per-path results convolve each path once.
+[[nodiscard]] DesignStats foldDesignStats(
+    std::span<const PathStats> paths) noexcept;
 
 /// Convolution helpers shared with tests (pure math, no library access).
 [[nodiscard]] double convolveMean(std::span<const double> means) noexcept;

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/env.hpp"
 #include "core/flow.hpp"
+#include "core/flow_job.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace sct::core {
 namespace {
@@ -161,6 +165,38 @@ TEST_F(FlowTest, MeasurementIsDeterministic) {
   EXPECT_EQ(a.sigma(), b.sigma());
   EXPECT_EQ(a.area(), b.area());
   EXPECT_EQ(a.paths.size(), b.paths.size());
+}
+
+TEST(FlowJobThreads, ReportsByteIdenticalAcrossThreadCounts) {
+  // The measure step runs path statistics and design power on the pool;
+  // the rendered report must not depend on the pool size.
+  FlowJob baseline;
+  baseline.profile = "small";
+  baseline.mcCount = 4;
+  baseline.lintMode = "off";
+  baseline.period = 8.0;
+  FlowJob tuned = baseline;
+  tuned.method = "sigma-ceiling";
+  tuned.value = 0.02;
+
+  const std::size_t previous = parallel::threadCount();
+  std::vector<std::string> reports[2];
+  for (int side = 0; side < 2; ++side) {
+    parallel::setThreadCount(side == 0 ? 0 : 4);
+    // A fresh flow per side so nothing is served from the memory tier.
+    TuningFlow flow(makeFlowConfig(baseline));
+    for (const FlowJob& job : {baseline, tuned}) {
+      const FlowJobResult result = runFlowJob(flow, job);
+      EXPECT_TRUE(result.success);
+      reports[side].push_back(result.report);
+    }
+  }
+  parallel::setThreadCount(previous);
+  ASSERT_EQ(reports[0].size(), 2u);
+  EXPECT_FALSE(reports[0][0].empty());
+  EXPECT_EQ(reports[0][0], reports[1][0]);
+  EXPECT_EQ(reports[0][1], reports[1][1]);
+  EXPECT_NE(reports[0][0], reports[0][1]);
 }
 
 // ---- shared environment parsing (env.hpp) --------------------------------

@@ -1,25 +1,31 @@
 // Tests for the parallel execution layer: primitive correctness (coverage,
 // ordering, exceptions, nesting) and the determinism contract — serial and
 // multi-threaded runs of the Monte-Carlo characterization, stat-library
-// merge, library tuning and path Monte Carlo must agree bit for bit.
+// merge, library tuning, path Monte Carlo, design power and design path
+// statistics must agree bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "charlib/characterizer.hpp"
+#include "netlist/builder.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
 #include "parallel/parallel.hpp"
+#include "power/power_stats.hpp"
 #include "statlib/stat_library.hpp"
 #include "sta/sta.hpp"
 #include "synth/synthesis.hpp"
 #include "test_helpers.hpp"
 #include "tuning/restriction.hpp"
 #include "variation/monte_carlo.hpp"
+#include "variation/path_stats.hpp"
 
 namespace sct {
 namespace {
@@ -299,6 +305,196 @@ TEST_F(ParallelDeterminismTest, PathMonteCarloBitIdentical) {
     EXPECT_EQ(serial.summary.mean, threaded.summary.mean);
     EXPECT_EQ(serial.summary.sigma, threaded.summary.sigma);
   }
+}
+
+/// `width` independent FF -> INV x depth -> FF chains: enough instances and
+/// endpoints that the per-instance and per-path maps span several chunks.
+netlist::Design makeParallelChains(std::size_t width, std::size_t depth) {
+  netlist::Design design("chains");
+  netlist::NetlistBuilder b(design);
+  for (std::size_t w = 0; w < width; ++w) {
+    const netlist::NetIndex in = b.inputPort("din" + std::to_string(w));
+    netlist::NetIndex node = b.dff(in, netlist::PrimOp::kDff);
+    for (std::size_t i = 0; i < depth; ++i) node = b.inv(node);
+    b.outputPort("dout" + std::to_string(w),
+                 b.dff(node, netlist::PrimOp::kDff));
+  }
+  return design;
+}
+
+/// The serial analyzeDesignPower loop the pooled version replaced: forks
+/// each counted instance's stream and draws its samples in one pass. Kept
+/// as the oracle for the fork order.
+power::DesignPower serialDesignPowerOracle(
+    const netlist::Design& design, const sta::TimingAnalyzer& sta,
+    const charlib::Characterizer& characterizer,
+    const power::PowerModel& model, double activity, std::size_t samples,
+    std::uint64_t seed) {
+  power::DesignPower out;
+  const double period = sta.clock().period;
+  numeric::Rng master(seed);
+  double varSum = 0.0;
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const netlist::Instance& inst =
+        design.instance(static_cast<netlist::InstIndex>(i));
+    if (!inst.alive || inst.cell == nullptr) continue;
+    const charlib::CellSpec* spec =
+        characterizer.specs().find(inst.cell->name());
+    if (spec == nullptr) continue;
+    double slew = sta.clock().clockSlew;
+    for (netlist::NetIndex in : inst.inputs) {
+      slew = std::max(slew, sta.netSlew(in));
+    }
+    double load = 0.0;
+    for (netlist::NetIndex outNet : inst.outputs) {
+      load += sta.netLoad(outNet);
+    }
+    numeric::Rng instRng = master.fork(numeric::Rng::hashTag(inst.name));
+    numeric::RunningStats energy;
+    for (std::size_t k = 0; k < samples; ++k) {
+      energy.add(model.transitionEnergy(
+          *spec, slew, load, characterizer.model().drawLocal(*spec, instRng)));
+    }
+    const double toPower = activity / period;
+    out.meanPower += energy.mean() * toPower;
+    const double sigmaPower = energy.stddev() * toPower;
+    varSum += sigmaPower * sigmaPower;
+    ++out.cells;
+  }
+  out.sigmaPower = std::sqrt(varSum);
+  return out;
+}
+
+/// A mapped, analyzed multi-chunk design for the measurement kernels,
+/// built once on first use.
+struct MeasuredChains {
+  charlib::Characterizer chr = test::makeSmallCharacterizer();
+  liberty::Library lib =
+      chr.characterizeNominal(charlib::ProcessCorner::typical());
+  statlib::StatLibrary stat = statlib::buildStatLibrary(
+      chr.characterizeMonteCarlo(charlib::ProcessCorner::typical(), 6, 17));
+  sta::ClockSpec clock = [] {
+    sta::ClockSpec c;
+    c.period = 8.0;
+    return c;
+  }();
+  synth::SynthesisResult result =
+      synth::Synthesizer(lib).run(makeParallelChains(48, 6), clock);
+};
+
+const MeasuredChains& measuredChains() {
+  static const MeasuredChains chains;
+  return chains;
+}
+
+power::DesignPower designPower(const MeasuredChains& m,
+                               const netlist::Design& design) {
+  sta::TimingAnalyzer sta(design, m.lib, m.clock);
+  EXPECT_TRUE(sta.analyze());
+  const power::PowerModel model(m.chr.model());
+  return power::analyzeDesignPower(design, sta, m.chr, model, 0.2);
+}
+
+TEST_F(ParallelDeterminismTest, DesignPowerBitIdentical) {
+  const MeasuredChains& m = measuredChains();
+  ASSERT_TRUE(m.result.success());
+  const netlist::Design& design = m.result.design;
+  ASSERT_GT(design.gateCount(), 4 * parallel::defaultGrain(design.gateCount()));
+  power::DesignPower serial;
+  {
+    const ScopedThreads scope(0);
+    serial = designPower(m, design);
+  }
+  const ScopedThreads scope(8);
+  const power::DesignPower threaded = designPower(m, design);
+  EXPECT_GT(serial.cells, 0u);
+  EXPECT_EQ(serial.cells, threaded.cells);
+  EXPECT_EQ(serial.meanPower, threaded.meanPower);
+  EXPECT_EQ(serial.sigmaPower, threaded.sigmaPower);
+}
+
+TEST_F(ParallelDeterminismTest, DesignPowerMatchesSerialOracle) {
+  // Dead instances and cells outside the catalogue early in the instance
+  // order: if either consumed a fork, every later stream would shift.
+  const MeasuredChains& m = measuredChains();
+  netlist::Design design = m.result.design;
+  const liberty::Cell outside = test::makeSimpleCell(
+      "OUTSIDE_1", liberty::CellFunction::kInv, 1.0, 1.0, 0.001, 0.010, 0.1,
+      4.0);
+  std::size_t dead = 0;
+  std::size_t uncatalogued = 0;
+  for (std::size_t i = 0; i < design.instanceCount() && i < 24; ++i) {
+    netlist::Instance& inst =
+        design.instance(static_cast<netlist::InstIndex>(i));
+    if (!inst.alive || inst.cell == nullptr) continue;
+    if (i % 3 == 0) {
+      inst.alive = false;
+      ++dead;
+    } else if (i % 3 == 1) {
+      inst.cell = &outside;
+      ++uncatalogued;
+    }
+  }
+  ASSERT_GT(dead, 0u);
+  ASSERT_GT(uncatalogued, 0u);
+
+  sta::TimingAnalyzer sta(m.result.design, m.lib, m.clock);
+  ASSERT_TRUE(sta.analyze());
+  const power::PowerModel model(m.chr.model());
+  const power::DesignPower expected =
+      serialDesignPowerOracle(design, sta, m.chr, model, 0.2, 50, 7);
+  EXPECT_EQ(expected.cells, design.gateCount() - uncatalogued);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{8}}) {
+    const ScopedThreads scope(threads);
+    const power::DesignPower pooled =
+        power::analyzeDesignPower(design, sta, m.chr, model, 0.2, 50, 7);
+    EXPECT_EQ(pooled.cells, expected.cells);
+    EXPECT_EQ(pooled.meanPower, expected.meanPower);
+    EXPECT_EQ(pooled.sigmaPower, expected.sigmaPower);
+  }
+}
+
+TEST_F(ParallelDeterminismTest, DesignStatsBitIdentical) {
+  const MeasuredChains& m = measuredChains();
+  ASSERT_TRUE(m.result.success());
+  sta::TimingAnalyzer sta(m.result.design, m.lib, m.clock);
+  ASSERT_TRUE(sta.analyze());
+  const std::vector<sta::TimingPath> paths = sta.endpointWorstPaths();
+  ASSERT_GT(paths.size(), 2 * parallel::defaultGrain(paths.size()));
+  const variation::PathStatistics stats(m.stat);
+
+  std::vector<variation::PathStats> serialPaths;
+  variation::DesignStats serial;
+  {
+    const ScopedThreads scope(0);
+    serialPaths = stats.allPathStats(paths);
+    serial = stats.designStats(paths);
+  }
+  const ScopedThreads scope(8);
+  const std::vector<variation::PathStats> threadedPaths =
+      stats.allPathStats(paths);
+  const variation::DesignStats threaded = stats.designStats(paths);
+
+  ASSERT_EQ(serialPaths.size(), paths.size());
+  ASSERT_EQ(threadedPaths.size(), paths.size());
+  double mean = 0.0;
+  double varSum = 0.0;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const variation::PathStats oracle = stats.pathStats(paths[i]);
+    EXPECT_EQ(threadedPaths[i].depth, oracle.depth);
+    EXPECT_EQ(threadedPaths[i].mean, oracle.mean);
+    EXPECT_EQ(threadedPaths[i].sigma, oracle.sigma);
+    EXPECT_EQ(serialPaths[i].sigma, oracle.sigma);
+    mean += oracle.mean;
+    varSum += oracle.sigma * oracle.sigma;
+  }
+  // Eq. (11), folded serially in endpoint order.
+  EXPECT_EQ(serial.paths, paths.size());
+  EXPECT_EQ(threaded.paths, paths.size());
+  EXPECT_EQ(serial.mean, mean);
+  EXPECT_EQ(threaded.mean, mean);
+  EXPECT_EQ(serial.sigma, std::sqrt(varSum));
+  EXPECT_EQ(threaded.sigma, std::sqrt(varSum));
 }
 
 TEST_F(ParallelDeterminismTest, SerialFallbackMatchesThreaded) {

@@ -174,7 +174,7 @@ void printStageTable(const obs::MetricsSnapshot& snapshot) {
   std::printf("%-10s %10s %7s %5s %7s %7s\n", "stage", "time_ms", "probes",
               "hits", "misses", "stores");
   for (const char* stage : {"nominal", "stat", "subject", "tune", "synth",
-                            "lint"}) {
+                            "measure", "lint"}) {
     const std::string prefix = std::string("flow.stage.") + stage + ".";
     if (!snapshot.hasCounter(prefix + "ns") &&
         !snapshot.hasCounter(prefix + "probes")) {
