@@ -216,27 +216,6 @@ const synth::SynthesisResult& mappedMcu(const liberty::Library& lib) {
   return result;
 }
 
-void BM_LevelBatchedSta(benchmark::State& state) {
-  // Full-design analyze with the level-batched propagation toggled:
-  // batched=0 is the scalar per-instance sweep, batched=1 drains each level
-  // through one flat arc-evaluation loop. Same bits either way.
-  static const charlib::Characterizer chr(smallCharConfig());
-  static const liberty::Library lib =
-      chr.characterizeNominal(charlib::ProcessCorner::typical());
-  sta::ClockSpec clock;
-  clock.period = 8.0;
-  const synth::SynthesisResult& result = mappedMcu(lib);
-  sta::TimingAnalyzer analyzer(result.design, lib, clock);
-  analyzer.setLevelBatchedPropagation(state.range(0) != 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.analyze());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(result.design.gateCount()));
-}
-BENCHMARK(BM_LevelBatchedSta)->ArgName("batched")->Arg(0)->Arg(1);
-
 void BM_SynthesisOptimize(benchmark::State& state) {
   // The whole mapping + optimization flow at MCU size; incremental=0 forces
   // a full re-analysis per optimization pass (the pre-incremental
@@ -270,9 +249,7 @@ BENCHMARK(BM_SynthesisOptimize)->ArgName("incremental")->Arg(0)->Arg(1);
 
 void BM_SynthesisConstrained(benchmark::State& state) {
   // Window-constrained mapping: every legality query hits the constraint
-  // lookup. compiled=0 pays the two-map string path per query, compiled=1
-  // answers from the slot-interned CompiledConstraintView; results are
-  // bit-identical either way (asserted by synth_test).
+  // lookup, answered from the slot-interned CompiledConstraintView.
   static const charlib::Characterizer chr(smallCharConfig());
   static const liberty::Library lib =
       chr.characterizeNominal(charlib::ProcessCorner::typical());
@@ -295,16 +272,14 @@ void BM_SynthesisConstrained(benchmark::State& state) {
   const synth::Synthesizer synth(lib, &constraints);
   sta::ClockSpec clock;
   clock.period = 8.0;
-  synth::SynthesisOptions options;
-  options.compiledConstraintWindows = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(synth.run(subject, clock, options));
+    benchmark::DoNotOptimize(synth.run(subject, clock));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(subject.gateCount()));
 }
-BENCHMARK(BM_SynthesisConstrained)->ArgName("compiled")->Arg(0)->Arg(1);
+BENCHMARK(BM_SynthesisConstrained);
 
 void BM_IncrementalSta(benchmark::State& state) {
   // Steady-state cost of one sizing move: rebind a cell, notify, update.

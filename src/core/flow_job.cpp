@@ -6,20 +6,10 @@
 #include <stdexcept>
 
 #include "artifact/hash.hpp"
+#include "core/fmt17.hpp"
 #include "tuning/constraints_io.hpp"
 
 namespace sct::core {
-namespace {
-
-/// Full-precision round-trippable double rendering for the deterministic
-/// flow report (compared byte-for-byte between CLI and daemon runs).
-std::string fmt17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
-
-}  // namespace
 
 tuning::TuningMethod tuningMethodByName(const std::string& name) {
   if (name == "strength-load") return tuning::TuningMethod::kCellStrengthLoadSlope;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "artifact/hash.hpp"
+#include "core/fmt17.hpp"
 #include "core/stage_cache.hpp"
 #include "evo/nsga2.hpp"
 #include "numeric/rng.hpp"
@@ -26,14 +27,7 @@ namespace {
 constexpr std::uint32_t kEvolveSchema = 1;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Full-precision round-trippable double rendering; the evolve report is
-/// compared byte-for-byte between CLI, daemon, thread counts and cache
-/// temperatures.
-std::string fmt17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
+using core::fmt17;
 
 /// CLI method-name dictionary (matches core::tuningMethodByName), used in
 /// seed origins so a baseline line names the `sctune flow --method` spelling.

@@ -1,12 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
 
+#include "core/fmt17.hpp"
 #include "core/sync.hpp"
 
 namespace sct::obs {
@@ -179,11 +179,7 @@ void writeJsonString(std::ostream& out, const std::string& s) {
 /// Round-trippable double rendering, matching the text serializers' %.17g
 /// canonical precision. JSON needs a fraction or exponent for non-integral
 /// readers, but %.17g already emits integers bare — fine for JSON numbers.
-void writeDouble(std::ostream& out, double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  out << buffer;
-}
+void writeDouble(std::ostream& out, double v) { out << core::fmt17(v); }
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "artifact/hash.hpp"
+#include "core/fmt17.hpp"
 #include "core/stage_cache.hpp"
 #include "postsi/clock_tuning.hpp"
 #include "power/power_model.hpp"
@@ -17,13 +18,7 @@
 namespace sct::postsi {
 namespace {
 
-/// Full-precision round-trippable double rendering; the scenario report is
-/// compared byte-for-byte between CLI, daemon, and cache temperatures.
-std::string fmt17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
+using core::fmt17;
 
 constexpr std::uint32_t kScenarioSchema = 1;
 

@@ -32,7 +32,6 @@ struct StaMetrics {
   obs::Counter& updateCalls;
   obs::Counter& fullFallbacks;  ///< update() bailed to a from-scratch pass
   obs::Counter& fullSweeps;     ///< adaptive large-batch full-sweep path
-  obs::Counter& levelBatchArcs; ///< arcs evaluated through level batches
   obs::Histogram& dirtyInstances;
   obs::Histogram& forwardEvals;
   obs::Histogram& backwardEvals;
@@ -45,7 +44,6 @@ struct StaMetrics {
         obs::MetricsRegistry::global().counter("sta.update.calls"),
         obs::MetricsRegistry::global().counter("sta.update.full_fallbacks"),
         obs::MetricsRegistry::global().counter("sta.update.full_sweeps"),
-        obs::MetricsRegistry::global().counter("sta.level.batch_arcs"),
         obs::MetricsRegistry::global().histogram("sta.update.dirty_instances",
                                                  kWorklistBounds),
         obs::MetricsRegistry::global().histogram("sta.update.forward_evals",
@@ -180,15 +178,24 @@ std::uint32_t TimingAnalyzer::computeLevel(const Instance& inst) const {
 }
 
 void TimingAnalyzer::rebuildTopoFromLevels() {
-  topo_.clear();
-  for (std::size_t i = 0; i < design_.instanceCount(); ++i) {
-    if (design_.instance(static_cast<InstIndex>(i)).alive) {
-      topo_.push_back(static_cast<InstIndex>(i));
-    }
+  // Counting sort: bucket offsets per level, then one scan in index order,
+  // which leaves every bucket ascending by index.
+  const std::size_t instCount = design_.instanceCount();
+  std::vector<std::size_t> offset;
+  std::size_t alive = 0;
+  for (std::size_t i = 0; i < instCount; ++i) {
+    if (!design_.instance(static_cast<InstIndex>(i)).alive) continue;
+    const std::size_t bucket = std::size_t{level_[i]} + 1;
+    if (bucket >= offset.size()) offset.resize(bucket + 1, 0);
+    ++offset[bucket];
+    ++alive;
   }
-  std::sort(topo_.begin(), topo_.end(), [&](InstIndex a, InstIndex b) {
-    return level_[a] != level_[b] ? level_[a] < level_[b] : a < b;
-  });
+  for (std::size_t l = 1; l < offset.size(); ++l) offset[l] += offset[l - 1];
+  topo_.resize(alive);
+  for (std::size_t i = 0; i < instCount; ++i) {
+    if (!design_.instance(static_cast<InstIndex>(i)).alive) continue;
+    topo_[offset[level_[i]]++] = static_cast<InstIndex>(i);
+  }
 }
 
 void TimingAnalyzer::evalInstance(InstIndex index,
@@ -257,134 +264,6 @@ void TimingAnalyzer::evalInstance(InstIndex index,
   }
 }
 
-std::size_t TimingAnalyzer::gatherInstanceArcs(
-    InstIndex index, std::vector<ArcTask>& out) const {
-  const Instance& inst = design_.instance(index);
-  if (!inst.alive || inst.cell == nullptr) return 0;
-  if (netlist::numInputs(inst.op) == 0) return 0;  // tie cells: no arcs
-  const CompiledCell* view = inst_view_[index];
-  assert(view != nullptr);
-  std::size_t count = 0;
-
-  if (netlist::isSequential(inst.op)) {
-    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-      const CompiledArc& arc = view->clockArc(slot);
-      assert(arc);
-      out.push_back(ArcTask{&arc, clock_.clockSlew, load_[inst.outputs[slot]]});
-      ++count;
-    }
-    return count;
-  }
-
-  for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-    const NetIndex out_net = inst.outputs[slot];
-    for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
-      const CompiledArc& arc = view->arc(i, slot);
-      if (!arc) continue;
-      out.push_back(ArcTask{&arc, slew_[inst.inputs[i]], load_[out_net]});
-      ++count;
-    }
-  }
-  return count;
-}
-
-void TimingAnalyzer::commitInstance(InstIndex index,
-                                    std::span<const ArcTiming> timings,
-                                    std::vector<NetIndex>* changedNets) {
-  const Instance& inst = design_.instance(index);
-  if (!inst.alive || inst.cell == nullptr) return;
-
-  const auto commit = [&](NetIndex out, double a, double m, double s,
-                          const Pred& p) {
-    const bool changed =
-        a != arrival_[out] || m != min_arrival_[out] || s != slew_[out];
-    arrival_[out] = a;
-    min_arrival_[out] = m;
-    slew_[out] = s;
-    pred_[out] = p;
-    if (changed && changedNets != nullptr) changedNets->push_back(out);
-  };
-
-  if (netlist::numInputs(inst.op) == 0) {
-    for (NetIndex out : inst.outputs) {
-      commit(out, 0.0, 0.0, clock_.inputSlew, Pred{});
-    }
-    return;
-  }
-
-  // The batch's inputs are all at lower levels, so the state read here is
-  // the state the gather saw — the reductions below replay evalInstance()
-  // term for term.
-  std::size_t cursor = 0;
-  if (netlist::isSequential(inst.op)) {
-    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-      const NetIndex out = inst.outputs[slot];
-      const CompiledArc& arc = inst_view_[index]->clockArc(slot);
-      const ArcTiming t = timings[cursor++];
-      const double delay = t.worstDelay * clock_.derateLate;
-      commit(out, delay, t.bestDelay * clock_.derateEarly, t.worstTransition,
-             Pred{index, arc.arc(), 0, delay, clock_.clockSlew});
-    }
-    return;
-  }
-
-  const CompiledCell* view = inst_view_[index];
-  for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-    const NetIndex out = inst.outputs[slot];
-    double bestArrival = -kInf;
-    double earliest = kInf;
-    double worstSlew = 0.0;
-    Pred best;
-    for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
-      const CompiledArc& arc = view->arc(i, slot);
-      if (!arc) continue;
-      const NetIndex in = inst.inputs[i];
-      const ArcTiming t = timings[cursor++];
-      const double delay = t.worstDelay * clock_.derateLate;
-      const double cand = arrival_[in] + delay;
-      if (cand > bestArrival) {
-        bestArrival = cand;
-        best = Pred{index, arc.arc(), i, delay, slew_[in]};
-      }
-      earliest = std::min(earliest,
-                          min_arrival_[in] + t.bestDelay * clock_.derateEarly);
-      worstSlew = std::max(worstSlew, t.worstTransition);
-    }
-    assert(best.arc != nullptr);
-    commit(out, bestArrival, earliest, worstSlew, best);
-  }
-  assert(cursor == timings.size());
-}
-
-void TimingAnalyzer::evalInstancesBatched(
-    std::span<const InstIndex> instances,
-    std::vector<NetIndex>* changedNets) {
-  batch_tasks_.clear();
-  batch_counts_.clear();
-  for (const InstIndex index : instances) {
-    batch_counts_.push_back(
-        static_cast<std::uint32_t>(gatherInstanceArcs(index, batch_tasks_)));
-  }
-
-  // The hot loop of a full sweep: every arc of the level in one contiguous
-  // pass over (arc, slew, load) triples.
-  batch_timings_.resize(batch_tasks_.size());
-  for (std::size_t j = 0; j < batch_tasks_.size(); ++j) {
-    const ArcTask& task = batch_tasks_[j];
-    batch_timings_[j] = task.arc->evaluate(task.slew, task.load);
-  }
-  StaMetrics::get().levelBatchArcs.add(batch_tasks_.size());
-
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    commitInstance(instances[i],
-                   std::span<const ArcTiming>{batch_timings_.data() + cursor,
-                                              batch_counts_[i]},
-                   changedNets);
-    cursor += batch_counts_[i];
-  }
-}
-
 void TimingAnalyzer::propagateArrivals() {
   arrival_.assign(design_.netCount(), 0.0);
   min_arrival_.assign(design_.netCount(), 0.0);
@@ -399,31 +278,10 @@ void TimingAnalyzer::propagateArrivals() {
     }
   }
 
-  if (!level_batched_) {
-    // Scalar oracle sweep: one instance at a time in topological order.
-    for (InstIndex index : topo_) {
-      assert(design_.instance(index).cell != nullptr &&
-             "STA requires a mapped design");
-      evalInstance(index, nullptr);
-    }
-    return;
-  }
-
-  // Level-batched sweep. topo_ is level-monotonic both after levelize()
-  // (FIFO Kahn pushes every level-L instance before any level-(L+1) one)
-  // and after rebuildTopoFromLevels() (sorted by level), so the levels are
-  // contiguous runs.
-  std::size_t start = 0;
-  while (start < topo_.size()) {
-    assert(design_.instance(topo_[start]).cell != nullptr &&
+  for (InstIndex index : topo_) {
+    assert(design_.instance(index).cell != nullptr &&
            "STA requires a mapped design");
-    const std::uint32_t level = level_[topo_[start]];
-    std::size_t end = start + 1;
-    while (end < topo_.size() && level_[topo_[end]] == level) ++end;
-    evalInstancesBatched(
-        std::span<const InstIndex>{topo_.data() + start, end - start},
-        nullptr);
-    start = end;
+    evalInstance(index, nullptr);
   }
 }
 
@@ -745,33 +603,13 @@ bool TimingAnalyzer::update() {
       }
     }
   };
-  if (!level_batched_) {
-    while (!fwd.empty()) {
-      const InstIndex index = fwd.top().second;
-      fwd.pop();
-      ++forwardEvals;
-      changedNets.clear();
-      evalInstance(index, &changedNets);
-      fanoutChanged();
-    }
-  } else {
-    // Level-batched drain: pop every instance of the front level (popping
-    // cannot admit same-level work — an evaluation only enqueues sinks, and
-    // those are at strictly higher levels), evaluate them through one flat
-    // batch, then fan the changed nets out exactly as the scalar loop does.
-    std::vector<InstIndex> levelInsts;
-    while (!fwd.empty()) {
-      const std::uint32_t level = fwd.top().first;
-      levelInsts.clear();
-      while (!fwd.empty() && fwd.top().first == level) {
-        levelInsts.push_back(fwd.top().second);
-        fwd.pop();
-      }
-      forwardEvals += levelInsts.size();
-      changedNets.clear();
-      evalInstancesBatched(levelInsts, &changedNets);
-      fanoutChanged();
-    }
+  while (!fwd.empty()) {
+    const InstIndex index = fwd.top().second;
+    fwd.pop();
+    ++forwardEvals;
+    changedNets.clear();
+    evalInstance(index, &changedNets);
+    fanoutChanged();
   }
 
   // --- endpoint census ------------------------------------------------------
@@ -858,9 +696,6 @@ std::string describeDiff(const char* what, std::size_t index, double got,
 
 std::string TimingAnalyzer::diffAgainstReference() const {
   TimingAnalyzer ref(design_, library_, clock_);
-  // The reference always runs the scalar per-instance sweep, so a cross
-  // check also verifies batched-vs-scalar bit identity.
-  ref.setLevelBatchedPropagation(false);
   if (!ref.analyze()) return "reference analyze() failed";
 
   const auto diffVec = [](const char* what, const std::vector<double>& got,

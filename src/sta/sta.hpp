@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -162,16 +161,6 @@ class TimingAnalyzer {
     return views_;
   }
 
-  /// Toggles level-batched arrival propagation (on by default): whole
-  /// levels drain into flat (arc, slew, load) arrays, evaluate in one
-  /// contiguous loop and scatter back. Results are bit-identical in both
-  /// modes — the scalar per-instance path is the oracle used by
-  /// diffAgainstReference() — so the toggle exists for tests and benches.
-  void setLevelBatchedPropagation(bool on) noexcept { level_batched_ = on; }
-  [[nodiscard]] bool levelBatchedPropagation() const noexcept {
-    return level_batched_;
-  }
-
   // --- per-net results -----------------------------------------------------
   // Accessors are bounds-safe: nets created after the last analyze() (e.g.
   // by mid-pass buffer insertion) report neutral defaults until the next
@@ -264,44 +253,19 @@ class TimingAnalyzer {
     netlist::NetIndex oldNet = netlist::kNoNet;   ///< kReconnect
   };
 
-  /// One arc of a level batch: the compiled arc plus the (slew, load)
-  /// operating point it was gathered at.
-  struct ArcTask {
-    const CompiledArc* arc = nullptr;
-    double slew = 0.0;
-    double load = 0.0;
-  };
-
   void refreshInstanceViews();
   void computeLoads();
   bool levelize();
-  /// Dispatches to the scalar or level-batched full sweep (identical bits).
+  /// Full forward sweep: evalInstance() over topo_.
   void propagateArrivals();
   void propagateRequired();
   void collectEndpoints();
   /// Recomputes the output-net annotations (arrival, min arrival, slew,
   /// pred) of one instance from the current input state. When `changedNets`
   /// is non-null, output nets whose (arrival, minArrival, slew) triple
-  /// changed bitwise are appended to it. This is the scalar oracle the
-  /// batched path is checked against.
+  /// changed bitwise are appended to it.
   void evalInstance(netlist::InstIndex index,
                     std::vector<netlist::NetIndex>* changedNets);
-  /// Appends one ArcTask per timing arc of the instance; enumeration order
-  /// is exactly the consumption order of commitInstance(). Returns the
-  /// number of tasks appended (0 for tie cells).
-  std::size_t gatherInstanceArcs(netlist::InstIndex index,
-                                 std::vector<ArcTask>& out) const;
-  /// evalInstance() with the arc evaluations already done: consumes one
-  /// ArcTiming per gathered arc and runs the identical reduction/commit.
-  void commitInstance(netlist::InstIndex index,
-                      std::span<const ArcTiming> timings,
-                      std::vector<netlist::NetIndex>* changedNets);
-  /// Level-batched evaluation of same-level instances: gather → one flat
-  /// evaluation loop → per-instance scatter. Instances of one level write
-  /// disjoint output nets and read only settled lower-level state, so any
-  /// evaluation order yields the scalar path's bits.
-  void evalInstancesBatched(std::span<const netlist::InstIndex> instances,
-                            std::vector<netlist::NetIndex>* changedNets);
   /// Fresh sink-order load summation of one net (bit-identical to the
   /// per-net body of computeLoads()).
   [[nodiscard]] double recomputeNetLoad(netlist::NetIndex net) const;
@@ -336,13 +300,6 @@ class TimingAnalyzer {
 
   std::vector<PendingEdit> pending_;
   bool baseline_valid_ = false;  ///< results usable as incremental baseline
-  bool level_batched_ = true;    ///< level-batched arrival propagation
-
-  // Scratch for evalInstancesBatched(), reused across levels and updates so
-  // steady-state propagation does not allocate.
-  std::vector<ArcTask> batch_tasks_;
-  std::vector<ArcTiming> batch_timings_;
-  std::vector<std::uint32_t> batch_counts_;  ///< tasks per batched instance
 };
 
 /// Diagnostic label of an endpoint ("inst/D" or the output port name),

@@ -1,14 +1,19 @@
 #include "synth/synthesis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <set>
+#include <span>
+#include <unordered_map>
 
 #include "netlist/analysis.hpp"
+#include "parallel/parallel.hpp"
 #include "synth/decompose.hpp"
 #include "synth/pattern_map.hpp"
 
@@ -26,6 +31,9 @@ using tuning::PinWindow;
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kMinBenefit = 5e-4;  // 0.5 ps
+/// Instances per decide chunk. Chunk boundaries depend on this alone, and
+/// stages of fewer instances decide in one inline chunk, off the pool.
+constexpr std::size_t kDecideGrain = 256;
 
 /// All primitive ops, for family construction.
 constexpr PrimOp kAllOps[] = {
@@ -42,16 +50,16 @@ constexpr PrimOp kAllOps[] = {
 
 Synthesizer::Synthesizer(const liberty::Library& library,
                          const tuning::LibraryConstraints* constraints)
-    : library_(library), constraints_(constraints) {
-  if (constraints_ != nullptr && !constraints_->empty()) {
-    compiled_.emplace(*constraints_, library_);
+    : library_(library) {
+  if (constraints != nullptr && !constraints->empty()) {
+    compiled_.emplace(*constraints, library_);
   }
   for (PrimOp op : kAllOps) {
     std::vector<const Cell*> cells =
         library_.family(netlist::defaultFunction(op));
-    if (constraints_ != nullptr) {
+    if (constraints != nullptr) {
       std::erase_if(cells, [&](const Cell* c) {
-        return !constraints_->cellUsable(c->name());
+        return !constraints->cellUsable(c->name());
       });
     }
     families_[op] = std::move(cells);
@@ -69,17 +77,27 @@ namespace {
 /// Working state of one synthesis run.
 class Session {
  public:
-  Session(const Synthesizer& synth, const tuning::LibraryConstraints* constraints,
-          Design& design, const sta::ClockSpec& clock,
-          const SynthesisOptions& options, SynthesisResult& result)
+  Session(const Synthesizer& synth, Design& design,
+          const sta::ClockSpec& clock, const SynthesisOptions& options,
+          SynthesisResult& result)
       : synth_(synth),
-        constraints_(constraints),
-        view_(options.compiledConstraintWindows ? synth.compiledConstraints()
-                                                : nullptr),
+        view_(synth.compiledConstraints()),
         design_(design),
         options_(options),
         result_(result),
-        analyzer_(design, synth.library(), clock) {}
+        analyzer_(design, synth.library(), clock) {
+    // Every cell a sizing decision can look at is a family member. Compile
+    // their timing views and sum their input caps up front, so the decide
+    // phase of a stage only reads shared state.
+    for (PrimOp op : kAllOps) {
+      for (const Cell* cell : synth_.family(op)) {
+        (void)analyzer_.views().of(*cell);
+        double cap = 0.0;
+        for (const liberty::Pin* p : cell->inputPins()) cap += p->capacitance;
+        inputCap_.emplace(cell, cap);
+      }
+    }
+  }
 
   bool mapInitial();
   void optimize();
@@ -87,16 +105,11 @@ class Session {
 
  private:
   // --- constraint helpers ---------------------------------------------------
-  /// Tuned window of a cell's output slot; nullptr when unconstrained. Hot
-  /// path goes through the slot-interned compiled view (one pointer hash);
-  /// the string fallback is the benchmark baseline.
+  /// Tuned window of a cell's output slot; nullptr when unconstrained
+  /// (one pointer hash into the slot-interned compiled view).
   [[nodiscard]] const PinWindow* windowOf(const Cell& cell,
                                           std::uint32_t outSlot) const {
-    if (view_ != nullptr) return view_->window(cell, outSlot);
-    if (constraints_ == nullptr) return nullptr;
-    slow_ = constraints_->window(
-        cell.name(), liberty::outputNames(cell.function())[outSlot]);
-    return slow_ ? &*slow_ : nullptr;
+    return view_ != nullptr ? view_->window(cell, outSlot) : nullptr;
   }
 
   /// Max load the cell may drive on this output slot (electrical + window).
@@ -131,20 +144,43 @@ class Session {
     return true;
   }
 
+  /// Transition limit an instance bound to `cell` imposes on each of its
+  /// input nets: its tightest output window's max slew (+inf without
+  /// windows; sequential cells see a fixed clock slew and impose none).
+  [[nodiscard]] double inputSlewLimit(const netlist::Instance& inst,
+                                      const Cell& cell) const {
+    double limit = kInf;
+    if (netlist::isSequential(inst.op)) return limit;
+    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
+      if (const auto* w = windowOf(cell, slot)) {
+        limit = std::min(limit, w->maxSlew);
+      }
+    }
+    return limit;
+  }
+
   /// Strictest transition limit a net's sinks impose on its slew.
   [[nodiscard]] double netSlewLimit(NetIndex net) const {
     double limit = options_.maxSlew;
     for (const netlist::SinkRef& sink : design_.net(net).sinks) {
       const netlist::Instance& inst = design_.instance(sink.instance);
       if (!inst.alive || inst.cell == nullptr) continue;
-      if (netlist::isSequential(inst.op)) continue;
-      for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-        if (const auto* w = windowOf(*inst.cell, slot)) {
-          limit = std::min(limit, w->maxSlew);
-        }
-      }
+      limit = std::min(limit, inputSlewLimit(inst, *inst.cell));
     }
     return limit;
+  }
+
+  /// netSlewLimit of each output net of an instance (at most two: adders),
+  /// computed once per decision instead of once per candidate cell.
+  using SlotLimits = std::array<double, 2>;
+  [[nodiscard]] SlotLimits outputSlewLimits(
+      const netlist::Instance& inst) const {
+    assert(inst.outputs.size() <= SlotLimits{}.size());
+    SlotLimits limits{};
+    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
+      limits[slot] = netSlewLimit(inst.outputs[slot]);
+    }
+    return limits;
   }
 
   /// Worst arc delay of an instance's output at a hypothetical load, with
@@ -231,21 +267,27 @@ class Session {
     return (d1 - d0) / delta;
   }
 
-  /// Candidate legality at the instance's current operating point.
-  [[nodiscard]] bool candidateLegal(const netlist::Instance& inst,
-                                    const Cell& cell) const {
+  /// Worst delay and worst transition over the instance's outputs with
+  /// `cell` bound at the current operating point; nullopt when the
+  /// candidate is illegal there (load window, input-slew window, or an
+  /// output transition above `slewLimits`, which is outputSlewLimits(inst)).
+  [[nodiscard]] std::optional<std::pair<double, double>> candidateTiming(
+      const netlist::Instance& inst, const Cell& cell,
+      const SlotLimits& slewLimits) const {
+    double delay = 0.0;
+    double trans = 0.0;
     for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
       const double load = analyzer_.netLoad(inst.outputs[slot]);
       if (load > maxLoadOf(cell, slot) || load < minLoadOf(cell, slot)) {
-        return false;
+        return std::nullopt;
       }
-      if (!slewsAccepted(inst, cell, slot)) return false;
-      if (worstTransitionAt(inst, cell, slot, load) >
-          netSlewLimit(inst.outputs[slot])) {
-        return false;
-      }
+      if (!slewsAccepted(inst, cell, slot)) return std::nullopt;
+      const auto [d, t] = delayAndTransitionAt(inst, cell, slot, load);
+      if (t > slewLimits[slot]) return std::nullopt;
+      delay = std::max(delay, d);
+      trans = std::max(trans, t);
     }
-    return true;
+    return std::pair{delay, trans};
   }
 
   void resize(InstIndex index, const Cell* cell) {
@@ -276,24 +318,50 @@ class Session {
   }
 
   // --- optimization stages -----------------------------------------------
+  /// One instance's sizing move, decided against the state at the start of
+  /// its stage: rebind to `cell`, split the output net `split` in two, or
+  /// nothing (both unset).
+  struct Move {
+    const Cell* cell = nullptr;
+    NetIndex split = kNoNet;
+    bool operator==(const Move&) const = default;
+  };
+
   std::size_t fixFanout();
   std::size_t fixElectrical();
   std::size_t improveTiming();
   std::size_t recoverArea();
+  /// Pure decisions of the three sizing stages: they read the design, the
+  /// frozen start-of-pass timing and the precompiled views, never write.
+  [[nodiscard]] Move decideElectrical(InstIndex i, std::size_t preNets) const;
+  [[nodiscard]] Move decideUpsize(InstIndex i) const;
+  [[nodiscard]] Move decideDownsize(InstIndex i) const;
+  enum class Stage { kElectrical, kTiming, kArea };
+  /// Shared stage driver: decides every instance of `order` on the pool,
+  /// then commits the moves serially in `order`, re-deciding the instances
+  /// an earlier commit marked stale. Returns the number of committed moves.
+  template <typename Decide>
+  std::size_t decideAndCommit(Stage stage, std::span<const InstIndex> order,
+                              const Decide& decide);
+  /// Ignores kNoInst and the buffers a split added (never in an order).
+  void markStale(InstIndex i) {
+    if (i < stale_.size()) stale_[i] = 1;
+  }
   void splitNet(NetIndex net, std::size_t groups);
   [[nodiscard]] const Cell* bufferCellFor(double load) const;
 
   const Synthesizer& synth_;
-  const tuning::LibraryConstraints* constraints_;
   const tuning::CompiledConstraintView* view_;
-  /// Scratch for the string-path fallback of windowOf (Session is
-  /// single-threaded; the pointer it returns is consumed immediately).
-  mutable std::optional<PinWindow> slow_;
   Design& design_;
   const SynthesisOptions& options_;
   SynthesisResult& result_;
   sta::TimingAnalyzer analyzer_;
+  /// Summed input-pin capacitance per family cell (upsizing cost).
+  std::unordered_map<const Cell*, double> inputCap_;
   std::set<InstIndex> noDownsize_;
+  /// Per-instance flag of the running stage: a committed move changed an
+  /// input of this instance's decision.
+  std::vector<std::uint8_t> stale_;
   std::size_t analyzedNets_ = 0;
 };
 
@@ -395,57 +463,166 @@ std::size_t Session::fixFanout() {
   return changes;
 }
 
-std::size_t Session::fixElectrical() {
+template <typename Decide>
+std::size_t Session::decideAndCommit(Stage stage,
+                                     std::span<const InstIndex> order,
+                                     const Decide& decide) {
+  std::vector<Move> moves(order.size());
+  parallel::parallelFor(
+      order.size(), [&](std::size_t k) { moves[k] = decide(order[k]); },
+      kDecideGrain);
+
+  // Commit in stage order. A move changes the decision inputs of its
+  // neighbours, so the serial loop would have decided them against the
+  // edited design: mark them, and re-decide marked instances at their turn.
+  // A resize can change the slew limit the cell imposes on its input nets
+  // (read by their drivers) and, for timing upsizes only, the drive
+  // resistance its sinks price; a split moves every sink of the net onto
+  // a new net with no timing yet.
+  const bool pinSize = stage != Stage::kArea;
+  const bool sinksReadDriver = stage == Stage::kTiming;
+  stale_.assign(design_.instanceCount(), 0);
+  const bool check = sta::TimingAnalyzer::crossCheckEnabled();
   std::size_t changes = 0;
-  const std::size_t preInst = design_.instanceCount();
-  const std::size_t preNets = design_.netCount();
-  for (InstIndex i = 0; i < preInst; ++i) {
-    const netlist::Instance& inst = design_.instance(i);
-    if (!inst.alive || inst.cell == nullptr) continue;
-    const auto& fam = synth_.family(inst.op);
-    if (fam.empty()) continue;
-
-    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-      const NetIndex out = inst.outputs[slot];
-      if (out >= preNets) continue;  // created this pass; next pass
-      const double load = analyzer_.netLoad(out);
-      const double slewLimit = netSlewLimit(out);
-
-      const bool loadHigh = load > maxLoadOf(*inst.cell, slot);
-      const bool loadLow = load < minLoadOf(*inst.cell, slot);
-      const bool slewHigh =
-          worstTransitionAt(inst, *inst.cell, slot, load) > slewLimit;
-      if (!loadHigh && !loadLow && !slewHigh) continue;
-
-      // Find the smallest family member that fixes all three conditions.
-      const Cell* best = nullptr;
-      for (const Cell* c : fam) {
-        if (load > maxLoadOf(*c, slot) || load < minLoadOf(*c, slot)) {
-          continue;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const InstIndex i = order[k];
+    Move move = moves[k];
+    if (stale_[i] != 0) {
+      move = decide(i);
+    } else if (check && decide(i) != move) {
+      std::fprintf(stderr,
+                   "SCT_STA_CHECK: speculative sizing move of %s diverged "
+                   "from its serial re-decision\n",
+                   design_.instance(i).name.c_str());
+      std::abort();
+    }
+    if (move.cell != nullptr) {
+      const netlist::Instance& inst = design_.instance(i);
+      if (inputSlewLimit(inst, *inst.cell) !=
+          inputSlewLimit(inst, *move.cell)) {
+        for (NetIndex in : inst.inputs) markStale(design_.net(in).driver);
+      }
+      if (sinksReadDriver) {
+        for (NetIndex out : inst.outputs) {
+          for (const netlist::SinkRef& sink : design_.net(out).sinks) {
+            markStale(sink.instance);
+          }
         }
-        if (!slewsAccepted(inst, *c, slot)) continue;
-        if (worstTransitionAt(inst, *c, slot, load) > slewLimit) continue;
-        best = c;
-        break;
       }
-      if (best != nullptr && best != inst.cell) {
-        resize(i, best);
-        noDownsize_.insert(i);
-        ++changes;
-      } else if (best == nullptr && (loadHigh || slewHigh) &&
-                 design_.net(out).sinks.size() > 1) {
-        // No size fits: split the fanout and retry next pass.
-        splitNet(out, 2);
-        ++changes;
+      resize(i, move.cell);
+      if (pinSize) noDownsize_.insert(i);
+      ++changes;
+    } else if (move.split != kNoNet) {
+      for (const netlist::SinkRef& sink : design_.net(move.split).sinks) {
+        markStale(sink.instance);
       }
-      break;  // re-evaluate multi-output cells next pass
+      splitNet(move.split, 2);
+      ++changes;
     }
   }
   return changes;
 }
 
+Session::Move Session::decideElectrical(InstIndex i,
+                                        std::size_t preNets) const {
+  const netlist::Instance& inst = design_.instance(i);
+  if (!inst.alive || inst.cell == nullptr) return {};
+  const auto& fam = synth_.family(inst.op);
+  if (fam.empty()) return {};
+
+  for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
+    const NetIndex out = inst.outputs[slot];
+    if (out >= preNets) continue;  // created this pass; next pass
+    const double load = analyzer_.netLoad(out);
+    const double slewLimit = netSlewLimit(out);
+
+    const bool loadHigh = load > maxLoadOf(*inst.cell, slot);
+    const bool loadLow = load < minLoadOf(*inst.cell, slot);
+    const bool slewHigh =
+        worstTransitionAt(inst, *inst.cell, slot, load) > slewLimit;
+    if (!loadHigh && !loadLow && !slewHigh) continue;
+
+    // Find the smallest family member that fixes all three conditions.
+    const Cell* best = nullptr;
+    for (const Cell* c : fam) {
+      if (load > maxLoadOf(*c, slot) || load < minLoadOf(*c, slot)) {
+        continue;
+      }
+      if (!slewsAccepted(inst, *c, slot)) continue;
+      if (worstTransitionAt(inst, *c, slot, load) > slewLimit) continue;
+      best = c;
+      break;
+    }
+    if (best != nullptr && best != inst.cell) return {best, kNoNet};
+    if (best == nullptr && (loadHigh || slewHigh) &&
+        design_.net(out).sinks.size() > 1) {
+      return {nullptr, out};  // no size fits: split, retry next pass
+    }
+    return {};  // re-evaluate multi-output cells next pass
+  }
+  return {};
+}
+
+std::size_t Session::fixElectrical() {
+  const std::size_t preNets = design_.netCount();
+  std::vector<InstIndex> order(design_.instanceCount());
+  std::iota(order.begin(), order.end(), InstIndex{0});
+  return decideAndCommit(Stage::kElectrical, order, [&](InstIndex i) {
+    return decideElectrical(i, preNets);
+  });
+}
+
+Session::Move Session::decideUpsize(InstIndex i) const {
+  const netlist::Instance& inst = design_.instance(i);
+  const auto& fam = synth_.family(inst.op);
+  const double currentStrength = inst.cell->driveStrength();
+
+  // Upstream penalty of adding input capacitance: only drivers that are
+  // themselves timing critical pay full price — loading a slack-rich
+  // driver merely consumes its slack.
+  double penaltyPerCap = 0.0;
+  for (NetIndex in : inst.inputs) {
+    const double r = driverResistance(in);
+    const double driverSlack = analyzer_.netSlack(in);
+    const double criticality =
+        driverSlack < 0.0 ? 1.0 : (driverSlack < 0.05 ? 0.5 : 0.15);
+    penaltyPerCap = std::max(penaltyPerCap, r * criticality);
+  }
+  const double oldCap = inputCap_.at(inst.cell);
+  const SlotLimits slewLimits = outputSlewLimits(inst);
+
+  const Cell* best = nullptr;
+  double bestBenefit = kMinBenefit;
+  double oldDelay = 0.0;
+  double oldTrans = 0.0;
+  for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
+    const double load = analyzer_.netLoad(inst.outputs[slot]);
+    const auto [d, t] = delayAndTransitionAt(inst, *inst.cell, slot, load);
+    oldDelay = std::max(oldDelay, d);
+    oldTrans = std::max(oldTrans, t);
+  }
+  for (const Cell* c : fam) {
+    if (c->driveStrength() <= currentStrength) continue;
+    const auto timing = candidateTiming(inst, *c, slewLimits);
+    if (!timing) continue;
+    const auto [newDelay, newTrans] = *timing;
+    const double newCap = inputCap_.at(c);
+    // A sharper output edge also speeds up the downstream stage; weight it
+    // with the technology's typical slew-to-delay sensitivity.
+    const double benefit = (oldDelay - newDelay) +
+                           0.25 * (oldTrans - newTrans) -
+                           penaltyPerCap * (newCap - oldCap);
+    if (benefit > bestBenefit) {
+      bestBenefit = benefit;
+      best = c;
+    }
+  }
+  return {best, kNoNet};
+}
+
 std::size_t Session::improveTiming() {
-  // Candidate instances: negative slack through their output.
+  // Candidate instances: negative slack through their output, most
+  // critical first.
   std::vector<std::pair<double, InstIndex>> critical;
   for (InstIndex i = 0; i < design_.instanceCount(); ++i) {
     const netlist::Instance& inst = design_.instance(i);
@@ -457,115 +634,57 @@ std::size_t Session::improveTiming() {
     if (slack < 0.0) critical.emplace_back(slack, i);
   }
   std::sort(critical.begin(), critical.end());
+  std::vector<InstIndex> order;
+  order.reserve(critical.size());
+  for (const auto& entry : critical) order.push_back(entry.second);
+  return decideAndCommit(Stage::kTiming, order,
+                         [&](InstIndex i) { return decideUpsize(i); });
+}
 
-  std::size_t changes = 0;
-  for (const auto& [slack, i] : critical) {
-    const netlist::Instance& inst = design_.instance(i);
-    const auto& fam = synth_.family(inst.op);
-    const double currentStrength = inst.cell->driveStrength();
+Session::Move Session::decideDownsize(InstIndex i) const {
+  const netlist::Instance& inst = design_.instance(i);
+  if (!inst.alive || inst.cell == nullptr) return {};
+  if (noDownsize_.contains(i)) return {};
+  const auto& fam = synth_.family(inst.op);
+  const double currentStrength = inst.cell->driveStrength();
+  if (fam.empty() || fam.front() == inst.cell) return {};
 
-    // Upstream penalty of adding input capacitance: only drivers that are
-    // themselves timing critical pay full price — loading a slack-rich
-    // driver merely consumes its slack.
-    double penaltyPerCap = 0.0;
-    for (NetIndex in : inst.inputs) {
-      const double r = driverResistance(in);
-      const double driverSlack = analyzer_.netSlack(in);
-      const double criticality =
-          driverSlack < 0.0 ? 1.0 : (driverSlack < 0.05 ? 0.5 : 0.15);
-      penaltyPerCap = std::max(penaltyPerCap, r * criticality);
-    }
-    double oldCap = 0.0;
-    for (const liberty::Pin* p : inst.cell->inputPins()) {
-      oldCap += p->capacitance;
-    }
+  double slack = kInf;
+  double oldDelay = 0.0;
+  for (NetIndex out : inst.outputs) {
+    slack = std::min(slack, analyzer_.netSlack(out));
+  }
+  if (slack == kInf || slack < options_.areaRecoveryMargin) return {};
+  for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
+    oldDelay = std::max(
+        oldDelay, worstDelayAt(inst, *inst.cell, slot,
+                               analyzer_.netLoad(inst.outputs[slot])));
+  }
 
-    const Cell* best = nullptr;
-    double bestBenefit = kMinBenefit;
-    double oldDelay = 0.0;
-    double oldTrans = 0.0;
-    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-      const double load = analyzer_.netLoad(inst.outputs[slot]);
-      const auto [d, t] = delayAndTransitionAt(inst, *inst.cell, slot, load);
-      oldDelay = std::max(oldDelay, d);
-      oldTrans = std::max(oldTrans, t);
-    }
-    for (const Cell* c : fam) {
-      if (c->driveStrength() <= currentStrength) continue;
-      if (!candidateLegal(inst, *c)) continue;
-      double newDelay = 0.0;
-      double newTrans = 0.0;
-      double newCap = 0.0;
-      for (const liberty::Pin* p : c->inputPins()) newCap += p->capacitance;
-      for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-        const double load = analyzer_.netLoad(inst.outputs[slot]);
-        const auto [d, t] = delayAndTransitionAt(inst, *c, slot, load);
-        newDelay = std::max(newDelay, d);
-        newTrans = std::max(newTrans, t);
-      }
-      // A sharper output edge also speeds up the downstream stage; weight it
-      // with the technology's typical slew-to-delay sensitivity.
-      const double benefit = (oldDelay - newDelay) +
-                             0.25 * (oldTrans - newTrans) -
-                             penaltyPerCap * (newCap - oldCap);
-      if (benefit > bestBenefit) {
-        bestBenefit = benefit;
-        best = c;
-      }
-    }
-    if (best != nullptr) {
-      resize(i, best);
-      noDownsize_.insert(i);
-      ++changes;
+  // Largest downsize that keeps the margin and stays legal.
+  const SlotLimits slewLimits = outputSlewLimits(inst);
+  const Cell* best = nullptr;
+  for (const Cell* c : fam) {
+    if (c->driveStrength() >= currentStrength) break;
+    const auto timing = candidateTiming(inst, *c, slewLimits);
+    if (!timing) continue;
+    const double newDelay = timing->first;
+    if (slack - (newDelay - oldDelay) >= options_.areaRecoveryMargin) {
+      best = c;
+      break;  // smallest legal size wins (area first)
     }
   }
-  return changes;
+  if (best != nullptr && best->area() < inst.cell->area()) {
+    return {best, kNoNet};
+  }
+  return {};
 }
 
 std::size_t Session::recoverArea() {
-  std::size_t changes = 0;
-  for (InstIndex i = 0; i < design_.instanceCount(); ++i) {
-    const netlist::Instance& inst = design_.instance(i);
-    if (!inst.alive || inst.cell == nullptr) continue;
-    if (noDownsize_.contains(i)) continue;
-    const auto& fam = synth_.family(inst.op);
-    const double currentStrength = inst.cell->driveStrength();
-    if (fam.empty() || fam.front() == inst.cell) continue;
-
-    double slack = kInf;
-    double oldDelay = 0.0;
-    for (NetIndex out : inst.outputs) {
-      slack = std::min(slack, analyzer_.netSlack(out));
-    }
-    if (slack == kInf || slack < options_.areaRecoveryMargin) continue;
-    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-      oldDelay = std::max(
-          oldDelay, worstDelayAt(inst, *inst.cell, slot,
-                                 analyzer_.netLoad(inst.outputs[slot])));
-    }
-
-    // Largest downsize that keeps the margin and stays legal.
-    const Cell* best = nullptr;
-    for (const Cell* c : fam) {
-      if (c->driveStrength() >= currentStrength) break;
-      if (!candidateLegal(inst, *c)) continue;
-      double newDelay = 0.0;
-      for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-        newDelay = std::max(
-            newDelay, worstDelayAt(inst, *c, slot,
-                                   analyzer_.netLoad(inst.outputs[slot])));
-      }
-      if (slack - (newDelay - oldDelay) >= options_.areaRecoveryMargin) {
-        best = c;
-        break;  // smallest legal size wins (area first)
-      }
-    }
-    if (best != nullptr && best->area() < inst.cell->area()) {
-      resize(i, best);
-      ++changes;
-    }
-  }
-  return changes;
+  std::vector<InstIndex> order(design_.instanceCount());
+  std::iota(order.begin(), order.end(), InstIndex{0});
+  return decideAndCommit(Stage::kArea, order,
+                         [&](InstIndex i) { return decideDownsize(i); });
 }
 
 void Session::optimize() {
@@ -643,7 +762,7 @@ SynthesisResult Synthesizer::run(const Design& subject,
                                  const SynthesisOptions& options) const {
   SynthesisResult result;
   result.design = subject;  // work on a copy
-  Session session(*this, constraints_, result.design, clock, options, result);
+  Session session(*this, result.design, clock, options, result);
   if (!session.mapInitial()) {
     result.timingMet = false;
     result.legal = false;

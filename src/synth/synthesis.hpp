@@ -28,10 +28,6 @@ struct SynthesisOptions {
   /// to a from-scratch analysis). false forces a full re-analysis per pass —
   /// the pre-incremental behaviour, kept as a benchmark baseline.
   bool incrementalSta = true;
-  /// Answer window-legality queries through the slot-interned
-  /// CompiledConstraintView (bit-identical results). false forces the
-  /// two-map-lookup string path, kept as a benchmark baseline.
-  bool compiledConstraintWindows = true;
 };
 
 struct SynthesisResult {
@@ -95,7 +91,6 @@ class Synthesizer {
 
  private:
   const liberty::Library& library_;
-  const tuning::LibraryConstraints* constraints_;
   std::optional<tuning::CompiledConstraintView> compiled_;
   /// Per-PrimOp usable family, ascending drive strength.
   std::map<netlist::PrimOp, std::vector<const liberty::Cell*>> families_;

@@ -3,8 +3,7 @@
 //   - numeric:  applyBatch()/batchedBilinear() vs bilinear() per instance,
 //   - charlib:  delayBatch()/outputSlewBatch() vs delay()/outputSlew(),
 //               characterizeMonteCarlo() vs per-instance characterizeSample(),
-//   - statlib:  merged mean/sigma tables vs a direct per-entry reduction,
-//   - sta:      level-batched propagation vs the scalar sweep.
+//   - statlib:  merged mean/sigma tables vs a direct per-entry reduction.
 // All comparisons are exact (bitwise) double equality — the batched paths
 // are reorderings of the same expression trees, never approximations.
 
@@ -16,13 +15,10 @@
 
 #include "charlib/characterizer.hpp"
 #include "charlib/delay_model.hpp"
-#include "netlist/random.hpp"
 #include "numeric/grid_batch.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/statistics.hpp"
 #include "statlib/stat_library.hpp"
-#include "sta/sta.hpp"
-#include "synth/synthesis.hpp"
 #include "test_helpers.hpp"
 
 namespace sct {
@@ -291,67 +287,6 @@ TEST(BatchedStatMerge, MatchesDirectPerEntryReduction) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------- sta ----
-
-TEST(LevelBatchedSta, BitIdenticalToScalarSweep) {
-  // Full-sweep cross check on synthesized random DAGs: the level-batched
-  // analyzer (default mode) against diffAgainstReference(), whose reference
-  // is pinned to the scalar per-instance path.
-  static charlib::Characterizer chr = test::makeSmallCharacterizer();
-  static liberty::Library lib =
-      chr.characterizeNominal(charlib::ProcessCorner::typical());
-  const synth::Synthesizer synth(lib);
-
-  for (const std::uint64_t seed : {1ull, 23ull, 77ull}) {
-    netlist::RandomDagConfig config;
-    config.seed = seed;
-    config.gates = 150;
-    config.flipFlops = 14;
-    sta::ClockSpec clock;
-    clock.period = 4.0;
-    synth::SynthesisResult mapped =
-        synth.run(netlist::generateRandomDag(config), clock);
-    ASSERT_EQ(mapped.design.validate(), "");
-
-    sta::TimingAnalyzer batched(mapped.design, lib, clock);
-    ASSERT_TRUE(batched.levelBatchedPropagation());
-    ASSERT_TRUE(batched.analyze());
-    EXPECT_EQ(batched.diffAgainstReference(), "") << "seed " << seed;
-
-    // Belt and braces: an explicitly scalar analyzer agrees net by net.
-    sta::TimingAnalyzer scalar(mapped.design, lib, clock);
-    scalar.setLevelBatchedPropagation(false);
-    ASSERT_TRUE(scalar.analyze());
-    EXPECT_EQ(batched.worstSlack(), scalar.worstSlack());
-    EXPECT_EQ(batched.totalNegativeSlack(), scalar.totalNegativeSlack());
-    EXPECT_EQ(batched.worstHoldSlack(), scalar.worstHoldSlack());
-    for (netlist::NetIndex n = 0; n < mapped.design.netCount(); ++n) {
-      ASSERT_EQ(batched.netArrival(n), scalar.netArrival(n)) << "net " << n;
-      ASSERT_EQ(batched.netSlew(n), scalar.netSlew(n)) << "net " << n;
-      ASSERT_EQ(batched.netRequired(n), scalar.netRequired(n)) << "net " << n;
-      ASSERT_EQ(batched.netMinArrival(n), scalar.netMinArrival(n))
-          << "net " << n;
-    }
-  }
-}
-
-TEST(LevelBatchedSta, TinyChainMatchesScalar) {
-  const liberty::Library lib = test::makeTinyLibrary();
-  netlist::Design design = test::makeInvChain(6);
-  const liberty::Cell* inv = lib.findCell("INV_1");
-  const liberty::Cell* dff = lib.findCell("FD1_1");
-  for (netlist::InstIndex i = 0; i < design.instanceCount(); ++i) {
-    auto& inst = design.instance(i);
-    if (!inst.alive) continue;
-    design.bindCell(i, netlist::isSequential(inst.op) ? dff : inv);
-  }
-  sta::ClockSpec clock;
-  clock.period = 1.0;
-  sta::TimingAnalyzer analyzer(design, lib, clock);
-  ASSERT_TRUE(analyzer.analyze());
-  EXPECT_EQ(analyzer.diffAgainstReference(), "");
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Tests for the parallel execution layer: primitive correctness (coverage,
 // ordering, exceptions, nesting) and the determinism contract — serial and
 // multi-threaded runs of the Monte-Carlo characterization, stat-library
-// merge, library tuning, path Monte Carlo, design power and design path
-// statistics must agree bit for bit.
+// merge, library tuning, path Monte Carlo, design power, design path
+// statistics and synthesis must agree bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,8 @@
 
 #include "charlib/characterizer.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/random.hpp"
+#include "netlist/verilog_io.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
 #include "parallel/parallel.hpp"
@@ -495,6 +498,60 @@ TEST_F(ParallelDeterminismTest, DesignStatsBitIdentical) {
   EXPECT_EQ(threaded.mean, mean);
   EXPECT_EQ(serial.sigma, std::sqrt(varSum));
   EXPECT_EQ(threaded.sigma, std::sqrt(varSum));
+}
+
+TEST_F(ParallelDeterminismTest, SynthesisBitIdentical) {
+  // The sizing stages decide on the pool and commit serially; the mapped
+  // netlist and every figure must not depend on the thread count. The
+  // design spans several decide chunks; strength-slew 0.01 is the
+  // split-heavy configuration.
+  const charlib::Characterizer chr = characterizer();
+  const liberty::Library lib =
+      chr.characterizeNominal(charlib::ProcessCorner::typical());
+  const statlib::StatLibrary stat = statlib::buildStatLibrary(
+      chr.characterizeMonteCarlo(charlib::ProcessCorner::typical(), 8, 7));
+  const tuning::LibraryConstraints sigmaCeiling = tuning::tuneLibrary(
+      stat, tuning::TuningConfig::forMethod(
+                tuning::TuningMethod::kSigmaCeiling, 0.02));
+  const tuning::LibraryConstraints strengthSlew = tuning::tuneLibrary(
+      stat, tuning::TuningConfig::forMethod(
+                tuning::TuningMethod::kCellStrengthSlewSlope, 0.01));
+  netlist::RandomDagConfig config;
+  config.gates = 1500;
+  config.flipFlops = 75;
+  config.seed = 3;
+  const netlist::Design subject = netlist::generateRandomDag(config);
+
+  for (const tuning::LibraryConstraints* constraints :
+       {static_cast<const tuning::LibraryConstraints*>(nullptr),
+        &sigmaCeiling, &strengthSlew}) {
+    const synth::Synthesizer synth(lib, constraints);
+    // 2.0 ns keeps timing upsizes running; at 3.0 ns timing closes and
+    // area recovery takes over.
+    for (const double period : {2.0, 3.0}) {
+      sta::ClockSpec clock;
+      clock.period = period;
+      const auto run = [&](std::size_t threads) {
+        const ScopedThreads scope(threads);
+        return synth.run(subject, clock);
+      };
+      const synth::SynthesisResult serial = run(0);
+      const synth::SynthesisResult threaded = run(8);
+      EXPECT_GT(serial.design.instanceCount(), 3 * 256u);
+      EXPECT_EQ(netlist::writeVerilogToString(threaded.design),
+                netlist::writeVerilogToString(serial.design));
+      EXPECT_EQ(threaded.cellUsage(), serial.cellUsage());
+      EXPECT_EQ(threaded.passes, serial.passes);
+      EXPECT_EQ(threaded.resizes, serial.resizes);
+      EXPECT_EQ(threaded.buffersInserted, serial.buffersInserted);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded.worstSlack),
+                std::bit_cast<std::uint64_t>(serial.worstSlack));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded.tns),
+                std::bit_cast<std::uint64_t>(serial.tns));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded.area),
+                std::bit_cast<std::uint64_t>(serial.area));
+    }
+  }
 }
 
 TEST_F(ParallelDeterminismTest, SerialFallbackMatchesThreaded) {

@@ -1,10 +1,19 @@
-// Unit tests for the shared Liberty-dialect lexer and for the wire-load
-// model added to the STA boundary conditions.
+// Unit tests for the shared Liberty-dialect lexer, the canonical %.17g
+// double formatter and the wire-load model added to the STA boundary
+// conditions.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
 
+#include "core/fmt17.hpp"
 #include "liberty/text_format.hpp"
 #include "sta/sta.hpp"
 
@@ -136,6 +145,47 @@ TEST(WireLoadModel, QuadraticTermGrowsSuperlinearly) {
   const double perSink4 = large.netCap(4) / 4.0;
   const double perSink16 = large.netCap(16) / 16.0;
   EXPECT_GT(perSink16, perSink4);
+}
+
+// ------------------------------------------------------------- fmt17 ----
+
+std::string printf17(double v) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", v);
+  return buffer;
+}
+
+TEST(Fmt17, MatchesPrintfOnEdgeCases) {
+  using limits = std::numeric_limits<double>;
+  const double cases[] = {
+      0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0),  // largest subnormal
+      DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, limits::infinity(),
+      -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN(),
+      1.0, -1.0, 7.0, 100.0, 1e15, 1e16, 1e17, 1e22, 9007199254740992.0,
+      9007199254740993.0, 123456789012345678.0, 0.1, 0.5, 1.0 / 3.0,
+      4.7, 6.0, 7.8, 1e-5, 1e-4, 123456.0, 1234567890123456789.0};
+  for (const double v : cases) {
+    EXPECT_EQ(core::fmt17(v), printf17(v)) << printf17(v);
+  }
+  for (int i = -1000; i <= 1000; ++i) {
+    const double v = static_cast<double>(i);
+    EXPECT_EQ(core::fmt17(v), printf17(v));
+  }
+}
+
+TEST(Fmt17, MatchesPrintfOnRandomDoubles) {
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-320, 308);
+  for (int i = 0; i < 100000; ++i) {
+    // Raw bit patterns cover every exponent, subnormals and NaN payloads;
+    // scaled uniforms cover the magnitudes reports actually print.
+    const double raw = std::bit_cast<double>(rng());
+    const double scaled = unit(rng) * std::pow(10.0, exponent(rng));
+    ASSERT_EQ(core::fmt17(raw), printf17(raw)) << printf17(raw);
+    ASSERT_EQ(core::fmt17(scaled), printf17(scaled)) << printf17(scaled);
+  }
 }
 
 }  // namespace
