@@ -236,16 +236,14 @@ void BM_SynthesisOptimize(benchmark::State& state) {
   const synth::Synthesizer synth(lib);
   sta::ClockSpec clock;
   clock.period = 8.0;
-  synth::SynthesisOptions options;
-  options.incrementalSta = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(synth.run(subject, clock, options));
+    benchmark::DoNotOptimize(synth.run(subject, clock));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(subject.gateCount()));
 }
-BENCHMARK(BM_SynthesisOptimize)->ArgName("incremental")->Arg(0)->Arg(1);
+BENCHMARK(BM_SynthesisOptimize);
 
 void BM_SynthesisConstrained(benchmark::State& state) {
   // Window-constrained mapping: every legality query hits the constraint

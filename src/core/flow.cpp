@@ -94,8 +94,6 @@ void hashSynthesisOptions(artifact::Hasher& h,
       .u64(options.maxFanout)
       .f64(options.maxSlew)
       .f64(options.areaRecoveryMargin);
-  // incrementalSta is bit-identical to the full analysis by contract, so it
-  // does not enter the key: either setting may serve the other's artifact.
 }
 
 void hashTuning(artifact::Hasher& h, const tuning::TuningConfig& config) {

@@ -61,6 +61,7 @@ artifact::Digest cellKey(const ScenarioJob& job, const std::string& scenario,
   hasher.str("sct-scenario");
   hasher.u32(kScenarioSchema);
   hasher.str(job.flow.profile);
+  hasher.str(job.flow.workload);
   hasher.str(job.flow.method);
   hasher.f64(job.flow.value);
   hasher.u64(job.flow.mcCount);

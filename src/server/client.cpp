@@ -91,26 +91,6 @@ Response Client::call(MessageType type, std::span<const std::byte> payload) {
   return decodeResponse(frame->payload);
 }
 
-Response Client::flow(const FlowRequest& request) {
-  return call(MessageType::kFlowRequest, encodeFlowRequest(request));
-}
-
-Response Client::scenario(const ScenarioRequest& request) {
-  return call(MessageType::kScenarioRequest, encodeScenarioRequest(request));
-}
-
-Response Client::evolve(const EvolveRequest& request) {
-  return call(MessageType::kEvolveRequest, encodeEvolveRequest(request));
-}
-
-Response Client::lint(const LintRequest& request) {
-  return call(MessageType::kLintRequest, encodeLintRequest(request));
-}
-
-Response Client::sta(const StaRequest& request) {
-  return call(MessageType::kStaRequest, encodeStaRequest(request));
-}
-
 Response Client::ping(const PingRequest& request) {
   return call(MessageType::kPingRequest, encodePingRequest(request));
 }

@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 
+#include "server/jobs.hpp"
 #include "server/protocol.hpp"
 
 namespace sct::server {
@@ -31,12 +32,16 @@ class Client {
   [[nodiscard]] Response call(MessageType type,
                               std::span<const std::byte> payload);
 
-  // Typed conveniences.
-  [[nodiscard]] Response flow(const FlowRequest& request);
-  [[nodiscard]] Response scenario(const ScenarioRequest& request);
-  [[nodiscard]] Response evolve(const EvolveRequest& request);
-  [[nodiscard]] Response lint(const LintRequest& request);
-  [[nodiscard]] Response sta(const StaRequest& request);
+  /// One job-table request (server/jobs.hpp).
+  template <class Kind>
+  [[nodiscard]] Response run(const JobRequest<Kind>& request) {
+    return call(Kind::kType, encodeRequest(request));
+  }
+  [[nodiscard]] Response flow(const FlowRequest& request) {
+    return run(request);
+  }
+
+  // Control frames.
   [[nodiscard]] Response ping(const PingRequest& request);
   [[nodiscard]] Response health();
   [[nodiscard]] Response shutdown();

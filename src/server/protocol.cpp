@@ -18,18 +18,13 @@ namespace {
 using artifact::SctbReader;
 using artifact::SctbWriter;
 
-/// Every payload is an SCTB container with one section named after the
-/// message kind; decoding validates checksums first (FormatError → rethrown
-/// as ProtocolError by the callers' catch in the session loop).
-constexpr const char* kFlowSection = "flow-req";
-constexpr const char* kLintSection = "lint-req";
-constexpr const char* kStaSection = "sta-req";
-constexpr const char* kScenarioSection = "scenario-req";
-constexpr const char* kEvolveSection = "evolve-req";
 constexpr const char* kPingSection = "ping-req";
 constexpr const char* kResponseSection = "response";
 
-SctbReader readerFor(std::span<const std::byte> bytes, const char* section) {
+}  // namespace
+
+SctbReader payloadReader(std::span<const std::byte> bytes,
+                         const char* section) {
   try {
     SctbReader reader = SctbReader::fromBytes(bytes);
     if (!reader.hasSection(section)) {
@@ -41,8 +36,6 @@ SctbReader readerFor(std::span<const std::byte> bytes, const char* section) {
     throw ProtocolError(e.what());
   }
 }
-
-}  // namespace
 
 bool isRequestType(std::uint32_t raw) noexcept {
   switch (static_cast<MessageType>(raw)) {
@@ -61,200 +54,6 @@ bool isRequestType(std::uint32_t raw) noexcept {
   }
 }
 
-std::vector<std::byte> encodeFlowRequest(const FlowRequest& r) {
-  SctbWriter writer;
-  writer.beginSection(kFlowSection);
-  writer.str(r.job.profile);
-  writer.f64(r.job.period);
-  writer.str(r.job.method);
-  writer.f64(r.job.value);
-  writer.u64(r.job.mcCount);
-  writer.u64(r.job.mcSeed);
-  writer.str(r.job.lintMode);
-  writer.str(r.job.workload);
-  writer.u64(r.deadlineMillis);
-  return writer.finish();
-}
-
-FlowRequest decodeFlowRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kFlowSection);
-  auto cursor = reader.section(kFlowSection);
-  FlowRequest r;
-  try {
-    r.job.profile = cursor.str();
-    r.job.period = cursor.f64();
-    r.job.method = cursor.str();
-    r.job.value = cursor.f64();
-    r.job.mcCount = cursor.u64();
-    r.job.mcSeed = cursor.u64();
-    r.job.lintMode = cursor.str();
-    r.job.workload = cursor.str();
-    r.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
-}
-
-std::vector<std::byte> encodeLintRequest(const LintRequest& r) {
-  SctbWriter writer;
-  writer.beginSection(kLintSection);
-  writer.str(r.artifactType);
-  writer.str(r.content);
-  writer.boolean(r.json);
-  writer.u64(r.deadlineMillis);
-  return writer.finish();
-}
-
-LintRequest decodeLintRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kLintSection);
-  auto cursor = reader.section(kLintSection);
-  LintRequest r;
-  try {
-    r.artifactType = cursor.str();
-    r.content = cursor.str();
-    r.json = cursor.boolean();
-    r.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
-}
-
-std::vector<std::byte> encodeStaRequest(const StaRequest& r) {
-  SctbWriter writer;
-  writer.beginSection(kStaSection);
-  writer.str(r.libraryText);
-  writer.str(r.netlistText);
-  writer.f64(r.period);
-  writer.u64(r.deadlineMillis);
-  return writer.finish();
-}
-
-StaRequest decodeStaRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kStaSection);
-  auto cursor = reader.section(kStaSection);
-  StaRequest r;
-  try {
-    r.libraryText = cursor.str();
-    r.netlistText = cursor.str();
-    r.period = cursor.f64();
-    r.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
-}
-
-std::vector<std::byte> encodeScenarioRequest(const ScenarioRequest& r) {
-  SctbWriter writer;
-  writer.beginSection(kScenarioSection);
-  // Flow-job fields in flow-request order, then the scenario extensions.
-  writer.str(r.job.profile);
-  writer.f64(r.job.period);
-  writer.str(r.job.method);
-  writer.f64(r.job.value);
-  writer.u64(r.job.mcCount);
-  writer.u64(r.job.mcSeed);
-  writer.str(r.job.lintMode);
-  writer.str(r.job.workload);
-  writer.u64(r.periods.size());
-  for (const double p : r.periods) writer.f64(p);
-  writer.str(r.scenarios);
-  writer.f64(r.rangeMin);
-  writer.f64(r.rangeMax);
-  writer.f64(r.step);
-  writer.f64(r.areaPerElement);
-  writer.u64(r.mcTrials);
-  writer.u64(r.mcSeed);
-  writer.boolean(r.json);
-  writer.u64(r.deadlineMillis);
-  return writer.finish();
-}
-
-ScenarioRequest decodeScenarioRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kScenarioSection);
-  auto cursor = reader.section(kScenarioSection);
-  ScenarioRequest r;
-  try {
-    r.job.profile = cursor.str();
-    r.job.period = cursor.f64();
-    r.job.method = cursor.str();
-    r.job.value = cursor.f64();
-    r.job.mcCount = cursor.u64();
-    r.job.mcSeed = cursor.u64();
-    r.job.lintMode = cursor.str();
-    r.job.workload = cursor.str();
-    const std::uint64_t count = cursor.u64();
-    if (count > 64) throw ProtocolError("unreasonable scenario period count");
-    r.periods.clear();
-    r.periods.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) r.periods.push_back(cursor.f64());
-    r.scenarios = cursor.str();
-    r.rangeMin = cursor.f64();
-    r.rangeMax = cursor.f64();
-    r.step = cursor.f64();
-    r.areaPerElement = cursor.f64();
-    r.mcTrials = cursor.u64();
-    r.mcSeed = cursor.u64();
-    r.json = cursor.boolean();
-    r.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
-}
-
-std::vector<std::byte> encodeEvolveRequest(const EvolveRequest& r) {
-  SctbWriter writer;
-  writer.beginSection(kEvolveSection);
-  // Flow-job fields in flow-request order, then the evolve parameters.
-  writer.str(r.job.profile);
-  writer.f64(r.job.period);
-  writer.str(r.job.method);
-  writer.f64(r.job.value);
-  writer.u64(r.job.mcCount);
-  writer.u64(r.job.mcSeed);
-  writer.str(r.job.lintMode);
-  writer.str(r.job.workload);
-  writer.u64(r.params.population);
-  writer.u64(r.params.generations);
-  writer.str(r.params.objectives);
-  writer.f64(r.params.geneMin);
-  writer.f64(r.params.geneMax);
-  writer.u64(r.params.seed);
-  writer.boolean(r.json);
-  writer.u64(r.deadlineMillis);
-  return writer.finish();
-}
-
-EvolveRequest decodeEvolveRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kEvolveSection);
-  auto cursor = reader.section(kEvolveSection);
-  EvolveRequest r;
-  try {
-    r.job.profile = cursor.str();
-    r.job.period = cursor.f64();
-    r.job.method = cursor.str();
-    r.job.value = cursor.f64();
-    r.job.mcCount = cursor.u64();
-    r.job.mcSeed = cursor.u64();
-    r.job.lintMode = cursor.str();
-    r.job.workload = cursor.str();
-    r.params.population = static_cast<std::size_t>(cursor.u64());
-    r.params.generations = static_cast<std::size_t>(cursor.u64());
-    r.params.objectives = cursor.str();
-    r.params.geneMin = cursor.f64();
-    r.params.geneMax = cursor.f64();
-    r.params.seed = cursor.u64();
-    r.json = cursor.boolean();
-    r.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
-}
-
 std::vector<std::byte> encodePingRequest(const PingRequest& r) {
   SctbWriter writer;
   writer.beginSection(kPingSection);
@@ -265,7 +64,7 @@ std::vector<std::byte> encodePingRequest(const PingRequest& r) {
 }
 
 PingRequest decodePingRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kPingSection);
+  const SctbReader reader = payloadReader(bytes, kPingSection);
   auto cursor = reader.section(kPingSection);
   PingRequest r;
   try {
@@ -282,13 +81,14 @@ std::vector<std::byte> encodeResponse(const Response& r) {
   SctbWriter writer;
   writer.beginSection(kResponseSection);
   writer.u8(static_cast<std::uint8_t>(r.status));
+  writer.u8(r.exitCode);
   writer.str(r.summary);
   writer.str(r.body);
   return writer.finish();
 }
 
 Response decodeResponse(std::span<const std::byte> bytes) {
-  const SctbReader reader = readerFor(bytes, kResponseSection);
+  const SctbReader reader = payloadReader(bytes, kResponseSection);
   auto cursor = reader.section(kResponseSection);
   Response r;
   try {
@@ -297,6 +97,7 @@ Response decodeResponse(std::span<const std::byte> bytes) {
       throw ProtocolError("unknown response status");
     }
     r.status = static_cast<Status>(raw);
+    r.exitCode = cursor.u8();
     r.summary = cursor.str();
     r.body = cursor.str();
   } catch (const artifact::FormatError& e) {

@@ -18,9 +18,9 @@
 // Responses carry a status + summary + body. Response *bytes are a pure
 // function of the request*: no timestamps, no server identity, no
 // cached/coalesced markers — so a response served from the daemon's response
-// cache is byte-identical to a freshly computed one, and a flow response
-// body is byte-identical to the CLI's `flow --report` file (both render
-// through core::runFlowJob).
+// cache is byte-identical to a freshly computed one, and a job response
+// body is byte-identical to the local command's --report/--out file (both
+// run the same Kind::run from the job table, server/jobs.hpp).
 
 #include <cstdint>
 #include <optional>
@@ -29,8 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "core/flow_job.hpp"
-#include "evo/params.hpp"
+#include "artifact/binary_format.hpp"
 
 namespace sct::server {
 
@@ -70,60 +69,10 @@ class ProtocolError : public std::runtime_error {
       : std::runtime_error("SCTP: " + message) {}
 };
 
-// ---- requests ------------------------------------------------------------
-
-/// Runs the full tuning flow (characterize → stat → tune → synth → measure)
-/// and returns the deterministic "flow-report v1" text as the body.
-struct FlowRequest {
-  core::FlowJob job;
-  std::uint64_t deadlineMillis = 0;  ///< 0 = no deadline
-};
-
-/// Lints one text artifact with the full rule set; body is the text (or
-/// JSON) lint report.
-struct LintRequest {
-  std::string artifactType;  ///< lib | stat | netlist | constraints
-  std::string content;       ///< the artifact text itself
-  bool json = false;         ///< render the report as JSON instead of text
-  std::uint64_t deadlineMillis = 0;
-};
-
-/// Static timing of a netlist against a library; body is the full timing
-/// report (sta::writeTimingReport).
-struct StaRequest {
-  std::string libraryText;
-  std::string netlistText;
-  double period = 0.0;
-  std::uint64_t deadlineMillis = 0;
-};
-
-/// Runs the post-silicon scenario matrix (postsi::runScenarioJob); body is
-/// the deterministic "scenario-report v1" text, or the JSON rendering when
-/// `json` is set — both byte-identical to the CLI's output for the same job.
-struct ScenarioRequest {
-  core::FlowJob job;            ///< flow part (period field unused)
-  std::vector<double> periods;  ///< explicit clock periods [ns]
-  std::string scenarios = "tuning,clock,buffers";
-  double rangeMin = 0.0;  ///< tuning-element spec, flattened for the wire
-  double rangeMax = 0.3;
-  double step = 0.05;
-  double areaPerElement = 2.0;
-  std::uint64_t mcTrials = 0;  ///< 0 = profile default
-  std::uint64_t mcSeed = 2014;
-  bool json = false;
-  std::uint64_t deadlineMillis = 0;
-};
-
-/// Runs the multi-objective evolutionary window tuner (evo::runEvolveJob);
-/// body is the deterministic "evolve-report v1" text, or the JSON rendering
-/// when `json` is set — both byte-identical to `sctune evolve` for the same
-/// job.
-struct EvolveRequest {
-  core::FlowJob job;  ///< profile/workload/period/mc/lint (method unused)
-  evo::EvolveParams params;
-  bool json = false;
-  std::uint64_t deadlineMillis = 0;
-};
+// ---- control frames ------------------------------------------------------
+//
+// Job requests (flow, scenario, evolve, lint, sta) are declared once in the
+// job table (server/jobs.hpp); this file carries only the control frames.
 
 /// Diagnostic echo; sleeps for sleepMillis on the session worker before
 /// answering (load/deadline/admission testing without burning CPU).
@@ -137,30 +86,24 @@ struct PingRequest {
 
 struct Response {
   Status status = Status::kError;
+  /// The job's CLI exit code (0 ok, 2 flow/evolve target missed, 3 lint
+  /// errors), so `sctune client <kind>` exits like `sctune <kind>`.
+  std::uint8_t exitCode = 0;
   std::string summary;  ///< one human line ("flow: MET | ...", error text)
   std::string body;     ///< full report / JSON document; may be empty
 };
 
 // ---- payload codecs (SCTB containers) ------------------------------------
 
-[[nodiscard]] std::vector<std::byte> encodeFlowRequest(const FlowRequest& r);
-[[nodiscard]] FlowRequest decodeFlowRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeLintRequest(const LintRequest& r);
-[[nodiscard]] LintRequest decodeLintRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeStaRequest(const StaRequest& r);
-[[nodiscard]] StaRequest decodeStaRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeScenarioRequest(
-    const ScenarioRequest& r);
-[[nodiscard]] ScenarioRequest decodeScenarioRequest(
-    std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeEvolveRequest(
-    const EvolveRequest& r);
-[[nodiscard]] EvolveRequest decodeEvolveRequest(
-    std::span<const std::byte> bytes);
 [[nodiscard]] std::vector<std::byte> encodePingRequest(const PingRequest& r);
 [[nodiscard]] PingRequest decodePingRequest(std::span<const std::byte> bytes);
 [[nodiscard]] std::vector<std::byte> encodeResponse(const Response& r);
 [[nodiscard]] Response decodeResponse(std::span<const std::byte> bytes);
+
+/// Validated SCTB container holding `section`; throws ProtocolError on any
+/// structural problem or when the section is missing.
+[[nodiscard]] artifact::SctbReader payloadReader(
+    std::span<const std::byte> bytes, const char* section);
 
 // ---- frame IO over a connected socket ------------------------------------
 

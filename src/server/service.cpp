@@ -4,20 +4,12 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
-#include "artifact/hash.hpp"
-#include "lint/engine.hpp"
-#include "lint/report_io.hpp"
-#include "liberty/liberty_io.hpp"
-#include "netlist/verilog_io.hpp"
-#include "evo/tuner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "postsi/scenario.hpp"
-#include "sta/report.hpp"
-#include "sta/sta.hpp"
-#include "statlib/stat_io.hpp"
-#include "tuning/constraints_io.hpp"
+#include "server/jobs.hpp"
 
 namespace sct::server {
 namespace {
@@ -49,86 +41,6 @@ struct ServiceMetrics {
     return m;
   }
 };
-
-/// Domain separation tags so request digests can never collide with each
-/// other or with flow stage keys (which hash configuration structs).
-constexpr const char* kFlowTag = "sctp-flow-v1";
-constexpr const char* kScenarioTag = "sctp-scenario-v1";
-constexpr const char* kEvolveTag = "sctp-evolve-v1";
-constexpr const char* kLintTag = "sctp-lint-v1";
-constexpr const char* kStaTag = "sctp-sta-v1";
-
-artifact::Digest flowDigest(const FlowRequest& r) {
-  artifact::Hasher h;
-  h.str(kFlowTag)
-      .str(r.job.profile)
-      .str(r.job.workload)
-      .f64(r.job.period)
-      .str(r.job.method)
-      .f64(r.job.value)
-      .u64(r.job.mcCount)
-      .u64(r.job.mcSeed)
-      .str(r.job.lintMode);
-  return h.digest();
-}
-
-artifact::Digest scenarioDigest(const ScenarioRequest& r) {
-  artifact::Hasher h;
-  h.str(kScenarioTag)
-      .str(r.job.profile)
-      .str(r.job.workload)
-      .str(r.job.method)
-      .f64(r.job.value)
-      .u64(r.job.mcCount)
-      .u64(r.job.mcSeed)
-      .str(r.job.lintMode);
-  h.u64(r.periods.size());
-  for (const double p : r.periods) h.f64(p);
-  h.str(r.scenarios)
-      .f64(r.rangeMin)
-      .f64(r.rangeMax)
-      .f64(r.step)
-      .f64(r.areaPerElement)
-      .u64(r.mcTrials)
-      .u64(r.mcSeed)
-      .u8(r.json ? 1 : 0);
-  return h.digest();
-}
-
-artifact::Digest evolveDigest(const EvolveRequest& r) {
-  artifact::Hasher h;
-  h.str(kEvolveTag)
-      .str(r.job.profile)
-      .str(r.job.workload)
-      .f64(r.job.period)
-      .u64(r.job.mcCount)
-      .u64(r.job.mcSeed)
-      .str(r.job.lintMode)
-      .u64(r.params.population)
-      .u64(r.params.generations)
-      .str(r.params.objectives)
-      .f64(r.params.geneMin)
-      .f64(r.params.geneMax)
-      .u64(r.params.seed)
-      .u8(r.json ? 1 : 0);
-  return h.digest();
-}
-
-artifact::Digest lintDigest(const LintRequest& r) {
-  artifact::Hasher h;
-  h.str(kLintTag)
-      .str(r.artifactType)
-      .str(r.content)
-      .u8(r.json ? 1 : 0)
-      .u32(lint::kRulePackVersion);
-  return h.digest();
-}
-
-artifact::Digest staDigest(const StaRequest& r) {
-  artifact::Hasher h;
-  h.str(kStaTag).str(r.libraryText).str(r.netlistText).f64(r.period);
-  return h.digest();
-}
 
 Response errorResponse(const std::string& message) {
   Response r;
@@ -193,21 +105,6 @@ Response TuningService::handle(MessageType type,
   Response response;
   try {
     switch (type) {
-      case MessageType::kFlowRequest:
-        response = handleFlow(decodeFlowRequest(payload), received);
-        break;
-      case MessageType::kScenarioRequest:
-        response = handleScenario(decodeScenarioRequest(payload), received);
-        break;
-      case MessageType::kEvolveRequest:
-        response = handleEvolve(decodeEvolveRequest(payload), received);
-        break;
-      case MessageType::kLintRequest:
-        response = handleLint(decodeLintRequest(payload), received);
-        break;
-      case MessageType::kStaRequest:
-        response = handleSta(decodeStaRequest(payload), received);
-        break;
       case MessageType::kPingRequest:
         response = handlePing(decodePingRequest(payload), received);
         break;
@@ -222,10 +119,15 @@ Response TuningService::handle(MessageType type,
         response.status = Status::kOk;
         response.summary = "shutting down";
         break;
-      case MessageType::kResponse:
-      default:
-        response = errorResponse("not a request type");
+      default: {
+        const bool isJob = anyKind([&]<class Kind>(std::type_identity<Kind>) {
+          if (Kind::kType != type) return false;
+          response = handleJob<Kind>(payload, received);
+          return true;
+        });
+        if (!isJob) response = errorResponse("not a request type");
         break;
+      }
     }
   } catch (const std::exception& e) {
     response = errorResponse(e.what());
@@ -285,146 +187,23 @@ Response TuningService::cachedResponse(
   return response;
 }
 
-Response TuningService::handleFlow(const FlowRequest& request,
-                                   Clock::time_point received) {
-  SCT_TRACE_SPAN("server.flow");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(flowDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    core::FlowConfig config = core::makeFlowConfig(request.job);
-    config.sharedStore = store_.get();
-    config.sharedMemCache = &mem_;
-    core::TuningFlow flow(std::move(config));
-    const core::FlowJobResult result = core::runFlowJob(flow, request.job);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = result.summary;
-    r.body = result.report;
-    return r;
-  });
-}
-
-Response TuningService::handleScenario(const ScenarioRequest& request,
-                                       Clock::time_point received) {
-  SCT_TRACE_SPAN("server.scenario");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(scenarioDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    core::FlowConfig config = core::makeFlowConfig(request.job);
-    config.sharedStore = store_.get();
-    config.sharedMemCache = &mem_;
-    core::TuningFlow flow(std::move(config));
-    postsi::ScenarioJob job;
-    job.flow = request.job;
-    job.periods = request.periods;
-    job.scenarios = request.scenarios;
-    job.element = clocktree::TuningElementSpec{
-        request.rangeMin, request.rangeMax, request.step,
-        request.areaPerElement};
-    job.mcTrials = request.mcTrials;
-    job.mcSeed = request.mcSeed;
-    const postsi::ScenarioRunResult result = postsi::runScenarioJob(flow, job);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = result.summary;
-    r.body = request.json ? result.json : result.report;
-    return r;
-  });
-}
-
-Response TuningService::handleEvolve(const EvolveRequest& request,
-                                     Clock::time_point received) {
-  SCT_TRACE_SPAN("server.evolve");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(evolveDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    core::FlowConfig config = core::makeFlowConfig(request.job);
-    config.sharedStore = store_.get();
-    config.sharedMemCache = &mem_;
-    core::TuningFlow flow(std::move(config));
-    evo::EvolveJob job;
-    job.flow = request.job;
-    job.params = request.params;
-    const evo::EvolveRunResult result = evo::runEvolveJob(flow, job);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = result.summary;
-    r.body = request.json ? result.json : result.report;
-    return r;
-  });
-}
-
-Response TuningService::handleLint(const LintRequest& request,
-                                   Clock::time_point received) {
-  SCT_TRACE_SPAN("server.lint");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(lintDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    std::optional<liberty::Library> library;
-    std::optional<statlib::StatLibrary> stat;
-    std::optional<netlist::Design> design;
-    std::optional<tuning::LibraryConstraints> constraints;
-    lint::LintSubject subject;
-    if (request.artifactType == "lib") {
-      library.emplace(liberty::readLibraryFromString(request.content));
-      subject.library = &*library;
-    } else if (request.artifactType == "stat") {
-      stat.emplace(statlib::readStatLibraryFromString(request.content));
-      subject.statLibrary = &*stat;
-    } else if (request.artifactType == "netlist") {
-      design.emplace(netlist::readVerilogFromString(request.content, nullptr));
-      subject.design = &*design;
-    } else if (request.artifactType == "constraints") {
-      constraints.emplace(tuning::readConstraintsFromString(request.content));
-      subject.constraints = &*constraints;
-    } else {
-      return errorResponse("unknown artifact type '" + request.artifactType +
-                           "' (lib|stat|netlist|constraints)");
-    }
-    const lint::LintEngine engine = lint::LintEngine::withAllRules();
-    const lint::LintReport report = engine.run(subject);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = report.summary();
-    r.body = request.json ? lint::writeJsonToString(report)
-                          : lint::writeTextToString(report);
-    return r;
-  });
-}
-
-Response TuningService::handleSta(const StaRequest& request,
+template <class Kind>
+Response TuningService::handleJob(std::span<const std::byte> payload,
                                   Clock::time_point received) {
-  SCT_TRACE_SPAN("server.sta");
+  static const std::string span = std::string("server.") + Kind::kName;
+  SCT_TRACE_SPAN(span.c_str());
+  const JobRequest<Kind> request = decodeRequest<Kind>(payload);
   if (deadlineExpired(request.deadlineMillis, received)) {
     return timeoutResponse("deadline expired before compute started");
   }
-  return cachedResponse(staDigest(request),
+  return cachedResponse(requestDigest<Kind>(request.job),
                         deadlinePoint(request.deadlineMillis, received), [&] {
-    const liberty::Library library =
-        liberty::readLibraryFromString(request.libraryText);
-    const netlist::Design design =
-        netlist::readVerilogFromString(request.netlistText, &library);
-    sta::ClockSpec clock;
-    clock.period = request.period;
-    sta::TimingAnalyzer analyzer(design, library, clock);
-    if (!analyzer.analyze()) {
-      return errorResponse("timing analysis failed (combinational cycle)");
-    }
+    JobResult result = Kind::run(request.job, JobContext{store_.get(), &mem_});
     Response r;
     r.status = Status::kOk;
-    std::ostringstream summary;
-    summary << "sta: " << design.name() << " wns "
-            << (analyzer.met() ? "met" : "violated");
-    r.summary = summary.str();
-    r.body = sta::timingReportToString(design, analyzer);
+    r.exitCode = static_cast<std::uint8_t>(result.exitCode);
+    r.summary = std::move(result.summary);
+    r.body = std::move(result.body);
     return r;
   });
 }

@@ -85,13 +85,12 @@ class TuningService {
   [[nodiscard]] std::string healthJson();
 
  private:
-  Response handleFlow(const FlowRequest& request, Clock::time_point received);
-  Response handleScenario(const ScenarioRequest& request,
-                          Clock::time_point received);
-  Response handleEvolve(const EvolveRequest& request,
-                        Clock::time_point received);
-  Response handleLint(const LintRequest& request, Clock::time_point received);
-  Response handleSta(const StaRequest& request, Clock::time_point received);
+  /// Decodes, deadline-checks, digests and runs one job-table request
+  /// (server/jobs.hpp) under the `server.<kind>` span and the response
+  /// cache.
+  template <class Kind>
+  Response handleJob(std::span<const std::byte> payload,
+                     Clock::time_point received);
   Response handlePing(const PingRequest& request, Clock::time_point received);
 
   /// Shared cache + single-flight harness around one cacheable request:

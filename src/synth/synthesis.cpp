@@ -296,15 +296,12 @@ class Session {
     ++result_.resizes;
   }
 
-  /// Brings the analyzer up to date at a pass boundary: incrementally
-  /// (draining the edits the previous pass recorded) or from scratch when
-  /// options disable the incremental path. With SCT_STA_CHECK=1 every
-  /// incremental refresh is cross-checked against a fresh full analysis.
+  /// Brings the analyzer up to date at a pass boundary by draining the
+  /// edits the previous pass recorded. With SCT_STA_CHECK=1 every refresh
+  /// is cross-checked against a fresh full analysis.
   bool refreshTiming() {
-    const bool ok =
-        options_.incrementalSta ? analyzer_.update() : analyzer_.analyze();
-    if (ok && options_.incrementalSta &&
-        sta::TimingAnalyzer::crossCheckEnabled()) {
+    const bool ok = analyzer_.update();
+    if (ok && sta::TimingAnalyzer::crossCheckEnabled()) {
       const std::string diff = analyzer_.diffAgainstReference();
       if (!diff.empty()) {
         std::fprintf(stderr,

@@ -24,10 +24,6 @@ struct SynthesisOptions {
   std::size_t maxFanout = 16;       ///< split nets with more sinks
   double maxSlew = 0.55;            ///< global transition limit [ns]
   double areaRecoveryMargin = 0.05; ///< slack to preserve when downsizing [ns]
-  /// Refresh timing between passes via incremental STA updates (bit-identical
-  /// to a from-scratch analysis). false forces a full re-analysis per pass —
-  /// the pre-incremental behaviour, kept as a benchmark baseline.
-  bool incrementalSta = true;
 };
 
 struct SynthesisResult {

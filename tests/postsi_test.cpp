@@ -354,6 +354,17 @@ TEST(Scenario, ColdAndWarmRunsAreByteIdentical) {
   EXPECT_EQ(warmRun.json, coldRun.json);
   EXPECT_EQ(warmRun.summary, coldRun.summary);
 
+  // Another workload over the same store computes its own cells instead of
+  // being served the MCU's.
+  ScenarioJob dspJob = job;
+  dspJob.flow.workload = "dsp";
+  core::FlowConfig dspConfig = core::makeFlowConfig(dspJob.flow);
+  core::TuningFlow uncached(dspConfig);
+  dspConfig.cacheDir = dir.string();
+  core::TuningFlow shared(dspConfig);
+  EXPECT_EQ(runScenarioJob(shared, dspJob).report,
+            runScenarioJob(uncached, dspJob).report);
+
   fs::remove_all(dir);
 }
 

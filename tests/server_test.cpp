@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/socket.h>
@@ -21,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "postsi/scenario.hpp"
 #include "server/client.hpp"
+#include "server/jobs.hpp"
 #include "server/server.hpp"
 
 namespace sct {
@@ -184,87 +187,78 @@ TEST(ServerTest, ConcurrentIdenticalFlowsComputeOnce) {
 
 // ---- scenario matrix over the wire ---------------------------------------
 
-server::ScenarioRequest smallScenario() {
-  server::ScenarioRequest request;
-  request.job = smallFlow().job;
-  request.job.period = 0.0;  // scenario jobs carry periods explicitly
-  request.periods = {8.0};
-  request.scenarios = "tuning,clock";
-  request.mcTrials = 16;
+server::JobRequest<server::ScenarioKind> smallScenario() {
+  server::JobRequest<server::ScenarioKind> request;
+  postsi::ScenarioJob& job = request.job.scenario;
+  job.flow = smallFlow().job;
+  job.flow.period = 0.0;  // scenario jobs carry periods explicitly
+  job.periods = {8.0};
+  job.scenarios = "tuning,clock";
+  job.mcTrials = 16;
   return request;
 }
 
 TEST(ServerTest, ScenarioMatchesLocalRunByteForByte) {
   TempDir dir("sct_server_scenario");
   TestServer srv(dir);
-  const server::ScenarioRequest request = smallScenario();
+  const server::JobRequest<server::ScenarioKind> request = smallScenario();
 
-  postsi::ScenarioJob job;
-  job.flow = request.job;
-  job.periods = request.periods;
-  job.scenarios = request.scenarios;
-  job.element = clocktree::TuningElementSpec{request.rangeMin,
-                                             request.rangeMax, request.step,
-                                             request.areaPerElement};
-  job.mcTrials = request.mcTrials;
-  job.mcSeed = request.mcSeed;
+  const postsi::ScenarioJob& job = request.job.scenario;
   core::TuningFlow local(core::makeFlowConfig(job.flow));
   const postsi::ScenarioRunResult expected =
       postsi::runScenarioJob(local, job);
 
   Client client = srv.connect();
-  const Response first = client.scenario(request);
+  const Response first = client.run(request);
   EXPECT_EQ(first.status, Status::kOk);
   EXPECT_EQ(first.summary, expected.summary);
   EXPECT_EQ(first.body, expected.report);
 
   // Second call answers from the response cache — still byte-identical —
   // and the JSON rendering differs only in format, not in content source.
-  const Response second = client.scenario(request);
+  const Response second = client.run(request);
   EXPECT_EQ(second.body, expected.report);
 
-  server::ScenarioRequest asJson = request;
-  asJson.json = true;
-  const Response jsonResponse = client.scenario(asJson);
+  server::JobRequest<server::ScenarioKind> asJson = request;
+  asJson.job.json = true;
+  const Response jsonResponse = client.run(asJson);
   EXPECT_EQ(jsonResponse.status, Status::kOk);
   EXPECT_EQ(jsonResponse.body, expected.json);
 }
 
 // ---- evolve over the wire ------------------------------------------------
 
-server::EvolveRequest smallEvolve() {
-  server::EvolveRequest request;
-  request.job = smallFlow(4.0).job;
-  request.params.population = 4;
-  request.params.generations = 1;
+server::JobRequest<server::EvolveKind> smallEvolve() {
+  server::JobRequest<server::EvolveKind> request;
+  request.job.evolve.flow = smallFlow(4.0).job;
+  request.job.evolve.params.population = 4;
+  request.job.evolve.params.generations = 1;
   return request;
 }
 
 TEST(ServerTest, EvolveMatchesLocalRunByteForByte) {
   TempDir dir("sct_server_evolve");
   TestServer srv(dir);
-  const server::EvolveRequest request = smallEvolve();
+  const server::JobRequest<server::EvolveKind> request = smallEvolve();
 
-  evo::EvolveJob job;
-  job.flow = request.job;
-  job.params = request.params;
+  const evo::EvolveJob& job = request.job.evolve;
   core::TuningFlow local(core::makeFlowConfig(job.flow));
   const evo::EvolveRunResult expected = evo::runEvolveJob(local, job);
 
   Client client = srv.connect();
-  const Response first = client.evolve(request);
+  const Response first = client.run(request);
   EXPECT_EQ(first.status, Status::kOk);
   EXPECT_EQ(first.summary, expected.summary);
   EXPECT_EQ(first.body, expected.report);
 
   // Second call answers from the response cache — still byte-identical —
   // and the JSON rendering swaps the body format, not the content source.
-  const Response second = client.evolve(request);
+  const Response second = client.run(request);
   EXPECT_EQ(second.body, expected.report);
 
-  server::EvolveRequest asJson = request;
-  asJson.json = true;
-  const Response jsonResponse = client.evolve(asJson);
+  server::JobRequest<server::EvolveKind> asJson = request;
+  asJson.job.json = true;
+  const Response jsonResponse = client.run(asJson);
   EXPECT_EQ(jsonResponse.status, Status::kOk);
   EXPECT_EQ(jsonResponse.body, expected.json);
 }
@@ -273,9 +267,9 @@ TEST(ServerTest, EvolveRejectsBadJobsWithError) {
   TempDir dir("sct_server_evolve_bad");
   TestServer srv(dir);
   Client client = srv.connect();
-  server::EvolveRequest request = smallEvolve();
-  request.params.objectives = "sigma,karma";
-  const Response response = client.evolve(request);
+  server::JobRequest<server::EvolveKind> request = smallEvolve();
+  request.job.evolve.params.objectives = "sigma,karma";
+  const Response response = client.run(request);
   EXPECT_EQ(response.status, Status::kError);
   // The connection survives the failed request.
   server::PingRequest ping;
@@ -287,9 +281,9 @@ TEST(ServerTest, ScenarioRejectsBadJobsWithError) {
   TempDir dir("sct_server_scenario_bad");
   TestServer srv(dir);
   Client client = srv.connect();
-  server::ScenarioRequest request = smallScenario();
-  request.scenarios = "tuning,warp";
-  const Response response = client.scenario(request);
+  server::JobRequest<server::ScenarioKind> request = smallScenario();
+  request.job.scenario.scenarios = "tuning,warp";
+  const Response response = client.run(request);
   EXPECT_EQ(response.status, Status::kError);
   // The connection survives the failed request.
   EXPECT_EQ(client.health().status, Status::kOk);
@@ -470,80 +464,230 @@ TEST(ServerTest, ShutdownRequestStopsTheServer) {
   EXPECT_FALSE(srv.instance->running());
 }
 
-// ---- codec round trips ---------------------------------------------------
+// ---- job table: codec and cache key, one case per kind ------------------
+
+using server::Need;
+
+std::string fmt17(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", v);
+  return buffer;
+}
+
+/// Renders every declared field as "flag=value", in declaration order.
+struct Dump {
+  std::vector<std::string>& out;
+  void add(const char* flag, const std::string& value) {
+    out.push_back(std::string(flag) + "=" + value);
+  }
+  void operator()(const char* f, const std::string& v, Need = {}) {
+    add(f, v);
+  }
+  void operator()(const char* f, double v, Need = {}) { add(f, fmt17(v)); }
+  void operator()(const char* f, std::uint64_t v, Need = {}) {
+    add(f, std::to_string(v));
+  }
+  void operator()(const char* f, bool v, Need = {}) { add(f, v ? "1" : "0"); }
+  void operator()(const char* f, const std::vector<double>& v, Need = {}) {
+    std::string joined;
+    for (const double x : v) joined += fmt17(x) + ",";
+    add(f, joined);
+  }
+  void operator()(const char* f, const server::FileArg& v, Need = {}) {
+    add(f, v.path + "|" + v.text);
+  }
+};
+
+template <class Kind>
+std::vector<std::string> dump(const typename Kind::Job& job) {
+  std::vector<std::string> out;
+  Kind::fields(job, Dump{out});
+  return out;
+}
+
+/// Changes every field it visits (or, with `only` set, just that field) to
+/// a value different from the one it holds.
+struct Mutate {
+  static constexpr int kAll = -1;
+  static constexpr int kNone = -2;  ///< only counts the mutation points
+  int only = kAll;
+  int index = 0;
+  [[nodiscard]] bool hit() {
+    const int point = index++;
+    return only == kAll || point == only;
+  }
+  void operator()(const char*, std::string& v, Need = {}) {
+    if (hit()) v += "~";
+  }
+  void operator()(const char*, double& v, Need = {}) {
+    if (hit()) v += 1.25;
+  }
+  void operator()(const char*, std::uint64_t& v, Need = {}) {
+    if (hit()) v += 3;
+  }
+  void operator()(const char*, bool& v, Need = {}) {
+    if (hit()) v = !v;
+  }
+  void operator()(const char*, std::vector<double>& v, Need = {}) {
+    if (hit()) v.push_back(2.41);
+  }
+  // A file operand mutates in two steps: its text, then its path.
+  void operator()(const char*, server::FileArg& v, Need = {}) {
+    if (hit()) v.text += "~";
+    if (hit()) v.path += "~";
+  }
+};
+
+/// Number of independent mutation points of a kind's field list.
+template <class Kind>
+int mutationPoints() {
+  typename Kind::Job job;
+  Mutate count{Mutate::kNone};
+  Kind::fields(job, count);
+  return count.index;
+}
+
+/// Every declared field set to a non-default value survives the wire, and
+/// so does the deadline that travels after the fields.
+template <class Kind>
+void expectRoundTrip() {
+  SCOPED_TRACE(Kind::kName);
+  server::JobRequest<Kind> request;
+  Kind::fields(request.job, Mutate{});
+  request.deadlineMillis = 1500;
+  const std::vector<std::string> defaults = dump<Kind>(typename Kind::Job{});
+  const std::vector<std::string> sent = dump<Kind>(request.job);
+  ASSERT_EQ(sent.size(), defaults.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_NE(sent[i], defaults[i]) << "field kept its default";
+  }
+  const server::JobRequest<Kind> back =
+      server::decodeRequest<Kind>(server::encodeRequest(request));
+  EXPECT_EQ(dump<Kind>(back.job), sent);
+  EXPECT_EQ(back.deadlineMillis, 1500u);
+
+  // A list field longer than the wire bound is refused on decode.
+  bool anyList = false;
+  Kind::fields(request.job, [&](const char*, auto& field, Need = {}) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                 std::vector<double>>) {
+      anyList = true;
+      field.assign(server::kMaxListEntries + 1, 2.5);
+    }
+  });
+  if (anyList) {
+    EXPECT_THROW((void)server::decodeRequest<Kind>(
+                     server::encodeRequest(request)),
+                 server::ProtocolError);
+  }
+}
 
 TEST(ProtocolTest, FlowRequestRoundTrip) {
-  server::FlowRequest request;
-  request.job.profile = "small";
-  request.job.period = 7.25;
-  request.job.method = "sigma-ceiling";
-  request.job.value = 0.02;
-  request.job.mcCount = 12;
-  request.job.mcSeed = 77;
-  request.job.lintMode = "warn";
-  request.deadlineMillis = 1500;
-  const auto bytes = server::encodeFlowRequest(request);
-  const server::FlowRequest back = server::decodeFlowRequest(bytes);
-  EXPECT_EQ(back.job.profile, "small");
-  EXPECT_EQ(back.job.period, 7.25);
-  EXPECT_EQ(back.job.method, "sigma-ceiling");
-  EXPECT_EQ(back.job.value, 0.02);
-  EXPECT_EQ(back.job.mcCount, 12u);
-  EXPECT_EQ(back.job.mcSeed, 77u);
-  EXPECT_EQ(back.job.lintMode, "warn");
-  EXPECT_EQ(back.deadlineMillis, 1500u);
+  expectRoundTrip<server::FlowKind>();
 }
 
 TEST(ProtocolTest, ScenarioRequestRoundTrip) {
-  server::ScenarioRequest request;
-  request.job.profile = "small";
-  request.job.method = "sigma-ceiling";
-  request.job.value = 0.02;
-  request.job.mcCount = 6;
-  request.periods = {2.41, 2.5, 4.0, 10.0};
-  request.scenarios = "tuning,clock";
-  request.rangeMin = 0.05;
-  request.rangeMax = 0.45;
-  request.step = 0.1;
-  request.areaPerElement = 3.5;
-  request.mcTrials = 32;
-  request.mcSeed = 99;
-  request.json = true;
-  request.deadlineMillis = 2500;
-  const auto bytes = server::encodeScenarioRequest(request);
-  const server::ScenarioRequest back = server::decodeScenarioRequest(bytes);
-  EXPECT_EQ(back.job.profile, "small");
-  EXPECT_EQ(back.job.method, "sigma-ceiling");
-  EXPECT_EQ(back.job.mcCount, 6u);
-  ASSERT_EQ(back.periods.size(), 4u);
-  EXPECT_EQ(back.periods[0], 2.41);
-  EXPECT_EQ(back.periods[3], 10.0);
-  EXPECT_EQ(back.scenarios, "tuning,clock");
-  EXPECT_EQ(back.rangeMin, 0.05);
-  EXPECT_EQ(back.rangeMax, 0.45);
-  EXPECT_EQ(back.step, 0.1);
-  EXPECT_EQ(back.areaPerElement, 3.5);
-  EXPECT_EQ(back.mcTrials, 32u);
-  EXPECT_EQ(back.mcSeed, 99u);
-  EXPECT_TRUE(back.json);
-  EXPECT_EQ(back.deadlineMillis, 2500u);
+  expectRoundTrip<server::ScenarioKind>();
+  // The list bound itself still decodes.
+  server::JobRequest<server::ScenarioKind> request;
+  request.job.scenario.periods.assign(server::kMaxListEntries, 4.0);
+  EXPECT_EQ(server::decodeRequest<server::ScenarioKind>(
+                server::encodeRequest(request))
+                .job.scenario.periods.size(),
+            64u);
 }
+
+TEST(ProtocolTest, EvolveRequestRoundTrip) {
+  expectRoundTrip<server::EvolveKind>();
+}
+
+TEST(ProtocolTest, LintRequestRoundTrip) {
+  expectRoundTrip<server::LintKind>();
+}
+
+TEST(ProtocolTest, StaRequestRoundTrip) { expectRoundTrip<server::StaKind>(); }
 
 TEST(ProtocolTest, ResponseRoundTrip) {
   Response response;
   response.status = Status::kTimeout;
+  response.exitCode = 3;
   response.summary = "too late";
   response.body = std::string("line1\nline2\n\0embedded", 22);
   const auto bytes = server::encodeResponse(response);
   const Response back = server::decodeResponse(bytes);
   EXPECT_EQ(back.status, Status::kTimeout);
+  EXPECT_EQ(back.exitCode, 3u);
   EXPECT_EQ(back.summary, "too late");
   EXPECT_EQ(back.body, response.body);
 }
 
 TEST(ProtocolTest, DecodeRejectsWrongSection) {
-  const auto bytes = server::encodeFlowRequest(server::FlowRequest{});
-  EXPECT_THROW((void)server::decodeLintRequest(bytes), server::ProtocolError);
+  // Every kind's payload is refused by every other kind's decoder, and by
+  // the control-frame decoder.
+  int kinds = 0;
+  server::anyKind([&]<class Sent>(std::type_identity<Sent>) {
+    ++kinds;
+    const auto bytes = server::encodeRequest(server::JobRequest<Sent>{});
+    EXPECT_THROW((void)server::decodePingRequest(bytes),
+                 server::ProtocolError);
+    server::anyKind([&]<class Read>(std::type_identity<Read>) {
+      if constexpr (!std::is_same_v<Sent, Read>) {
+        EXPECT_THROW((void)server::decodeRequest<Read>(bytes),
+                     server::ProtocolError)
+            << Sent::kName << " payload decoded as " << Read::kName;
+      }
+      return false;
+    });
+    return false;
+  });
+  EXPECT_EQ(kinds, 5);
+}
+
+TEST(JobDigestTest, EveryFieldSplitsTheCacheKey) {
+  server::anyKind([&]<class Kind>(std::type_identity<Kind>) {
+    SCOPED_TRACE(Kind::kName);
+    const typename Kind::Job base{};
+    const artifact::Digest key = server::requestDigest<Kind>(base);
+    const int points = mutationPoints<Kind>();
+    EXPECT_GT(points, 0);
+    for (int i = 0; i < points; ++i) {
+      typename Kind::Job job = base;
+      Kind::fields(job, Mutate{i});
+      EXPECT_NE(server::requestDigest<Kind>(job), key)
+          << "mutation point " << i << " left the key unchanged";
+    }
+    return false;
+  });
+}
+
+TEST(JobDigestTest, DeadlineNeverSplitsTheCacheKey) {
+  server::anyKind([&]<class Kind>(std::type_identity<Kind>) {
+    SCOPED_TRACE(Kind::kName);
+    server::JobRequest<Kind> request;
+    Kind::fields(request.job, Mutate{});
+    const auto patient = server::encodeRequest(request);
+    request.deadlineMillis = 250;
+    const auto hurried = server::encodeRequest(request);
+    EXPECT_NE(patient, hurried);  // the deadline does travel...
+    EXPECT_EQ(
+        server::requestDigest<Kind>(server::decodeRequest<Kind>(patient).job),
+        server::requestDigest<Kind>(server::decodeRequest<Kind>(hurried).job));
+    return false;
+  });
+}
+
+TEST(JobDigestTest, KindsNeverShareAKey) {
+  std::vector<artifact::Digest> keys;
+  server::anyKind([&]<class Kind>(std::type_identity<Kind>) {
+    keys.push_back(server::requestDigest<Kind>(typename Kind::Job{}));
+    return false;
+  });
+  ASSERT_EQ(keys.size(), 5u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = i + 1; j < keys.size(); ++j) {
+      EXPECT_NE(keys[i], keys[j]) << "kinds " << i << " and " << j;
+    }
+  }
 }
 
 }  // namespace

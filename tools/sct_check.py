@@ -33,11 +33,9 @@ the default CMake configure) and analyzes every translation unit under src/
 and tools/ plus every project header under src/. `--files ...` analyzes an
 explicit list instead (used by the fixture tests).
 
-Front end: when the libclang Python bindings are importable the token
-stream comes from clang.cindex (exact lexing, real preprocessing record);
-otherwise a built-in C++ lexer produces the same stream shape, so the
-checker runs — with identical rule results on this codebase — on hosts
-without libclang. Both paths feed the same rule engine.
+Front end: a built-in C++ lexer (comments dropped, string/raw-string
+literals kept whole) feeds the rule engine, so the checker needs nothing
+beyond the Python standard library.
 
 Findings mirror the src/lint diagnostic format:
   error: [det.wallclock] src/foo.cpp:42: <message>
@@ -111,7 +109,7 @@ _LEXER_RE = re.compile(
 )
 
 
-def lex_fallback(text):
+def lex(text):
     """Built-in C++ lexer: comments dropped, everything else tokenized."""
     tokens = []
     line = 1
@@ -141,46 +139,6 @@ def lex_fallback(text):
         line += chunk.count("\n")
         pos = m.end()
     return tokens
-
-
-def make_libclang_lexer():
-    """Returns a lex(text, path) using clang.cindex, or None if unavailable."""
-    try:
-        from clang import cindex  # noqa: PLC0415
-    except ImportError:
-        return None
-    try:
-        index = cindex.Index.create()
-    except Exception:  # library present but unloadable
-        return None
-
-    kind_map = {
-        cindex.TokenKind.IDENTIFIER: "id",
-        cindex.TokenKind.KEYWORD: "id",
-        cindex.TokenKind.LITERAL: None,  # split into str/num below
-        cindex.TokenKind.PUNCTUATION: "punct",
-    }
-
-    def lex(text, path):
-        tu = index.parse(
-            path,
-            args=["-std=c++20", "-fsyntax-only"],
-            unsaved_files=[(path, text)],
-            options=cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD,
-        )
-        tokens = []
-        for tok in tu.get_tokens(extent=tu.cursor.extent):
-            kind = kind_map.get(tok.kind)
-            if tok.kind == cindex.TokenKind.COMMENT:
-                continue
-            if kind is None:
-                spelling = tok.spelling
-                kind = "str" if spelling[:1] in "\"'RuUL" and (
-                    '"' in spelling or "'" in spelling) else "num"
-            tokens.append(Token(kind, tok.spelling, tok.location.line))
-        return tokens
-
-    return lex
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +383,7 @@ def render_json(out, findings, suppressed, files_checked):
 # Driver.
 
 
-def analyze_files(paths, root, lexer):
+def analyze_files(paths, root):
     findings = []
     checked = 0
     for path in paths:
@@ -435,8 +393,7 @@ def analyze_files(paths, root, lexer):
                 text = f.read()
         except OSError as e:
             raise SystemExit("sct_check: cannot read %s: %s" % (path, e))
-        tokens = lexer(text, path) if lexer.__code__.co_argcount == 2 \
-            else lexer(text)
+        tokens = lex(text)
         checked += 1
         for rule in RULES:
             rule(rel, tokens, findings)
@@ -463,9 +420,7 @@ def split_suppressed(findings, allowlist):
 
 
 def run_check(paths, root, allowlist_path, json_out, allow_stale, out):
-    lexer_pair = make_libclang_lexer()
-    lexer = lexer_pair if lexer_pair is not None else lex_fallback
-    findings, checked = analyze_files(paths, root, lexer)
+    findings, checked = analyze_files(paths, root)
     allowlist = load_allowlist(allowlist_path) if allowlist_path else []
     findings, suppressed, stale = split_suppressed(findings, allowlist)
     if not allow_stale:
@@ -501,14 +456,11 @@ def self_test(root):
         "fixture_raw_rng.cpp": "det.raw-rng",
         "fixture_gformat.cpp": "det.raw-gformat",
     }
-    lexer_pair = make_libclang_lexer()
-    lexer = lexer_pair if lexer_pair is not None else lex_fallback
     failures = []
 
     # 1. Each seeded violation is detected, with exactly its rule.
     for name, rule in sorted(expect.items()):
-        findings, _ = analyze_files([os.path.join(fixtures, name)], root,
-                                    lexer)
+        findings, _ = analyze_files([os.path.join(fixtures, name)], root)
         rules = {f.rule for f in findings}
         if rule not in rules:
             failures.append("%s: expected %s, got %s"
@@ -516,7 +468,7 @@ def self_test(root):
 
     # 2. The clean TU produces no findings.
     findings, _ = analyze_files(
-        [os.path.join(fixtures, "fixture_clean.cpp")], root, lexer)
+        [os.path.join(fixtures, "fixture_clean.cpp")], root)
     if findings:
         failures.append("fixture_clean.cpp: unexpected findings: %s"
                         % [(f.rule, f.line) for f in findings])
@@ -541,23 +493,13 @@ def self_test(root):
     if status == 0 or "det.allowlist-stale" not in buf.getvalue():
         failures.append("stale allowlist entry not flagged")
 
-    # 5. Both front ends agree (when libclang is importable at all).
-    if lexer_pair is not None:
-        for name in sorted(expect) + ["fixture_clean.cpp"]:
-            path = os.path.join(fixtures, name)
-            a, _ = analyze_files([path], root, lexer_pair)
-            b, _ = analyze_files([path], root, lex_fallback)
-            if [(f.rule, f.line) for f in a] != [(f.rule, f.line) for f in b]:
-                failures.append("%s: libclang and fallback disagree" % name)
-
-    engine = "libclang" if lexer_pair is not None else "fallback lexer"
     if failures:
-        print("sct_check --self-test FAILED (%s engine):" % engine)
+        print("sct_check --self-test FAILED:")
         for f in failures:
             print("  " + f)
         return 1
     print("sct_check --self-test: all rules fire, clean TU clean, "
-          "suppressions reported (%s engine)" % engine)
+          "suppressions reported")
     return 0
 
 

@@ -12,22 +12,21 @@
 //                        --period <ns> [--constraints c.txt] [--out out.v]
 //   sctune report       --lib lib.lib --stat stat.slib
 //                        --netlist out.v --period <ns>
-//   sctune lint         <artifact> [--type lib|stat|netlist|constraints]
-//                        [--ref nominal.lib] [--json | --sarif] [--out file]
-//   sctune flow         --period <ns> [--method <name> --value <v>]
-//                        [--profile small|full] [--cache-dir DIR | --no-cache]
-//                        [--cache-stats] [--lint-mode error|warn|off]
-//                        [--report out.txt]
 //   sctune cache stats  --cache-dir DIR
 //   sctune cache gc     --cache-dir DIR [--max-bytes N] [--max-age seconds]
+//   sctune flow | scenario | evolve | lint | sta   [flags]
+//   sctune client <op> --socket PATH [flags]
 //
 // Methods: strength-load, strength-slew, cell-load, cell-slew,
 //          sigma-ceiling.
 //
-// `flow` runs the whole pipeline in-process on top of the content-addressed
-// artifact store (SCT_CACHE_DIR is the --cache-dir default): a warm rerun
-// loads every stage artifact instead of recomputing, and its --report file
-// is byte-identical to the cold run's.
+// The job commands (flow, scenario, evolve, lint, sta) come from the job
+// table in server/jobs.hpp: their flags are the table's field names, and
+// `sctune <kind>` runs the same Kind::run in-process that the daemon runs
+// for `sctune client <kind>`, so both print identical bytes. Flow-backed
+// jobs run on the content-addressed artifact store (SCT_CACHE_DIR is the
+// --cache-dir default): a warm rerun loads every stage artifact instead of
+// recomputing, and its --report file is byte-identical to the cold run's.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,24 +37,23 @@
 #include <iostream>
 #include <sstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "artifact/store.hpp"
 #include "charlib/characterizer.hpp"
 #include "core/env.hpp"
-#include "core/flow.hpp"
 #include "core/flow_job.hpp"
-#include "evo/tuner.hpp"
-#include "server/client.hpp"
-#include "lint/engine.hpp"
-#include "lint/report_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "postsi/scenario.hpp"
+#include "server/client.hpp"
+#include "server/jobs.hpp"
 #include "sta/report.hpp"
 #include "netlist/dsp.hpp"
 #include "netlist/noc.hpp"
@@ -71,14 +69,22 @@ namespace {
 using namespace sct;
 
 /// Minimal --flag value parser. Flags listed in `booleanFlags` take no
-/// value operand; `start` skips the command (and subcommand) words.
+/// value operand; `start` skips the command (and subcommand) words. One
+/// bare word is accepted as the value of `operandFlag` when the command
+/// has one (`lint <artifact>` is `lint --path <artifact>`).
 class Args {
  public:
-  Args(int argc, char** argv, int start = 2,
-       std::vector<std::string> booleanFlags = {}) {
+  Args(int argc, char** argv, int start,
+       const std::vector<std::string>& booleanFlags,
+       const char* operandFlag) {
     for (int i = start; i < argc; ++i) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw std::runtime_error(std::string("expected flag, got ") + argv[i]);
+        if (operandFlag == nullptr || values_.contains(operandFlag)) {
+          throw std::runtime_error(std::string("expected flag, got ") +
+                                   argv[i]);
+        }
+        values_[operandFlag] = argv[i];
+        continue;
       }
       const std::string name = argv[i] + 2;
       if (std::find(booleanFlags.begin(), booleanFlags.end(), name) !=
@@ -171,14 +177,17 @@ void finishObservability(const ObsOptions& opts) {
 /// snapshot. Goes to stdout only — never into the --report file, whose
 /// bytes must not depend on whether observability is on.
 void printStageTable(const obs::MetricsSnapshot& snapshot) {
-  std::printf("%-10s %10s %7s %5s %7s %7s\n", "stage", "time_ms", "probes",
-              "hits", "misses", "stores");
+  bool header = false;
   for (const char* stage : {"nominal", "stat", "subject", "tune", "synth",
                             "measure", "lint"}) {
     const std::string prefix = std::string("flow.stage.") + stage + ".";
     if (!snapshot.hasCounter(prefix + "ns") &&
         !snapshot.hasCounter(prefix + "probes")) {
       continue;
+    }
+    if (!std::exchange(header, true)) {
+      std::printf("%-10s %10s %7s %5s %7s %7s\n", "stage", "time_ms",
+                  "probes", "hits", "misses", "stores");
     }
     std::printf(
         "%-10s %10.2f %7llu %5llu %7llu %7llu\n", stage,
@@ -352,268 +361,166 @@ int cmdReport(const Args& args) {
   return 0;
 }
 
-// ---- lint ----------------------------------------------------------------
+// ---- job-table commands: flow, scenario, evolve, lint, sta ---------------
 
-/// `sctune lint <artifact>`: parse one text artifact, run the matching rule
-/// pack(s), and render the report as text (default), JSON or SARIF. Exit
-/// code 0 = no error-severity findings, 3 = errors found; parse failures
-/// report through the generic error path (exit 1).
-int cmdLint(const std::string& path, const Args& args) {
-  std::string type;
-  if (const auto explicitType = args.get("type")) {
-    type = *explicitType;
-  } else {
-    const std::string ext = std::filesystem::path(path).extension().string();
-    if (ext == ".lib") type = "lib";
-    else if (ext == ".slib") type = "stat";
-    else if (ext == ".v") type = "netlist";
-    else if (ext == ".txt" || ext == ".constraints") type = "constraints";
-    else {
-      throw std::runtime_error(
-          "cannot infer artifact type of '" + path +
-          "'; pass --type lib|stat|netlist|constraints");
-    }
+void parseInto(std::string& field, const std::string& value) { field = value; }
+void parseInto(double& field, const std::string& value) {
+  field = std::stod(value);
+}
+void parseInto(std::uint64_t& field, const std::string& value) {
+  field = std::stoull(value);
+}
+void parseInto(bool& field, const std::string&) { field = true; }
+void parseInto(std::vector<double>& field, const std::string& value) {
+  field.clear();
+  std::stringstream stream(value);
+  std::string token;
+  while (std::getline(stream, token, ',')) {
+    if (!token.empty()) field.push_back(std::stod(token));
   }
-
-  // Optional nominal library for the cross-checking rules (stat grids,
-  // netlist cell binding, constraint targets/ranges).
-  std::optional<liberty::Library> reference;
-  if (const auto refPath = args.get("ref")) {
-    reference.emplace(liberty::readLibraryFromString(readFile(*refPath)));
-  }
-
-  std::optional<liberty::Library> library;
-  std::optional<statlib::StatLibrary> stat;
-  std::optional<netlist::Design> design;
-  std::optional<tuning::LibraryConstraints> constraints;
-  lint::LintSubject subject;
-  subject.referenceLibrary = reference ? &*reference : nullptr;
-  if (type == "lib") {
-    library.emplace(liberty::readLibraryFromString(readFile(path)));
-    subject.library = &*library;
-  } else if (type == "stat") {
-    stat.emplace(statlib::readStatLibraryFromString(readFile(path)));
-    subject.statLibrary = &*stat;
-  } else if (type == "netlist") {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    design.emplace(netlist::readVerilog(in, subject.referenceLibrary));
-    subject.design = &*design;
-  } else if (type == "constraints") {
-    constraints.emplace(tuning::readConstraintsFromString(readFile(path)));
-    subject.constraints = &*constraints;
-  } else {
-    throw std::runtime_error("unknown --type '" + type +
-                             "' (lib|stat|netlist|constraints)");
-  }
-
-  const lint::LintEngine engine = lint::LintEngine::withAllRules();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  const bool timed = obs::metricsEnabled();
-  const std::uint64_t lintStart = timed ? obs::monotonicNanos() : 0;
-  lint::LintReport report;
-  {
-    SCT_TRACE_SPAN("lint.run");
-    report = engine.run(subject);
-  }
-  if (timed) {
-    registry.counter("lint.runs").inc();
-    registry.counter("lint.ns").add(obs::monotonicNanos() - lintStart);
-    registry.counter("lint.diagnostics").add(report.diagnostics().size());
-  }
-
-  std::string rendered;
-  if (args.has("sarif")) {
-    rendered = lint::writeSarifToString(report, &engine);
-  } else if (args.has("json")) {
-    rendered = lint::writeJsonToString(report);
-  } else {
-    rendered = lint::writeTextToString(report);
-  }
-  if (const auto out = args.get("out")) {
-    writeFile(*out, rendered);
-    std::printf("lint: %s\n", report.summary().c_str());
-  } else {
-    std::fputs(rendered.c_str(), stdout);
-  }
-  return report.hasErrors() ? 3 : 0;
+}
+void parseInto(server::FileArg& field, const std::string& value) {
+  field.path = value;
+  field.text = readFile(value);
 }
 
-// ---- resumable flow + cache maintenance ----------------------------------
+/// The job a command line describes, through its kind's field list (so
+/// `sctune <kind>` and `sctune client <kind>` cannot disagree): each
+/// field's flag overrides the job default, file flags are read here, and a
+/// required flag that is missing is an error.
+template <class Kind>
+typename Kind::Job jobFromArgs(const Args& args) {
+  typename Kind::Job job;
+  Kind::fields(job, [&](const char* flag, auto& field,
+                        server::Need need = server::Need::kOptional) {
+    if (const auto value = args.get(flag)) {
+      parseInto(field, *value);
+    } else if (need == server::Need::kRequired) {
+      throw std::runtime_error(std::string("missing required flag --") + flag);
+    }
+  });
+  return job;
+}
+
+/// Calls f(std::type_identity<Kind>{}) for the job kind named `name`;
+/// false when no kind has that name.
+template <class F>
+bool withKind(const std::string& name, F&& f) {
+  return server::anyKind([&]<class Kind>(std::type_identity<Kind> kind) {
+    if (name != Kind::kName) return false;
+    f(kind);
+    return true;
+  });
+}
+
+/// Flags that take no value: the job table's bool fields plus the CLI's
+/// own switches.
+std::vector<std::string> booleanFlags() {
+  std::vector<std::string> names = {"no-cache", "no-mem-cache", "cache-stats",
+                                    "obs-off", "json"};
+  server::anyKind([&]<class Kind>(std::type_identity<Kind>) {
+    typename Kind::Job job;
+    Kind::fields(job, [&](const char* flag, auto& field, server::Need = {}) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+        names.emplace_back(flag);
+      }
+    });
+    return false;
+  });
+  return names;
+}
+
+/// The positional operand's flag for the job kind named `name` (lint's
+/// artifact), or nullptr when it takes none.
+const char* operandFlag(const std::string& name) {
+  const char* flag = nullptr;
+  withKind(name, [&]<class Kind>(std::type_identity<Kind>) {
+    if constexpr (requires { Kind::kOperand; }) flag = Kind::kOperand;
+  });
+  return flag;
+}
+
+/// Prints one job result identically for `sctune <kind>` and `sctune client
+/// <kind>`. With --report/--out the summary goes to stdout and the body to
+/// the file; otherwise the body alone goes to stdout (a clean document for
+/// pipes) and the summary to stderr.
+void renderResult(const std::string& summary, const std::string& body,
+                  const Args& args) {
+  std::optional<std::string> out = args.get("report");
+  if (!out) out = args.get("out");
+  if (body.empty() || out) {
+    if (!summary.empty()) std::printf("%s\n", summary.c_str());
+    if (!body.empty()) writeFile(*out, body);
+    return;
+  }
+  if (!summary.empty()) std::fprintf(stderr, "%s\n", summary.c_str());
+  std::fputs(body.c_str(), stdout);
+}
+
+/// The cache tiers of a local run: the --cache-dir (or SCT_CACHE_DIR) store
+/// unless --no-cache, fronted by a --mem-cache-mb memory tier unless
+/// --no-mem-cache. They never change results.
+struct LocalCache {
+  std::unique_ptr<artifact::ArtifactStore> store;
+  std::unique_ptr<artifact::MemoryArtifactCache> mem;
+
+  explicit LocalCache(const Args& args) {
+    if (args.has("no-cache")) return;
+    std::optional<std::string> dir = args.get("cache-dir");
+    if (!dir) dir = env::get("SCT_CACHE_DIR");
+    if (!dir) return;
+    try {
+      store = std::make_unique<artifact::ArtifactStore>(*dir);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "sct: artifact cache disabled: %s\n", error.what());
+      return;
+    }
+    const std::uint64_t memBytes =
+        args.has("no-mem-cache") ? 0 : args.getUint("mem-cache-mb", 64) << 20;
+    if (memBytes > 0) {
+      mem = std::make_unique<artifact::MemoryArtifactCache>(memBytes);
+    }
+  }
+};
+
+void printCacheStats(const artifact::ArtifactStore* store) {
+  if (store == nullptr) {
+    std::printf("cache: disabled\n");
+    return;
+  }
+  const artifact::StoreStats& s = store->stats();
+  const auto [files, bytes] = store->diskUsage();
+  std::printf(
+      "cache %s: %zu hits, %zu misses, %zu corrupt, %zu stores; "
+      "%.1f KB read, %.1f KB written; %zu entries / %.1f KB on disk\n",
+      store->root().c_str(), s.hits.load(), s.misses.load(), s.corrupt.load(),
+      s.stores.load(), static_cast<double>(s.bytesRead.load()) / 1024.0,
+      static_cast<double>(s.bytesWritten.load()) / 1024.0, files,
+      static_cast<double>(bytes) / 1024.0);
+}
+
+/// `sctune <kind>`: runs the job in-process through the same Kind::run the
+/// daemon serves, so its output is byte-identical to `sctune client <kind>`.
+template <class Kind>
+int cmdJob(const Args& args) {
+  const typename Kind::Job job = jobFromArgs<Kind>(args);
+  const LocalCache cache(args);
+  const server::JobResult result =
+      Kind::run(job, {cache.store.get(), cache.mem.get()});
+  renderResult(result.summary, result.body, args);
+  if (obs::metricsEnabled()) {
+    printStageTable(obs::MetricsRegistry::global().snapshot());
+  }
+  if (args.has("cache-stats")) printCacheStats(cache.store.get());
+  return result.exitCode;
+}
+
+// ---- cache maintenance ---------------------------------------------------
 
 std::filesystem::path cacheRoot(const Args& args) {
   if (const auto dir = args.get("cache-dir")) return *dir;
   if (const auto env = env::get("SCT_CACHE_DIR")) return *env;
   throw std::runtime_error("need --cache-dir (or the SCT_CACHE_DIR variable)");
-}
-
-/// Flow job description from the command line; shared verbatim between the
-/// local `flow` command and `client flow` (the daemon round trip), so both
-/// paths compute and render exactly the same request.
-core::FlowJob flowJobFromArgs(const Args& args) {
-  core::FlowJob job;
-  job.profile = args.get("profile").value_or("full");
-  job.workload = args.get("workload").value_or(job.workload);
-  job.period = args.requireDouble("period");
-  if (const auto method = args.get("method")) {
-    job.method = *method;
-    job.value = args.requireDouble("value");
-  }
-  job.mcCount = args.getUint("mc", 0);  // 0 = profile default
-  job.mcSeed = args.getUint("seed", job.mcSeed);
-  job.lintMode = args.get("lint-mode").value_or("error");
-  return job;
-}
-
-core::FlowConfig makeFlowConfigFor(const core::FlowJob& job,
-                                   const Args& args) {
-  core::FlowConfig config = core::makeFlowConfig(job);
-  if (!args.has("no-cache")) {
-    if (const auto dir = args.get("cache-dir")) {
-      config.cacheDir = *dir;
-    } else if (const auto env = env::get("SCT_CACHE_DIR")) {
-      config.cacheDir = *env;
-    }
-  }
-  // The in-memory tier in front of the store (--mem-cache-mb bounds it,
-  // --no-mem-cache disables it; it never changes results).
-  if (args.has("no-mem-cache")) {
-    config.memCacheBytes = 0;
-  } else {
-    config.memCacheBytes = args.getUint("mem-cache-mb", 64) << 20;
-  }
-  return config;
-}
-
-core::FlowConfig makeFlowConfig(const Args& args) {
-  return makeFlowConfigFor(flowJobFromArgs(args), args);
-}
-
-/// Scenario job description from the command line; shared verbatim between
-/// the local `scenario` command and `client scenario`, so both paths encode
-/// identical jobs (and therefore identical cache keys and report bytes).
-postsi::ScenarioJob scenarioJobFromArgs(const Args& args) {
-  postsi::ScenarioJob job;
-  job.flow.profile = args.get("profile").value_or("full");
-  job.flow.workload = args.get("workload").value_or(job.flow.workload);
-  job.flow.period = 0.0;  // per-cell periods live in job.periods
-  if (const auto method = args.get("method")) {
-    job.flow.method = *method;
-    job.flow.value = args.requireDouble("value");
-  }
-  job.flow.mcCount = args.getUint("mc", 0);
-  job.flow.mcSeed = args.getUint("seed", job.flow.mcSeed);
-  job.flow.lintMode = args.get("lint-mode").value_or("error");
-  if (const auto list = args.get("periods")) {
-    std::stringstream stream(*list);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-      if (!token.empty()) job.periods.push_back(std::stod(token));
-    }
-  } else {
-    // Paper protocol: the four clock periods as ratios of a base period.
-    job.periods = postsi::paperPeriods(args.requireDouble("period"));
-  }
-  job.scenarios = args.get("scenarios").value_or(job.scenarios);
-  job.element.rangeMin = std::stod(args.get("tune-range-min").value_or("0"));
-  job.element.rangeMax = std::stod(args.get("tune-range-max").value_or("0.3"));
-  job.element.step = std::stod(args.get("tune-step").value_or("0.05"));
-  job.element.areaPerElement = std::stod(args.get("tune-area").value_or("2"));
-  job.mcTrials = args.getUint("trials", 0);  // 0 = profile default
-  job.mcSeed = job.flow.mcSeed;
-  return job;
-}
-
-int cmdScenario(const Args& args) {
-  const postsi::ScenarioJob job = scenarioJobFromArgs(args);
-  core::TuningFlow flow(makeFlowConfigFor(job.flow, args));
-  const postsi::ScenarioRunResult result = postsi::runScenarioJob(flow, job);
-  std::printf("%s\n", result.summary.c_str());
-  // The body choice mirrors the daemon's (json flag selects the rendering),
-  // so a --report file and a `client scenario --report` file are
-  // byte-identical for the same job.
-  const std::string& body = args.has("json") ? result.json : result.report;
-  if (const auto out = args.get("report")) {
-    writeFile(*out, body);
-  } else {
-    std::fputs(body.c_str(), stdout);
-  }
-  // Unmet cells at tight paper periods are the measurement the matrix
-  // exists to take (yield < 1), not a command failure — unlike `flow`,
-  // which targets a single period and exits 2 when it is missed.
-  return 0;
-}
-
-/// Evolve job description from the command line; shared verbatim between the
-/// local `evolve` command and `client evolve`, so both paths encode identical
-/// jobs (and therefore identical cache keys and report bytes).
-evo::EvolveJob evolveJobFromArgs(const Args& args) {
-  evo::EvolveJob job;
-  job.flow.profile = args.get("profile").value_or("full");
-  job.flow.workload = args.get("workload").value_or(job.flow.workload);
-  job.flow.period = args.requireDouble("period");
-  job.flow.mcCount = args.getUint("mc", 0);
-  job.flow.mcSeed = args.getUint("seed", job.flow.mcSeed);
-  job.flow.lintMode = args.get("lint-mode").value_or("error");
-  job.params.population = args.getUint("population", job.params.population);
-  job.params.generations =
-      args.getUint("generations", job.params.generations);
-  job.params.objectives =
-      args.get("objectives").value_or(job.params.objectives);
-  if (const auto v = args.get("gene-min")) job.params.geneMin = std::stod(*v);
-  if (const auto v = args.get("gene-max")) job.params.geneMax = std::stod(*v);
-  job.params.seed = args.getUint("evo-seed", job.params.seed);
-  return job;
-}
-
-int cmdEvolve(const Args& args) {
-  const evo::EvolveJob job = evolveJobFromArgs(args);
-  core::TuningFlow flow(makeFlowConfigFor(job.flow, args));
-  const evo::EvolveRunResult result = evo::runEvolveJob(flow, job);
-  std::printf("%s\n", result.summary.c_str());
-  // The body choice mirrors the daemon's (json flag selects the rendering),
-  // so a --report file and a `client evolve --report` file are
-  // byte-identical for the same job.
-  const std::string& body = args.has("json") ? result.json : result.report;
-  if (const auto out = args.get("report")) {
-    writeFile(*out, body);
-  } else {
-    std::fputs(body.c_str(), stdout);
-  }
-  return result.success ? 0 : 2;
-}
-
-int cmdFlow(const Args& args) {
-  core::TuningFlow flow(makeFlowConfig(args));
-  const core::FlowJob job = flowJobFromArgs(args);
-  // The summary line and report bytes come from the same renderer the
-  // daemon uses (core::runFlowJob), so `flow --report` output and a
-  // `client flow` response body are byte-identical by construction.
-  const core::FlowJobResult result = core::runFlowJob(flow, job);
-  std::printf("%s\n", result.summary.c_str());
-  if (const auto out = args.get("report")) writeFile(*out, result.report);
-
-  if (obs::metricsEnabled()) {
-    printStageTable(obs::MetricsRegistry::global().snapshot());
-  }
-
-  if (args.has("cache-stats")) {
-    if (const artifact::ArtifactStore* store = flow.cache()) {
-      const artifact::StoreStats& s = store->stats();
-      const auto [files, bytes] = store->diskUsage();
-      std::printf(
-          "cache %s: %zu hits, %zu misses, %zu corrupt, %zu stores; "
-          "%.1f KB read, %.1f KB written; %zu entries / %.1f KB on disk\n",
-          store->root().c_str(), s.hits.load(), s.misses.load(),
-          s.corrupt.load(), s.stores.load(),
-          static_cast<double>(s.bytesRead.load()) / 1024.0,
-          static_cast<double>(s.bytesWritten.load()) / 1024.0, files,
-          static_cast<double>(bytes) / 1024.0);
-    } else {
-      std::printf("cache: disabled\n");
-    }
-  }
-  return result.success ? 0 : 2;
 }
 
 int cmdCacheStats(const Args& args) {
@@ -677,93 +584,56 @@ server::Client connectClient(const Args& args) {
       "need --socket PATH or --tcp-port N (or the SCT_SOCKET variable)");
 }
 
-/// Renders one daemon response like the equivalent local command would:
-/// summary to stdout, body to --report/--out or stdout. Exit codes: 0 ok,
-/// 1 error, 4 busy, 5 deadline expired, 6 server shutting down.
-int finishClientCall(const server::Response& response, const Args& args) {
-  if (!response.summary.empty()) {
-    std::printf("%s\n", response.summary.c_str());
+/// A control frame for `sctune client ping|health|shutdown`; nullopt for
+/// any other op.
+std::optional<std::pair<server::MessageType, std::vector<std::byte>>>
+controlFrame(const std::string& op, const Args& args,
+             std::uint64_t deadlineMillis) {
+  if (op == "ping") {
+    return std::pair(server::MessageType::kPingRequest,
+                     server::encodePingRequest(
+                         {args.get("echo").value_or(""),
+                          args.getUint("sleep-ms", 0), deadlineMillis}));
   }
-  if (!response.body.empty()) {
-    std::optional<std::string> out = args.get("report");
-    if (!out) out = args.get("out");
-    if (out) {
-      writeFile(*out, response.body);
-    } else {
-      std::fputs(response.body.c_str(), stdout);
-    }
+  if (op == "health") {
+    return std::pair(server::MessageType::kHealthRequest,
+                     std::vector<std::byte>{});
   }
+  if (op == "shutdown") {
+    return std::pair(server::MessageType::kShutdownRequest,
+                     std::vector<std::byte>{});
+  }
+  return std::nullopt;
+}
+
+/// `sctune client <op>`: a job-table op resolves its job exactly like the
+/// local command and renders the daemon's answer with the same renderer.
+/// Exit codes: the job's own when the daemon answered ok, else 1 error,
+/// 4 busy, 5 deadline expired, 6 server shutting down.
+int cmdClient(const std::string& op, const Args& args) {
+  const std::uint64_t deadlineMillis = args.getUint("deadline-ms", 0);
+  auto frame = controlFrame(op, args, deadlineMillis);
+  withKind(op, [&]<class Kind>(std::type_identity<Kind>) {
+    frame.emplace(Kind::kType,
+                  server::encodeRequest(server::JobRequest<Kind>{
+                      jobFromArgs<Kind>(args), deadlineMillis}));
+  });
+  if (!frame) {
+    throw std::runtime_error(
+        "unknown client op '" + op +
+        "' (flow|scenario|evolve|lint|sta|ping|health|shutdown)");
+  }
+  server::Client client = connectClient(args);
+  const server::Response response = client.call(frame->first, frame->second);
+  renderResult(response.summary, response.body, args);
   switch (response.status) {
-    case server::Status::kOk: return 0;
+    case server::Status::kOk: return response.exitCode;
     case server::Status::kBusy: return 4;
     case server::Status::kTimeout: return 5;
     case server::Status::kShuttingDown: return 6;
     case server::Status::kError:
     default: return 1;
   }
-}
-
-int cmdClient(const std::string& op, const Args& args) {
-  server::Client client = connectClient(args);
-  if (op == "flow") {
-    server::FlowRequest request;
-    request.job = flowJobFromArgs(args);
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.flow(request), args);
-  }
-  if (op == "scenario") {
-    const postsi::ScenarioJob job = scenarioJobFromArgs(args);
-    server::ScenarioRequest request;
-    request.job = job.flow;
-    request.periods = job.periods;
-    request.scenarios = job.scenarios;
-    request.rangeMin = job.element.rangeMin;
-    request.rangeMax = job.element.rangeMax;
-    request.step = job.element.step;
-    request.areaPerElement = job.element.areaPerElement;
-    request.mcTrials = job.mcTrials;
-    request.mcSeed = job.mcSeed;
-    request.json = args.has("json");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.scenario(request), args);
-  }
-  if (op == "evolve") {
-    const evo::EvolveJob job = evolveJobFromArgs(args);
-    server::EvolveRequest request;
-    request.job = job.flow;
-    request.params = job.params;
-    request.json = args.has("json");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.evolve(request), args);
-  }
-  if (op == "lint") {
-    server::LintRequest request;
-    request.artifactType = args.require("type");
-    request.content = readFile(args.require("path"));
-    request.json = args.has("json");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.lint(request), args);
-  }
-  if (op == "sta") {
-    server::StaRequest request;
-    request.libraryText = readFile(args.require("lib"));
-    request.netlistText = readFile(args.require("netlist"));
-    request.period = args.requireDouble("period");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.sta(request), args);
-  }
-  if (op == "ping") {
-    server::PingRequest request;
-    request.echo = args.get("echo").value_or("");
-    request.sleepMillis = args.getUint("sleep-ms", 0);
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.ping(request), args);
-  }
-  if (op == "health") return finishClientCall(client.health(), args);
-  if (op == "shutdown") return finishClientCall(client.shutdown(), args);
-  throw std::runtime_error(
-      "unknown client op '" + op +
-      "' (flow|scenario|evolve|lint|sta|ping|health|shutdown)");
 }
 
 int usage() {
@@ -785,18 +655,18 @@ int usage() {
       "                [--ref nominal.lib] [--json | --sarif] [--out file]\n"
       "                (type inferred from .lib/.slib/.v/.txt; exit 3 when\n"
       "                 error-severity findings exist)\n"
+      "  sta           --lib lib.lib --netlist mapped.v --period <ns>\n"
+      "                [--out report.txt] — full timing report\n"
       "  flow          --period <ns> [--method <m> --value <v>]\n"
       "                [--workload mcu|dsp|noc|big]\n"
       "                [--profile small|full] [--mc N --seed S]\n"
-      "                [--cache-dir DIR | --no-cache] [--cache-stats]\n"
-      "                [--no-mem-cache | --mem-cache-mb N]\n"
       "                [--lint-mode error|warn|off] [--report report.txt]\n"
       "  scenario      --period <ns> | --periods a,b,c — post-silicon\n"
       "                scenario matrix (tuning/clock/buffers) at each period;\n"
       "                [--scenarios LIST] [--method <m> --value <v>]\n"
       "                [--profile small|full] [--trials N] [--tune-range-min\n"
       "                X --tune-range-max Y --tune-step S --tune-area A]\n"
-      "                [--json] [--report report.txt] + flow cache flags\n"
+      "                [--json] [--report report.txt]\n"
       "  evolve        --period <ns> — multi-objective evolutionary window\n"
       "                tuner (NSGA-II over per-cluster sigma thresholds,\n"
       "                seeded with the five paper methods' sweep points);\n"
@@ -804,19 +674,21 @@ int usage() {
       "                [--generations G] [--objectives sigma,area,power]\n"
       "                [--gene-min X --gene-max Y] [--evo-seed S]\n"
       "                [--profile small|full] [--json] [--report report.txt]\n"
-      "                + flow cache flags\n"
       "  client <op>   --socket PATH | --tcp-port N — run <op> on a sctuned\n"
-      "                daemon: flow (same flags as flow), scenario (same\n"
-      "                flags as scenario), evolve (same flags as evolve),\n"
-      "                lint (--path F\n"
-      "                --type T [--json]), sta (--lib F --netlist F\n"
-      "                --period <ns>), ping ([--sleep-ms N --echo TEXT]),\n"
-      "                health, shutdown; all ops accept --deadline-ms N\n"
+      "                daemon: flow, scenario, evolve, lint and sta take the\n"
+      "                same flags and operand as the local command and print\n"
+      "                the same output and exit code; ping ([--sleep-ms N\n"
+      "                --echo TEXT]), health, shutdown; all ops accept\n"
+      "                --deadline-ms N\n"
       "  cache stats   --cache-dir DIR [--json]\n"
       "  cache gc      --cache-dir DIR [--max-bytes N] [--max-age seconds]\n"
       "                [--json]\n\n"
-      "flow and cache default --cache-dir to SCT_CACHE_DIR; warm flow reruns\n"
-      "load every stage artifact and are bit-identical to cold runs.\n"
+      "flow, scenario, evolve, lint and sta print the summary line and write\n"
+      "the body to --report/--out, or print the body alone to stdout (summary\n"
+      "on stderr). flow, scenario and evolve take the cache flags --cache-dir\n"
+      "DIR (default: SCT_CACHE_DIR) | --no-cache, --no-mem-cache |\n"
+      "--mem-cache-mb N and --cache-stats; warm reruns load every stage\n"
+      "artifact and are bit-identical to cold runs.\n"
       "every command accepts --threads <N|serial|auto> (default: the\n"
       "SCT_THREADS environment variable); results do not depend on it.\n"
       "flow, synth and lint accept --trace-out trace.json (Chrome/Perfetto\n"
@@ -832,15 +704,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   std::string command = argv[1];
   int start = 2;
-  std::string lintPath;
-  if (command == "lint") {
-    if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
-      std::fprintf(stderr, "lint needs an artifact file operand\n\n");
-      return usage();
-    }
-    lintPath = argv[2];
-    start = 3;
-  }
   if (command == "cache") {
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
       std::fprintf(stderr, "cache needs a subcommand (stats|gc)\n\n");
@@ -853,26 +716,16 @@ int main(int argc, char** argv) {
   if (command == "client") {
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
       std::fprintf(stderr,
-                   "client needs an op (flow|lint|sta|ping|health|"
-                   "shutdown)\n\n");
+                   "client needs an op (flow|scenario|evolve|lint|sta|ping|"
+                   "health|shutdown)\n\n");
       return usage();
     }
     clientOp = argv[2];
     start = 3;
   }
   try {
-    std::vector<std::string> booleans;
-    if (command == "flow") {
-      booleans = {"no-cache", "no-mem-cache", "cache-stats", "obs-off"};
-    }
-    if (command == "scenario" || command == "evolve") {
-      booleans = {"no-cache", "no-mem-cache", "json", "obs-off"};
-    }
-    if (command == "synth") booleans = {"obs-off"};
-    if (command == "lint") booleans = {"json", "sarif", "obs-off"};
-    if (command == "client") booleans = {"json"};
-    if (command == "cache stats" || command == "cache gc") booleans = {"json"};
-    const Args args(argc, argv, start, std::move(booleans));
+    const Args args(argc, argv, start, booleanFlags(),
+                    operandFlag(command == "client" ? clientOp : command));
     // Worker-pool size for the parallelized kernels. The flag takes
     // precedence over SCT_THREADS; results are identical either way.
     if (const auto threads = args.get("threads")) {
@@ -887,14 +740,12 @@ int main(int argc, char** argv) {
     else if (command == "tune") code = cmdTune(args);
     else if (command == "synth") code = cmdSynth(args);
     else if (command == "report") code = cmdReport(args);
-    else if (command == "lint") code = cmdLint(lintPath, args);
-    else if (command == "flow") code = cmdFlow(args);
-    else if (command == "scenario") code = cmdScenario(args);
-    else if (command == "evolve") code = cmdEvolve(args);
     else if (command == "cache stats") code = cmdCacheStats(args);
     else if (command == "cache gc") code = cmdCacheGc(args);
     else if (command == "client") code = cmdClient(clientOp, args);
-    else {
+    else if (!withKind(command, [&]<class Kind>(std::type_identity<Kind>) {
+               code = cmdJob<Kind>(args);
+             })) {
       std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
       return usage();
     }
