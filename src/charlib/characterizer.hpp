@@ -27,6 +27,14 @@ struct CharacterizationConfig {
   /// load range therefore grows with drive strength, as in Fig. 4.
   std::vector<double> loadFractions = {0.008, 0.02, 0.05, 0.1,
                                        0.2,   0.4,  0.7,  1.0};
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("tech", s.tech);
+    v("variation", s.variation);
+    v("slewAxis", s.slewAxis);
+    v("loadFractions", s.loadFractions);
+  }
 };
 
 /// Deterministic arc-level factor applied on top of the raw delay model

@@ -20,6 +20,14 @@ struct ProcessCorner {
   double temperature = 25.0;   ///< degC
   double delayFactor = 1.0;    ///< relative to typical
 
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("process", s.process);
+    v("voltage", s.voltage);
+    v("temperature", s.temperature);
+    v("delayFactor", s.delayFactor);
+  }
+
   [[nodiscard]] static ProcessCorner typical() { return {"TT", 1.1, 25.0, 1.00}; }
   [[nodiscard]] static ProcessCorner slow() { return {"SS", 1.0, 125.0, 1.28}; }
   [[nodiscard]] static ProcessCorner fast() { return {"FF", 1.2, -40.0, 0.79}; }
@@ -46,6 +54,23 @@ struct TechnologyParams {
   /// Deterministic per-cell-type electrical personality spread (cells of the
   /// same drive strength are similar but not identical; Fig. 5).
   double personalitySpread = 0.05;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("rUnit", s.rUnit);
+    v("cInUnit", s.cInUnit);
+    v("tau", s.tau);
+    v("slewSens", s.slewSens);
+    v("slewSensLoadBoost", s.slewSensLoadBoost);
+    v("slewSensLoadKnee", s.slewSensLoadKnee);
+    v("overload", s.overload);
+    v("transIntrinsic", s.transIntrinsic);
+    v("transDrive", s.transDrive);
+    v("transLeak", s.transLeak);
+    v("maxLoadPerStrength", s.maxLoadPerStrength);
+    v("areaUnit", s.areaUnit);
+    v("personalitySpread", s.personalitySpread);
+  }
 };
 
 /// Variation magnitudes.
@@ -62,6 +87,14 @@ struct VariationParams {
   double slewFraction = 0.6;
   /// Global (inter-die) multiplicative sigma shared by all cells on a die.
   double globalSigma = 0.034;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("pelgrom", s.pelgrom);
+    v("intrinsicFraction", s.intrinsicFraction);
+    v("slewFraction", s.slewFraction);
+    v("globalSigma", s.globalSigma);
+  }
 };
 
 }  // namespace sct::charlib

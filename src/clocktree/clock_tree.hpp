@@ -43,6 +43,14 @@ struct TuningElementSpec {
   double step = 0.0;           ///< tuning resolution [ns]
   double areaPerElement = 2.0; ///< silicon cost of one element [um^2]
 
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("rangeMin", s.rangeMin);
+    v("rangeMax", s.rangeMax);
+    v("step", s.step);
+    v("areaPerElement", s.areaPerElement);
+  }
+
   /// True when the range is non-inverted and the step positive and no
   /// coarser than the range span (a zero-span range is only valid with a
   /// zero count of usable settings, i.e. effectively no tuning).

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "artifact/codecs.hpp"
+#include "artifact/fields.hpp"
 #include "core/stage_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,129 +20,32 @@ namespace sct::core {
 
 namespace {
 
-// ---- canonical stage-input hashing (DESIGN.md §10) -----------------------
-// Every field that can influence a stage result is fed through the typed,
-// length-prefixed Hasher interface; adding a field to any of these structs
-// must be mirrored here (or bump artifact::kSchemaVersion, which is always
-// part of the key via TuningFlow::flowHasher).
-
-void hashCharacterization(artifact::Hasher& h,
-                          const charlib::CharacterizationConfig& config) {
-  const charlib::TechnologyParams& t = config.tech;
-  h.f64(t.rUnit)
-      .f64(t.cInUnit)
-      .f64(t.tau)
-      .f64(t.slewSens)
-      .f64(t.slewSensLoadBoost)
-      .f64(t.slewSensLoadKnee)
-      .f64(t.overload)
-      .f64(t.transIntrinsic)
-      .f64(t.transDrive)
-      .f64(t.transLeak)
-      .f64(t.maxLoadPerStrength)
-      .f64(t.areaUnit)
-      .f64(t.personalitySpread);
-  const charlib::VariationParams& v = config.variation;
-  h.f64(v.pelgrom)
-      .f64(v.intrinsicFraction)
-      .f64(v.slewFraction)
-      .f64(v.globalSigma);
-  h.f64span(config.slewAxis).f64span(config.loadFractions);
-}
-
-void hashCorner(artifact::Hasher& h, const charlib::ProcessCorner& corner) {
-  h.str(corner.process)
-      .f64(corner.voltage)
-      .f64(corner.temperature)
-      .f64(corner.delayFactor);
-}
-
-void hashMcu(artifact::Hasher& h, const netlist::McuConfig& mcu) {
-  h.u64(mcu.width)
-      .u64(mcu.registers)
-      .u64(mcu.readPorts)
-      .u64(mcu.bankedRegisters)
-      .u64(mcu.macWidth)
-      .u64(mcu.macUnits)
-      .u64(mcu.timers)
-      .u64(mcu.dmaChannels)
-      .u64(mcu.gpioWidth)
-      .u64(mcu.cacheTagEntries)
-      .u64(mcu.cacheTagBits)
-      .u64(mcu.decodeOutputs)
-      .u64(mcu.decodeDepth)
-      .u64(mcu.interruptSources)
-      .u64(mcu.seed);
-}
-
-void hashClock(artifact::Hasher& h, const sta::ClockSpec& clock) {
-  h.f64(clock.period)
-      .f64(clock.uncertainty)
-      .f64(clock.clockSlew)
-      .f64(clock.inputSlew)
-      .f64(clock.inputDelay)
-      .f64(clock.outputLoad)
-      .f64(clock.wireLoad.capBase)
-      .f64(clock.wireLoad.capPerFanout)
-      .f64(clock.wireLoad.capQuadratic)
-      .f64(clock.derateLate)
-      .f64(clock.derateEarly);
-}
-
-void hashSynthesisOptions(artifact::Hasher& h,
-                          const synth::SynthesisOptions& options) {
-  h.u64(options.maxPasses)
-      .u64(options.maxFanout)
-      .f64(options.maxSlew)
-      .f64(options.areaRecoveryMargin);
-}
-
-void hashTuning(artifact::Hasher& h, const tuning::TuningConfig& config) {
-  h.u8(static_cast<std::uint8_t>(config.method))
-      .f64(config.loadSlopeBound)
-      .f64(config.slewSlopeBound)
-      .f64(config.sigmaCeiling);
-}
-
-/// Subject identity: the workload selector plus the selected generator's
-/// config (and only that one — switching workloads must change the key even
-/// when the inactive configs differ).
-void hashSubject(artifact::Hasher& h, const FlowConfig& config) {
-  h.str("subject").str(config.workload);
-  if (config.workload == "dsp") {
-    const netlist::DspConfig& d = config.dsp;
-    h.u64(d.dataWidth)
-        .u64(d.taps)
-        .u64(d.accWidth)
-        .u64(d.channels)
-        .u8(d.useKoggeStone ? 1 : 0)
-        .u64(d.seed);
-  } else if (config.workload == "noc") {
-    const netlist::NocConfig& n = config.noc;
-    h.u64(n.ports).u64(n.flitWidth).u64(n.vcs).u64(n.bufferDepth).u64(n.seed);
-  } else if (config.workload == "big") {
-    const netlist::RandomDagConfig& r = config.big;
-    h.u64(r.primaryInputs)
-        .u64(r.gates)
-        .u64(r.flipFlops)
-        .u64(r.primaryOutputs)
-        .u64(r.scale)
-        .u64(r.seed);
-  } else {
-    hashMcu(h, config.mcu);
+/// Key part of the subject: the selected workload's name and generator
+/// config. Only the selected one, so an inactive workload's config never
+/// splits a key.
+struct SubjectPart {
+  const FlowConfig& config;
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    withWorkload(s.config.workload, [&](const auto& row) {
+      v("workload", row.name);
+      v("generator", s.config.*row.config);
+    });
   }
-}
+};
 
-netlist::Design generateSubject(const FlowConfig& config) {
-  if (config.workload == "dsp") return netlist::generateDsp(config.dsp);
-  if (config.workload == "noc") return netlist::buildNocRouter(config.noc);
-  if (config.workload == "big") return netlist::generateRandomDag(config.big);
-  if (config.workload == "mcu" || config.workload.empty()) {
-    return netlist::generateMcu(config.mcu);
+/// Key part of a synthesized design: subject, clock and synthesis options.
+struct DesignPart {
+  SubjectPart subject;
+  sta::ClockSpec clock;
+  const synth::SynthesisOptions& synthesis;
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("subject", s.subject);
+    v("clock", s.clock);
+    v("synthesis", s.synthesis);
   }
-  throw std::invalid_argument("unknown workload '" + config.workload +
-                              "' (expected mcu|dsp|noc|big)");
-}
+};
 
 }  // namespace
 
@@ -174,64 +78,57 @@ TuningFlow::TuningFlow(FlowConfig config)
   }
 }
 
-artifact::Hasher TuningFlow::flowHasher() const {
-  artifact::Hasher h;
-  h.str("sct-flow").u32(artifact::kSchemaVersion);
-  hashCharacterization(h, config_.characterization);
-  hashCorner(h, charlib::ProcessCorner::typical());
-  return h;
+netlist::Design generateSubject(const FlowConfig& config) {
+  netlist::Design design;
+  withWorkload(config.workload, [&](const auto& row) {
+    design = row.generate(config.*row.config);
+  });
+  return design;
+}
+
+sta::ClockSpec TuningFlow::clockAt(double period) const {
+  sta::ClockSpec clock = config_.clock;
+  clock.period = period;
+  return clock;
+}
+
+template <class... Parts>
+artifact::Digest TuningFlow::key(std::string_view stage,
+                                 const Parts&... parts) const {
+  return artifact::digestOf("sct-flow", artifact::kSchemaVersion, stage,
+                            config_.characterization,
+                            charlib::ProcessCorner::typical(), parts...);
 }
 
 artifact::Digest TuningFlow::nominalKey() const {
-  artifact::Hasher h = flowHasher();
-  h.str("stage:nominal");
-  return h.digest();
+  return key("stage:nominal");
 }
 
 artifact::Digest TuningFlow::statKey() const {
-  artifact::Hasher h = flowHasher();
-  h.str("stage:stat").u64(config_.mcLibraryCount).u64(config_.mcSeed);
-  return h.digest();
+  return key("stage:stat", config_.mcLibraryCount, config_.mcSeed);
 }
 
 artifact::Digest TuningFlow::tuneKey(const tuning::TuningConfig& config) const {
-  artifact::Hasher h = flowHasher();
-  h.str("stage:tune").u64(config_.mcLibraryCount).u64(config_.mcSeed);
-  hashTuning(h, config);
-  return h.digest();
+  return key("stage:tune", config_.mcLibraryCount, config_.mcSeed, config);
+}
+
+artifact::Digest TuningFlow::subjectKey() const {
+  return key("stage:subject", SubjectPart{config_});
 }
 
 artifact::Digest TuningFlow::synthKey(double period,
                                       const tuning::TuningConfig* config) const {
-  artifact::Hasher h = flowHasher();
-  h.str("stage:synth");
-  hashSubject(h, config_);
-  sta::ClockSpec clock = config_.clock;
-  clock.period = period;
-  hashClock(h, clock);
-  hashSynthesisOptions(h, config_.synthesis);
-  if (config != nullptr) {
-    h.u8(1).u64(config_.mcLibraryCount).u64(config_.mcSeed);
-    hashTuning(h, *config);
-  } else {
-    h.u8(0);
-  }
-  return h.digest();
+  const DesignPart design{{config_}, clockAt(period), config_.synthesis};
+  if (config == nullptr) return key("stage:synth-baseline", design);
+  return key("stage:synth", design, config_.mcLibraryCount, config_.mcSeed,
+             *config);
 }
 
 artifact::Digest TuningFlow::measurementContextDigest(double period) const {
-  artifact::Hasher h = flowHasher();
-  h.str("measure-context").u64(config_.mcLibraryCount).u64(config_.mcSeed);
-  hashSubject(h, config_);
-  sta::ClockSpec clock = config_.clock;
-  clock.period = period;
-  hashClock(h, clock);
-  hashSynthesisOptions(h, config_.synthesis);
-  h.f64(config_.rho)
-      .f64(config_.powerActivity)
-      .u64(config_.powerSamples)
-      .u64(config_.powerSeed);
-  return h.digest();
+  return key("measure-context",
+             DesignPart{{config_}, clockAt(period), config_.synthesis},
+             config_.mcLibraryCount, config_.mcSeed, config_.rho,
+             config_.powerActivity, config_.powerSamples, config_.powerSeed);
 }
 
 const liberty::Library& TuningFlow::nominalLibrary() {
@@ -299,12 +196,9 @@ const netlist::Design& TuningFlow::subject() {
     SCT_TRACE_SPAN("flow.stage.subject");
     auto design =
         std::make_unique<netlist::Design>(generateSubject(config_));
-    artifact::Hasher h = flowHasher();
-    h.str("stage:subject");
-    hashSubject(h, config_);
     lint::LintSubject subject;
     subject.design = design.get();
-    lintGate("subject", h.digest(), subject,
+    lintGate("subject", subjectKey(), subject,
              lint::packBit(lint::RulePack::kNetlist));
     subject_ = std::move(design);
   }
@@ -340,16 +234,12 @@ void TuningFlow::lintGate(std::string_view stageName,
   if (config_.lintMode == LintMode::kOff) return;
   // Lint-result cache key: subject identity (the stage's own artifact key)
   // + rule-pack version, so a rule change invalidates every cached report.
-  artifact::Hasher h;
-  h.str("sct-lint")
-      .u32(artifact::kSchemaVersion)
-      .u32(lint::kRulePackVersion)
-      .str(stageName)
-      .u64(stageKey.hi)
-      .u64(stageKey.lo)
-      .u8(packs);
+  const artifact::Digest lintKey =
+      artifact::digestOf("sct-lint", artifact::kSchemaVersion,
+                         lint::kRulePackVersion, stageName, stageKey.hi,
+                         stageKey.lo, packs);
   const lint::LintReport report = cachedStage<lint::LintReport>(
-      store_, mem_, "flow.stage.lint", h.digest(),
+      store_, mem_, "flow.stage.lint", lintKey,
       [&] { return linter_.run(subject, packs); },
       [](artifact::SctbWriter& writer, const lint::LintReport& value) {
         artifact::encodeLintReport(writer, value);
@@ -391,9 +281,7 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
         if (config != nullptr) constraints.emplace(tune(*config));
         synth::Synthesizer synthesizer(
             library, constraints ? &*constraints : nullptr);
-        sta::ClockSpec clock = config_.clock;
-        clock.period = period;
-        return synthesizer.run(subject(), clock, config_.synthesis);
+        return synthesizer.run(subject(), clockAt(period), config_.synthesis);
       },
       [](artifact::SctbWriter& writer, const synth::SynthesisResult& result) {
         artifact::encodeSynthesisResult(writer, result);
@@ -414,9 +302,7 @@ DesignMeasurement TuningFlow::synthesizeTuned(
 
 std::vector<sta::TimingPath> TuningFlow::tracePaths(
     const synth::SynthesisResult& result, double period) const {
-  sta::ClockSpec clock = config_.clock;
-  clock.period = period;
-  sta::TimingAnalyzer analyzer(result.design, *nominal_, clock);
+  sta::TimingAnalyzer analyzer(result.design, *nominal_, clockAt(period));
   if (!analyzer.analyze()) return {};
   return analyzer.endpointWorstPaths();
 }
@@ -434,9 +320,8 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
   out.clockPeriod = period;
   out.synthesis = std::move(result);
 
-  sta::ClockSpec clock = config_.clock;
-  clock.period = period;
-  sta::TimingAnalyzer analyzer(out.synthesis.design, nominalLibrary(), clock);
+  sta::TimingAnalyzer analyzer(out.synthesis.design, nominalLibrary(),
+                               clockAt(period));
   if (analyzer.analyze()) {
     const std::vector<sta::TimingPath> paths = analyzer.endpointWorstPaths();
     const variation::PathStatistics stats(statLibrary(), config_.rho);

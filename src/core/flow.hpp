@@ -7,7 +7,10 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "artifact/mem_cache.hpp"
@@ -38,11 +41,11 @@ struct FlowConfig {
   charlib::CharacterizationConfig characterization{};
   std::size_t mcLibraryCount = 50;  ///< paper: 50 library instances
   std::uint64_t mcSeed = 2014;
-  /// Subject-design selector for the design-diversity matrix: "mcu"
-  /// (default), "dsp" (FIR datapath), "noc" (wormhole router) or "big"
-  /// (scaled random DAG — ~200k gates at the default scale, the
-  /// 10x-paper-size workload). Only the selected generator's config enters
-  /// the stage keys.
+  /// Subject-design selector for the design-diversity matrix, a row of
+  /// kWorkloads: "mcu" (default), "dsp" (FIR datapath), "noc" (wormhole
+  /// router) or "big" (scaled random DAG — ~200k gates at the default
+  /// scale, the 10x-paper-size workload). Only the selected generator's
+  /// config enters the stage keys.
   std::string workload = "mcu";
   netlist::McuConfig mcu{};
   netlist::DspConfig dsp{};
@@ -91,6 +94,53 @@ struct FlowConfig {
   std::uint64_t powerSeed = 7;
 };
 
+/// One row of the workload table: a subject-design name, the FlowConfig
+/// member holding its generator config, and the generator.
+template <class Config>
+struct Workload {
+  std::string_view name;
+  Config FlowConfig::*config;
+  netlist::Design (*generate)(const Config&);
+};
+
+/// The workload table. Subject generation, the subject's stage-key
+/// encoding and `sctune generate` all read it.
+inline constexpr std::tuple kWorkloads{
+    Workload<netlist::McuConfig>{"mcu", &FlowConfig::mcu,
+                                 &netlist::generateMcu},
+    Workload<netlist::DspConfig>{"dsp", &FlowConfig::dsp,
+                                 &netlist::generateDsp},
+    Workload<netlist::NocConfig>{"noc", &FlowConfig::noc,
+                                 &netlist::buildNocRouter},
+    Workload<netlist::RandomDagConfig>{"big", &FlowConfig::big,
+                                       &netlist::generateRandomDag}};
+
+/// Whether kWorkloads has a row named `name` (no alias).
+[[nodiscard]] constexpr bool isWorkload(std::string_view name) {
+  return std::apply(
+      [&](const auto&... row) { return ((name == row.name) || ...); },
+      kWorkloads);
+}
+
+/// Calls f(row) with the kWorkloads row named `workload` ("" is an alias
+/// for "mcu"); throws std::invalid_argument for any other name.
+template <class F>
+void withWorkload(std::string_view workload, F&& f) {
+  if (workload.empty()) workload = "mcu";
+  const bool found = std::apply(
+      [&](const auto&... row) {
+        return ((workload == row.name && (f(row), true)) || ...);
+      },
+      kWorkloads);
+  if (!found) {
+    throw std::invalid_argument("unknown workload '" + std::string(workload) +
+                                "' (expected mcu|dsp|noc|big)");
+  }
+}
+
+/// The subject design config.workload selects, from its generator config.
+[[nodiscard]] netlist::Design generateSubject(const FlowConfig& config);
+
 /// Per-endpoint worst-path record used by the path-population figures.
 struct PathRecord {
   std::size_t depth = 0;
@@ -122,6 +172,9 @@ class TuningFlow {
     return characterizer_;
   }
 
+  /// config().clock at another period.
+  [[nodiscard]] sta::ClockSpec clockAt(double period) const;
+
   /// Nominal TT library used by synthesis (lazily characterized).
   const liberty::Library& nominalLibrary();
   /// Statistical library from N Monte-Carlo library instances (Fig. 2).
@@ -129,11 +182,23 @@ class TuningFlow {
   /// The subject graph selected by config().workload (lazily generated).
   const netlist::Design& subject();
 
+  // ---- stage cache keys (DESIGN.md §10) ----------------------------------
+  // A tag, the schema version and the canonical encoding
+  // (artifact/fields.hpp) of every config the stage reads.
+  [[nodiscard]] artifact::Digest nominalKey() const;
+  [[nodiscard]] artifact::Digest statKey() const;
+  [[nodiscard]] artifact::Digest tuneKey(
+      const tuning::TuningConfig& config) const;
+  /// Key of the subject design's lint report.
+  [[nodiscard]] artifact::Digest subjectKey() const;
+  /// config == nullptr keys the untuned baseline.
+  [[nodiscard]] artifact::Digest synthKey(
+      double period, const tuning::TuningConfig* config) const;
   /// Digest of everything that can influence a (constraints -> synthesize ->
   /// measure) evaluation at this clock period: characterization, corner,
   /// MC parameters, subject/workload, clock, synthesis options, rho and the
   /// power knobs. The evolutionary tuner mixes candidate genes into this to
-  /// key its memoized fitness evaluations.
+  /// key its memoized fitness evaluations; scenario cells build on it too.
   [[nodiscard]] artifact::Digest measurementContextDigest(double period) const;
 
   /// Stage 1+2 of the tuning method for a given config.
@@ -192,14 +257,11 @@ class TuningFlow {
   }
 
  private:
-  // ---- stage cache keys (see DESIGN.md §10 for the derivation rules) -----
-  [[nodiscard]] artifact::Hasher flowHasher() const;
-  [[nodiscard]] artifact::Digest nominalKey() const;
-  [[nodiscard]] artifact::Digest statKey() const;
-  [[nodiscard]] artifact::Digest tuneKey(
-      const tuning::TuningConfig& config) const;
-  [[nodiscard]] artifact::Digest synthKey(
-      double period, const tuning::TuningConfig* config) const;
+  /// The stage tag, then every stage's common inputs (characterization and
+  /// corner), then `parts`.
+  template <class... Parts>
+  [[nodiscard]] artifact::Digest key(std::string_view stage,
+                                     const Parts&... parts) const;
 
   /// Shared cached-synthesis stage behind synthesizeBaseline/synthesizeTuned
   /// (config == nullptr means the untuned baseline library).

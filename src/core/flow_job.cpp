@@ -20,6 +20,12 @@ tuning::TuningMethod tuningMethodByName(const std::string& name) {
   throw std::runtime_error("unknown method '" + name + "'");
 }
 
+std::optional<tuning::TuningConfig> tuningConfigOf(const FlowJob& job) {
+  if (job.method.empty()) return std::nullopt;
+  return tuning::TuningConfig::forMethod(tuningMethodByName(job.method),
+                                         job.value);
+}
+
 FlowConfig makeFlowConfig(const FlowJob& job) {
   FlowConfig config;
   if (job.profile == "small") {
@@ -70,11 +76,7 @@ FlowConfig makeFlowConfig(const FlowJob& job) {
 }
 
 FlowJobResult runFlowJob(TuningFlow& flow, const FlowJob& job) {
-  std::optional<tuning::TuningConfig> tuningConfig;
-  if (!job.method.empty()) {
-    tuningConfig = tuning::TuningConfig::forMethod(
-        tuningMethodByName(job.method), job.value);
-  }
+  const std::optional<tuning::TuningConfig> tuningConfig = tuningConfigOf(job);
   const DesignMeasurement m = tuningConfig
                                   ? flow.synthesizeTuned(job.period, *tuningConfig)
                                   : flow.synthesizeBaseline(job.period);

@@ -7,6 +7,7 @@
 // construction, not by convention.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/flow.hpp"
@@ -28,6 +29,10 @@ struct FlowJob {
 /// CLI method-name dictionary (strength-load, strength-slew, cell-load,
 /// cell-slew, sigma-ceiling); throws std::runtime_error on unknown names.
 [[nodiscard]] tuning::TuningMethod tuningMethodByName(const std::string& name);
+
+/// The job's tuning config (method at `value`); nullopt for a baseline job.
+[[nodiscard]] std::optional<tuning::TuningConfig> tuningConfigOf(
+    const FlowJob& job);
 
 /// Flow configuration for a job: profile presets, MC count/seed, lint mode.
 /// Cache wiring (cacheDir / shared tiers / memCacheBytes) is left at the

@@ -138,10 +138,10 @@ CandidateFitness computeFitness(core::TuningFlow& flow, double period,
   const tuning::LibraryConstraints constraints =
       tuning::constrainWithThresholds(flow.statLibrary(), thresholds);
   const synth::Synthesizer synthesizer(flow.nominalLibrary(), &constraints);
-  sta::ClockSpec clock = flow.config().clock;
-  clock.period = period;
-  const core::DesignMeasurement m = flow.measure(
-      synthesizer.run(flow.subject(), clock, flow.config().synthesis), period);
+  const core::DesignMeasurement m =
+      flow.measure(synthesizer.run(flow.subject(), flow.clockAt(period),
+                                   flow.config().synthesis),
+                   period);
 
   CandidateFitness fitness;
   fitness.feasible = m.success();

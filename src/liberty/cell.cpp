@@ -17,28 +17,24 @@ double Cell::inputCapacitance(std::string_view pin) const noexcept {
 }
 
 const Cell::DerivedIndex& Cell::index() const {
-  if (index_ == nullptr) {
-    auto idx = std::make_unique<DerivedIndex>();
-    for (const Pin& pin : pins_) {
-      (pin.direction == PinDirection::kInput ? idx->inputPins
-                                             : idx->outputPins)
-          .push_back(&pin);
-    }
-    for (const TimingArc& arc : arcs_) {
-      auto group = idx->fanout.begin();
-      for (; group != idx->fanout.end(); ++group) {
-        if (group->first == arc.outputPin) break;
-      }
-      if (group == idx->fanout.end()) {
-        idx->fanout.emplace_back(arc.outputPin,
-                                 std::vector<const TimingArc*>{});
-        group = std::prev(idx->fanout.end());
-      }
-      group->second.push_back(&arc);
-    }
-    index_ = std::move(idx);
+  if (const DerivedIndex* built = index_.get()) return *built;
+  auto idx = std::make_unique<DerivedIndex>();
+  for (const Pin& pin : pins_) {
+    (pin.direction == PinDirection::kInput ? idx->inputPins : idx->outputPins)
+        .push_back(&pin);
   }
-  return *index_;
+  for (const TimingArc& arc : arcs_) {
+    auto group = idx->fanout.begin();
+    for (; group != idx->fanout.end(); ++group) {
+      if (group->first == arc.outputPin) break;
+    }
+    if (group == idx->fanout.end()) {
+      idx->fanout.emplace_back(arc.outputPin, std::vector<const TimingArc*>{});
+      group = std::prev(idx->fanout.end());
+    }
+    group->second.push_back(&arc);
+  }
+  return index_.publish(std::move(idx));
 }
 
 std::span<const TimingArc* const> Cell::fanoutArcs(

@@ -3,6 +3,7 @@
 // arc holds the four LUTs of a related-pin/output-pin pair (rise/fall delay
 // and rise/fall output transition), exactly the tables the tuner restricts.
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
@@ -60,37 +61,6 @@ class Cell {
         function_(function),
         drive_strength_(driveStrength),
         area_(area) {}
-
-  // The derived pin/arc index (see below) holds pointers into pins_/arcs_;
-  // copies must not share it. Moves keep the heap buffers, so the index
-  // stays valid and travels with the cell.
-  Cell(const Cell& other)
-      : name_(other.name_),
-        function_(other.function_),
-        drive_strength_(other.drive_strength_),
-        area_(other.area_),
-        setup_time_(other.setup_time_),
-        hold_time_(other.hold_time_),
-        setup_lut_(other.setup_lut_),
-        pins_(other.pins_),
-        arcs_(other.arcs_) {}
-  Cell& operator=(const Cell& other) {
-    if (this == &other) return *this;
-    name_ = other.name_;
-    function_ = other.function_;
-    drive_strength_ = other.drive_strength_;
-    area_ = other.area_;
-    setup_time_ = other.setup_time_;
-    hold_time_ = other.hold_time_;
-    setup_lut_ = other.setup_lut_;
-    pins_ = other.pins_;
-    arcs_ = other.arcs_;
-    index_.reset();
-    return *this;
-  }
-  Cell(Cell&&) noexcept = default;
-  Cell& operator=(Cell&&) noexcept = default;
-  ~Cell() = default;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] CellFunction function() const noexcept { return function_; }
@@ -171,6 +141,46 @@ class Cell {
   };
   const DerivedIndex& index() const;
 
+  /// Owner of the lazily built index. Concurrent first queries of a shared
+  /// const cell each build one and the first to publish wins. A copy starts
+  /// empty (the source's index points into the source); a move takes it.
+  class IndexSlot {
+   public:
+    IndexSlot() = default;
+    IndexSlot(const IndexSlot&) noexcept {}
+    IndexSlot& operator=(const IndexSlot& other) noexcept {
+      if (this != &other) reset();
+      return *this;
+    }
+    IndexSlot(IndexSlot&& other) noexcept
+        : index_(other.index_.exchange(nullptr)) {}
+    IndexSlot& operator=(IndexSlot&& other) noexcept {
+      if (this != &other) {
+        delete index_.exchange(other.index_.exchange(nullptr));
+      }
+      return *this;
+    }
+    ~IndexSlot() { reset(); }
+    void reset() noexcept { delete index_.exchange(nullptr); }
+    [[nodiscard]] const DerivedIndex* get() const noexcept {
+      return index_.load(std::memory_order_acquire);
+    }
+    /// Installs `built` unless another thread got there first; returns the
+    /// installed index either way.
+    const DerivedIndex& publish(std::unique_ptr<DerivedIndex> built) const {
+      DerivedIndex* winner = nullptr;
+      if (index_.compare_exchange_strong(winner, built.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+        return *built.release();
+      }
+      return *winner;
+    }
+
+   private:
+    mutable std::atomic<DerivedIndex*> index_{nullptr};
+  };
+
   std::string name_;
   CellFunction function_ = CellFunction::kInv;
   double drive_strength_ = 1.0;
@@ -180,7 +190,7 @@ class Cell {
   Lut setup_lut_;  ///< rows: data slew, cols: clock slew; empty = scalar
   std::vector<Pin> pins_;
   std::vector<TimingArc> arcs_;
-  mutable std::unique_ptr<DerivedIndex> index_;
+  IndexSlot index_;
 };
 
 }  // namespace sct::liberty

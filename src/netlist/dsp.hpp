@@ -18,6 +18,16 @@ struct DspConfig {
   std::size_t channels = 2;     ///< parallel filter channels
   bool useKoggeStone = true;    ///< fast adders in the accumulate chain
   std::uint64_t seed = 0xD59;   ///< control-logic seed
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("dataWidth", s.dataWidth);
+    v("taps", s.taps);
+    v("accWidth", s.accWidth);
+    v("channels", s.channels);
+    v("useKoggeStone", s.useKoggeStone);
+    v("seed", s.seed);
+  }
 };
 
 /// Generates the DSP subject graph (technology independent).

@@ -29,6 +29,25 @@ struct McuConfig {
   std::size_t decodeDepth = 4;
   std::size_t interruptSources = 32;
   std::uint64_t seed = 0xC0FFEE;  ///< seeds the random control logic
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("width", s.width);
+    v("registers", s.registers);
+    v("readPorts", s.readPorts);
+    v("bankedRegisters", s.bankedRegisters);
+    v("macWidth", s.macWidth);
+    v("macUnits", s.macUnits);
+    v("timers", s.timers);
+    v("dmaChannels", s.dmaChannels);
+    v("gpioWidth", s.gpioWidth);
+    v("cacheTagEntries", s.cacheTagEntries);
+    v("cacheTagBits", s.cacheTagBits);
+    v("decodeOutputs", s.decodeOutputs);
+    v("decodeDepth", s.decodeDepth);
+    v("interruptSources", s.interruptSources);
+    v("seed", s.seed);
+  }
 };
 
 /// Generates the microcontroller subject graph. The returned design is

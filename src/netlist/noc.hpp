@@ -18,6 +18,15 @@ struct NocConfig {
   std::size_t vcs = 2;          ///< virtual channels per input port
   std::size_t bufferDepth = 2;  ///< flit-buffer stages per VC
   std::uint64_t seed = 0x40C;   ///< control-blob seed
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("ports", s.ports);
+    v("flitWidth", s.flitWidth);
+    v("vcs", s.vcs);
+    v("bufferDepth", s.bufferDepth);
+    v("seed", s.seed);
+  }
 };
 
 /// Generates the router subject graph (technology independent): per-port

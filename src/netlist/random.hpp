@@ -20,6 +20,16 @@ struct RandomDagConfig {
   /// ~200k-gate subject used by the 10x-paper-size experiments.
   std::size_t scale = 1;
   std::uint64_t seed = 1;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("primaryInputs", s.primaryInputs);
+    v("gates", s.gates);
+    v("flipFlops", s.flipFlops);
+    v("primaryOutputs", s.primaryOutputs);
+    v("scale", s.scale);
+    v("seed", s.seed);
+  }
 };
 
 /// Builds a random, acyclic, fully connected design: gates draw operands

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "artifact/fields.hpp"
 #include "artifact/hash.hpp"
 #include "core/fmt17.hpp"
 #include "core/stage_cache.hpp"
@@ -55,29 +56,6 @@ double mappedArea(const netlist::Design& design) {
   return area;
 }
 
-artifact::Digest cellKey(const ScenarioJob& job, const std::string& scenario,
-                         double period, std::size_t trials) {
-  artifact::Hasher hasher;
-  hasher.str("sct-scenario");
-  hasher.u32(kScenarioSchema);
-  hasher.str(job.flow.profile);
-  hasher.str(job.flow.workload);
-  hasher.str(job.flow.method);
-  hasher.f64(job.flow.value);
-  hasher.u64(job.flow.mcCount);
-  hasher.u64(job.flow.mcSeed);
-  hasher.str(job.flow.lintMode);
-  hasher.str(scenario);
-  hasher.f64(period);
-  hasher.f64(job.element.rangeMin);
-  hasher.f64(job.element.rangeMax);
-  hasher.f64(job.element.step);
-  hasher.f64(job.element.areaPerElement);
-  hasher.u64(trials);
-  hasher.u64(job.mcSeed);
-  return hasher.digest();
-}
-
 void encodeCell(artifact::SctbWriter& writer, const ScenarioCell& cell) {
   writer.beginSection("scenario-cell");
   writer.u32(kScenarioSchema);
@@ -123,15 +101,11 @@ ScenarioCell decodeCell(const artifact::SctbReader& reader) {
 }
 
 ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
+                         const tuning::TuningConfig* tuningConfig,
                          const std::string& scenario, double period,
                          std::size_t trials) {
   core::FlowJob cellJob = job.flow;
   cellJob.period = period;
-  std::optional<tuning::TuningConfig> tuningConfig;
-  if (!cellJob.method.empty()) {
-    tuningConfig = tuning::TuningConfig::forMethod(
-        core::tuningMethodByName(cellJob.method), cellJob.value);
-  }
   const core::DesignMeasurement m =
       tuningConfig ? flow.synthesizeTuned(period, *tuningConfig)
                    : flow.synthesizeBaseline(period);
@@ -185,8 +159,7 @@ ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
   // then clock tuning over the buffered paths (cumulative scenario).
   std::optional<tuning::LibraryConstraints> constraints;
   if (tuningConfig) constraints = flow.tune(*tuningConfig);
-  sta::ClockSpec clock = flow.config().clock;
-  clock.period = period;
+  const sta::ClockSpec clock = flow.clockAt(period);
   synth::BufferSamplingOptions options;
   options.trials = trials;
   options.seed = job.mcSeed;
@@ -226,6 +199,16 @@ ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
 
 }  // namespace
 
+artifact::Digest cellKey(const core::TuningFlow& flow,
+                         const tuning::TuningConfig* tuningConfig,
+                         const ScenarioJob& job, const std::string& scenario,
+                         double period, std::size_t trials) {
+  const artifact::Digest context = flow.measurementContextDigest(period);
+  return artifact::digestOf("sct-scenario", kScenarioSchema, context.hi,
+                            context.lo, tuningConfig, scenario, job.element,
+                            trials, job.mcSeed, flow.config().lintMode);
+}
+
 std::vector<double> paperPeriods(double base) {
   return {base, base * (2.5 / 2.41), base * (4.0 / 2.41),
           base * (10.0 / 2.41)};
@@ -242,14 +225,20 @@ ScenarioRunResult runScenarioJob(core::TuningFlow& flow,
           ? job.mcTrials
           : (job.flow.profile == "small" ? std::size_t{64} : std::size_t{200});
 
+  const std::optional<tuning::TuningConfig> tuningConfig =
+      core::tuningConfigOf(job.flow);
+  const tuning::TuningConfig* tuned = tuningConfig ? &*tuningConfig : nullptr;
+
   ScenarioRunResult result;
   result.success = true;
   for (const std::string& scenario : scenarios) {
     for (const double period : job.periods) {
       ScenarioCell cell = core::cachedStage<ScenarioCell>(
           flow.cache(), flow.memCache(), stageNameFor(scenario),
-          cellKey(job, scenario, period, trials),
-          [&] { return computeCell(flow, job, scenario, period, trials); },
+          cellKey(flow, tuned, job, scenario, period, trials),
+          [&] {
+            return computeCell(flow, job, tuned, scenario, period, trials);
+          },
           encodeCell, decodeCell);
       result.success = result.success && cell.success;
       result.cells.push_back(std::move(cell));

@@ -68,6 +68,16 @@ struct ScenarioRunResult {
   std::vector<ScenarioCell> cells;  ///< scenario-major, period-minor order
 };
 
+/// Cache key of one (scenario, period) cell (DESIGN.md §15); tuningConfig
+/// is nullptr for the untuned baseline. It includes the lint mode, which
+/// never changes a result: a cell hit skips every lint gate, so a cell
+/// published under --lint-mode off must not serve an `error` run.
+[[nodiscard]] artifact::Digest cellKey(const core::TuningFlow& flow,
+                                       const tuning::TuningConfig* tuningConfig,
+                                       const ScenarioJob& job,
+                                       const std::string& scenario,
+                                       double period, std::size_t trials);
+
 /// Runs the matrix on an already-constructed flow. Each cell goes through
 /// core::cachedStage against the flow's cache tiers (stage names
 /// "scenario.stage.<name>", so spans and per-stage metrics come for free);

@@ -24,6 +24,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "artifact/fields.hpp"
 #include "artifact/hash.hpp"
 #include "artifact/mem_cache.hpp"
 #include "artifact/store.hpp"
@@ -40,6 +41,12 @@ namespace sct::server {
 struct FileArg {
   std::string path;
   std::string text;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("path", s.path);
+    v("text", s.text);
+  }
 };
 
 /// Whether the CLI resolver insists on a field's flag. The codec and the
@@ -225,25 +232,6 @@ using FlowRequest = JobRequest<FlowKind>;
 
 namespace detail {
 
-/// Writes fields in declaration order into an SctbWriter (the wire) or a
-/// Hasher (the cache key): one canonical encoding for both.
-template <class Sink>
-struct Emit {
-  Sink& out;
-  void operator()(const char*, const std::string& v, Need = {}) { out.str(v); }
-  void operator()(const char*, double v, Need = {}) { out.f64(v); }
-  void operator()(const char*, std::uint64_t v, Need = {}) { out.u64(v); }
-  void operator()(const char*, bool v, Need = {}) { out.u8(v ? 1 : 0); }
-  void operator()(const char*, const std::vector<double>& v, Need = {}) {
-    out.u64(v.size());
-    for (const double x : v) out.f64(x);
-  }
-  void operator()(const char*, const FileArg& v, Need = {}) {
-    out.str(v.path);
-    out.str(v.text);
-  }
-};
-
 /// Reads fields back in declaration order, bounding list lengths.
 struct Read {
   artifact::SctbReader::Cursor& in;
@@ -272,7 +260,7 @@ template <class Kind>
     const JobRequest<Kind>& request) {
   artifact::SctbWriter writer;
   writer.beginSection(Kind::kName);
-  Kind::fields(request.job, detail::Emit<artifact::SctbWriter>{writer});
+  Kind::fields(request.job, artifact::Emit<artifact::SctbWriter>{writer});
   writer.u64(request.deadlineMillis);
   return writer.finish();
 }
@@ -298,7 +286,7 @@ template <class Kind>
 [[nodiscard]] artifact::Digest requestDigest(const typename Kind::Job& job) {
   artifact::Hasher hasher;
   hasher.str("sctp-job").str(Kind::kName).u32(Kind::kRevision);
-  Kind::fields(job, detail::Emit<artifact::Hasher>{hasher});
+  Kind::fields(job, artifact::Emit<artifact::Hasher>{hasher});
   return hasher.digest();
 }
 

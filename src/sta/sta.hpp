@@ -32,6 +32,13 @@ struct WireLoadModel {
   double capPerFanout = 0.0015; ///< linear term [pF per sink]
   double capQuadratic = 0.0;    ///< congestion term [pF per sink^2]
 
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("capBase", s.capBase);
+    v("capPerFanout", s.capPerFanout);
+    v("capQuadratic", s.capQuadratic);
+  }
+
   [[nodiscard]] double netCap(std::size_t fanout) const noexcept {
     const double n = static_cast<double>(fanout);
     return fanout == 0 ? 0.0 : capBase + capPerFanout * n +
@@ -61,6 +68,19 @@ struct ClockSpec {
   /// multiplied by derateLate, every min-path delay by derateEarly.
   double derateLate = 1.0;
   double derateEarly = 1.0;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("period", s.period);
+    v("uncertainty", s.uncertainty);
+    v("clockSlew", s.clockSlew);
+    v("inputSlew", s.inputSlew);
+    v("inputDelay", s.inputDelay);
+    v("outputLoad", s.outputLoad);
+    v("wireLoad", s.wireLoad);
+    v("derateLate", s.derateLate);
+    v("derateEarly", s.derateEarly);
+  }
 
   /// Data must arrive before this time (excluding per-endpoint setup).
   [[nodiscard]] double effectivePeriod() const noexcept {

@@ -24,6 +24,14 @@ struct SynthesisOptions {
   std::size_t maxFanout = 16;       ///< split nets with more sinks
   double maxSlew = 0.55;            ///< global transition limit [ns]
   double areaRecoveryMargin = 0.05; ///< slack to preserve when downsizing [ns]
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("maxPasses", s.maxPasses);
+    v("maxFanout", s.maxFanout);
+    v("maxSlew", s.maxSlew);
+    v("areaRecoveryMargin", s.areaRecoveryMargin);
+  }
 };
 
 struct SynthesisResult {

@@ -36,6 +36,14 @@ struct TuningConfig {
   double slewSlopeBound = 0.06;
   double sigmaCeiling = 100.0;
 
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("method", s.method);
+    v("loadSlopeBound", s.loadSlopeBound);
+    v("slewSlopeBound", s.slewSlopeBound);
+    v("sigmaCeiling", s.sigmaCeiling);
+  }
+
   /// Config for a method with its swept parameter set to `value` and the
   /// other parameters at their defaults (Table 2 protocol).
   [[nodiscard]] static TuningConfig forMethod(TuningMethod method,

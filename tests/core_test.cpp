@@ -16,25 +16,13 @@
 namespace sct::core {
 namespace {
 
-/// Small-but-real flow config: reduced MCU and characterization grid so the
-/// whole integration suite stays fast.
+/// Small-but-real flow config: the small profile (reduced MCU and
+/// characterization grid) so the whole integration suite stays fast.
 FlowConfig smallConfig() {
-  FlowConfig config;
-  config.characterization.slewAxis = {0.002, 0.05, 0.2, 0.6};
-  config.characterization.loadFractions = {0.01, 0.1, 0.4, 1.0};
-  config.mcLibraryCount = 25;
-  config.mcu.registers = 8;
-  config.mcu.readPorts = 2;
-  config.mcu.bankedRegisters = 1;
-  config.mcu.macUnits = 1;
-  config.mcu.macWidth = 8;
-  config.mcu.timers = 1;
-  config.mcu.dmaChannels = 1;
-  config.mcu.gpioWidth = 16;
-  config.mcu.cacheTagEntries = 16;
-  config.mcu.decodeOutputs = 64;
-  config.mcu.interruptSources = 8;
-  return config;
+  FlowJob job;
+  job.profile = "small";
+  job.mcCount = 25;
+  return makeFlowConfig(job);
 }
 
 class FlowTest : public ::testing::Test {

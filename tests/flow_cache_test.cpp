@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "core/flow.hpp"
+#include "core/flow_job.hpp"
 #include "liberty/liberty_io.hpp"
 #include "statlib/stat_io.hpp"
 #include "tuning/constraints_io.hpp"
@@ -18,21 +19,10 @@ namespace {
 namespace fs = std::filesystem;
 
 FlowConfig smallConfig(const fs::path& cacheDir) {
-  FlowConfig config;
-  config.characterization.slewAxis = {0.002, 0.05, 0.2, 0.6};
-  config.characterization.loadFractions = {0.01, 0.1, 0.4, 1.0};
-  config.mcLibraryCount = 6;
-  config.mcu.registers = 8;
-  config.mcu.readPorts = 2;
-  config.mcu.bankedRegisters = 1;
-  config.mcu.macUnits = 1;
-  config.mcu.macWidth = 8;
-  config.mcu.timers = 1;
-  config.mcu.dmaChannels = 1;
-  config.mcu.gpioWidth = 16;
-  config.mcu.cacheTagEntries = 16;
-  config.mcu.decodeOutputs = 64;
-  config.mcu.interruptSources = 8;
+  FlowJob job;
+  job.profile = "small";
+  job.mcCount = 6;
+  FlowConfig config = makeFlowConfig(job);
   config.cacheDir = cacheDir.string();
   return config;
 }

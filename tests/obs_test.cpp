@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "core/flow_job.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
@@ -440,23 +441,11 @@ TEST(Metrics, JsonExportParsesBackAndIsDeterministic) {
 // ---- bit-identity through the full flow ----------------------------------
 
 core::FlowConfig tinyFlowConfig() {
-  core::FlowConfig config;
-  config.characterization.slewAxis = {0.002, 0.05, 0.2, 0.6};
-  config.characterization.loadFractions = {0.01, 0.1, 0.4, 1.0};
-  config.mcLibraryCount = 6;
-  config.mcu.registers = 8;
-  config.mcu.readPorts = 2;
-  config.mcu.bankedRegisters = 1;
-  config.mcu.macUnits = 1;
-  config.mcu.macWidth = 8;
-  config.mcu.timers = 1;
-  config.mcu.dmaChannels = 1;
-  config.mcu.gpioWidth = 16;
-  config.mcu.cacheTagEntries = 16;
-  config.mcu.decodeOutputs = 64;
-  config.mcu.interruptSources = 8;
-  config.lintMode = core::LintMode::kOff;  // exercised by lint_test
-  return config;
+  core::FlowJob job;
+  job.profile = "small";
+  job.mcCount = 6;
+  job.lintMode = "off";  // exercised by lint_test
+  return core::makeFlowConfig(job);
 }
 
 TEST(ObsBitIdentity, TracedFlowMatchesObsOffExactly) {

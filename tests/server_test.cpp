@@ -26,6 +26,8 @@
 #include "server/jobs.hpp"
 #include "server/server.hpp"
 
+#include "field_visitors.hpp"
+
 namespace sct {
 namespace {
 
@@ -34,6 +36,7 @@ using server::Client;
 using server::MessageType;
 using server::Response;
 using server::Status;
+using testing_support::Mutate;
 
 struct TempDir {
   fs::path path;
@@ -505,46 +508,11 @@ std::vector<std::string> dump(const typename Kind::Job& job) {
   return out;
 }
 
-/// Changes every field it visits (or, with `only` set, just that field) to
-/// a value different from the one it holds.
-struct Mutate {
-  static constexpr int kAll = -1;
-  static constexpr int kNone = -2;  ///< only counts the mutation points
-  int only = kAll;
-  int index = 0;
-  [[nodiscard]] bool hit() {
-    const int point = index++;
-    return only == kAll || point == only;
-  }
-  void operator()(const char*, std::string& v, Need = {}) {
-    if (hit()) v += "~";
-  }
-  void operator()(const char*, double& v, Need = {}) {
-    if (hit()) v += 1.25;
-  }
-  void operator()(const char*, std::uint64_t& v, Need = {}) {
-    if (hit()) v += 3;
-  }
-  void operator()(const char*, bool& v, Need = {}) {
-    if (hit()) v = !v;
-  }
-  void operator()(const char*, std::vector<double>& v, Need = {}) {
-    if (hit()) v.push_back(2.41);
-  }
-  // A file operand mutates in two steps: its text, then its path.
-  void operator()(const char*, server::FileArg& v, Need = {}) {
-    if (hit()) v.text += "~";
-    if (hit()) v.path += "~";
-  }
-};
-
 /// Number of independent mutation points of a kind's field list.
 template <class Kind>
 int mutationPoints() {
-  typename Kind::Job job;
-  Mutate count{Mutate::kNone};
-  Kind::fields(job, count);
-  return count.index;
+  return testing_support::mutationPoints<typename Kind::Job>(
+      [](auto& job, auto& v) { Kind::fields(job, v); });
 }
 
 /// Every declared field set to a non-default value survives the wire, and

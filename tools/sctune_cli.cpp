@@ -5,7 +5,7 @@
 //
 //   sctune characterize --out lib.lib [--corner TT|SS|FF] [--mc N --seed S
 //                        --stat-out stat.slib]
-//   sctune generate     --design mcu|dsp|accumulator --out design.v
+//   sctune generate     --design mcu|dsp|noc|big|accumulator --out design.v
 //   sctune tune         --stat stat.slib --method <name> --value <v>
 //                        --out constraints.txt [--script constraints.tcl]
 //   sctune synth        --lib lib.lib --design <name|netlist.v>
@@ -55,9 +55,6 @@
 #include "server/client.hpp"
 #include "server/jobs.hpp"
 #include "sta/report.hpp"
-#include "netlist/dsp.hpp"
-#include "netlist/noc.hpp"
-#include "netlist/random.hpp"
 #include "netlist/verilog_io.hpp"
 #include "statlib/stat_io.hpp"
 #include "tuning/constraints_io.hpp"
@@ -231,17 +228,11 @@ tuning::TuningMethod methodByName(const std::string& name) {
 
 netlist::Design designByName(const std::string& name,
                              const liberty::Library* library) {
-  if (name == "mcu") return netlist::generateMcu();
-  if (name == "dsp") return netlist::generateDsp();
-  if (name == "noc") return netlist::buildNocRouter();
-  if (name == "big") {
-    // The flow's 10x-paper-size subject (core::FlowConfig::big defaults).
-    return netlist::generateRandomDag({.primaryInputs = 64,
-                                       .gates = 200,
-                                       .flipFlops = 16,
-                                       .primaryOutputs = 64,
-                                       .scale = 1000,
-                                       .seed = 1});
+  if (core::isWorkload(name)) {
+    // The flow's subject at the default (full-profile) generator configs.
+    core::FlowConfig config;
+    config.workload = name;
+    return core::generateSubject(config);
   }
   if (name == "accumulator") return netlist::generateAccumulator(16);
   // Otherwise: a structural Verilog file.
