@@ -34,7 +34,7 @@ namespace sct::artifact {
 
 /// Bumped whenever any codec's byte layout changes; part of both the file
 /// header and the content-address, so stale-layout artifacts are never read.
-inline constexpr std::uint32_t kSchemaVersion = 1;
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 inline constexpr char kMagic[4] = {'S', 'C', 'T', 'B'};
 inline constexpr std::size_t kSectionNameBytes = 16;

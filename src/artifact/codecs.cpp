@@ -1,8 +1,12 @@
 #include "artifact/codecs.hpp"
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "artifact/fields.hpp"
 
 namespace sct::artifact {
 namespace {
@@ -267,39 +271,15 @@ statlib::StatLibrary decodeStatLibrary(const SctbReader& reader) {
 void encodeConstraints(SctbWriter& writer,
                        const tuning::LibraryConstraints& constraints) {
   writer.beginSection("cons.cells");
-  writer.u64(constraints.cells().size());
-  for (const auto& [cellName, constraint] : constraints.cells()) {
-    writer.str(cellName);
-    writer.f64(constraint.sigmaThreshold);
-    writer.u64(constraint.pinWindows.size());
-    for (const auto& [pinName, window] : constraint.pinWindows) {
-      writer.str(pinName);
-      writer.f64(window.minSlew);
-      writer.f64(window.maxSlew);
-      writer.f64(window.minLoad);
-      writer.f64(window.maxLoad);
-    }
-  }
+  Emit<SctbWriter>{writer}("cells", constraints.cells());
 }
 
 tuning::LibraryConstraints decodeConstraints(const SctbReader& reader) {
   SctbReader::Cursor cursor = reader.section("cons.cells");
+  std::map<std::string, tuning::CellConstraint> cells;
+  Read{cursor}("cells", cells);
   tuning::LibraryConstraints constraints;
-  const std::uint64_t cellCount = cursor.u64();
-  for (std::uint64_t i = 0; i < cellCount; ++i) {
-    const std::string cellName = cursor.str();
-    tuning::CellConstraint constraint;
-    constraint.sigmaThreshold = cursor.f64();
-    const std::uint64_t pinCount = cursor.u64();
-    for (std::uint64_t p = 0; p < pinCount; ++p) {
-      const std::string pinName = cursor.str();
-      tuning::PinWindow window;
-      window.minSlew = cursor.f64();
-      window.maxSlew = cursor.f64();
-      window.minLoad = cursor.f64();
-      window.maxLoad = cursor.f64();
-      constraint.pinWindows.emplace(pinName, window);
-    }
+  for (auto& [cellName, constraint] : cells) {
     constraints.setCell(cellName, std::move(constraint));
   }
   return constraints;
@@ -429,17 +409,7 @@ netlist::Design decodeDesign(const SctbReader& reader,
 void encodeSynthesisResult(SctbWriter& writer,
                            const synth::SynthesisResult& result) {
   writer.beginSection("synth.meta");
-  writer.boolean(result.timingMet);
-  writer.boolean(result.legal);
-  writer.f64(result.worstSlack);
-  writer.f64(result.tns);
-  writer.f64(result.area);
-  writer.u64(result.passes);
-  writer.u64(result.buffersInserted);
-  writer.u64(result.decomposed);
-  writer.u64(result.patternRewrites);
-  writer.u64(result.resizes);
-  writer.u64(result.violations);
+  synth::SynthesisResult::fields(result, Emit<SctbWriter>{writer});
   encodeDesign(writer, result.design);
 }
 
@@ -447,17 +417,7 @@ synth::SynthesisResult decodeSynthesisResult(const SctbReader& reader,
                                              const liberty::Library* library) {
   SctbReader::Cursor meta = reader.section("synth.meta");
   synth::SynthesisResult result;
-  result.timingMet = meta.boolean();
-  result.legal = meta.boolean();
-  result.worstSlack = meta.f64();
-  result.tns = meta.f64();
-  result.area = meta.f64();
-  result.passes = meta.u64();
-  result.buffersInserted = meta.u64();
-  result.decomposed = meta.u64();
-  result.patternRewrites = meta.u64();
-  result.resizes = meta.u64();
-  result.violations = meta.u64();
+  synth::SynthesisResult::fields(result, Read{meta});
   result.design = decodeDesign(reader, library);
   return result;
 }
@@ -466,29 +426,15 @@ synth::SynthesisResult decodeSynthesisResult(const SctbReader& reader,
 
 void encodeLintReport(SctbWriter& writer, const lint::LintReport& report) {
   writer.beginSection("lintreport");
-  writer.u64(report.size());
-  for (const lint::Diagnostic& d : report.diagnostics()) {
-    writer.str(d.ruleId);
-    writer.u8(static_cast<std::uint8_t>(d.severity));
-    writer.str(d.objectPath);
-    writer.str(d.message);
-  }
+  Emit<SctbWriter>{writer}("diagnostics", report.diagnostics());
 }
 
 lint::LintReport decodeLintReport(const SctbReader& reader) {
   SctbReader::Cursor cursor = reader.section("lintreport");
-  const std::uint64_t count = cursor.u64();
+  std::vector<lint::Diagnostic> diagnostics;
+  Read{cursor}("diagnostics", diagnostics);
   lint::LintReport report;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    lint::Diagnostic d;
-    d.ruleId = cursor.str();
-    const std::uint8_t severity = cursor.u8();
-    if (severity > 2) throw FormatError("lint severity out of range");
-    d.severity = static_cast<lint::Severity>(severity);
-    d.objectPath = cursor.str();
-    d.message = cursor.str();
-    report.add(std::move(d));
-  }
+  for (lint::Diagnostic& d : diagnostics) report.add(std::move(d));
   return report;
 }
 

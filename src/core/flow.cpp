@@ -140,12 +140,7 @@ const liberty::Library& TuningFlow::nominalLibrary() {
               return characterizer_.characterizeNominal(
                   charlib::ProcessCorner::typical());
             },
-            [](artifact::SctbWriter& writer, const liberty::Library& lib) {
-              artifact::encodeLibrary(writer, lib);
-            },
-            [](const artifact::SctbReader& reader) {
-              return artifact::decodeLibrary(reader);
-            }));
+            artifact::encodeLibrary, artifact::decodeLibrary));
     // Gate before the member is set: a failed gate leaves the flow without a
     // nominal library, so a retried call re-lints instead of serving the
     // tainted artifact.
@@ -170,13 +165,7 @@ const statlib::StatLibrary& TuningFlow::statLibrary() {
                       config_.mcLibraryCount, config_.mcSeed);
               return statlib::buildStatLibrary(instances);
             },
-            [](artifact::SctbWriter& writer,
-               const statlib::StatLibrary& lib) {
-              artifact::encodeStatLibrary(writer, lib);
-            },
-            [](const artifact::SctbReader& reader) {
-              return artifact::decodeStatLibrary(reader);
-            }));
+            artifact::encodeStatLibrary, artifact::decodeStatLibrary));
     if (config_.lintMode != LintMode::kOff) {
       lint::LintSubject subject;
       subject.statLibrary = library.get();
@@ -210,13 +199,7 @@ tuning::LibraryConstraints TuningFlow::tune(const tuning::TuningConfig& config) 
       cachedStage<tuning::LibraryConstraints>(
           store_, mem_, "flow.stage.tune", tuneKey(config),
           [&] { return tuning::tuneLibrary(statLibrary(), config); },
-          [](artifact::SctbWriter& writer,
-             const tuning::LibraryConstraints& value) {
-            artifact::encodeConstraints(writer, value);
-          },
-          [](const artifact::SctbReader& reader) {
-            return artifact::decodeConstraints(reader);
-          });
+          artifact::encodeConstraints, artifact::decodeConstraints);
   if (config_.lintMode != LintMode::kOff) {
     lint::LintSubject subject;
     subject.constraints = &constraints;
@@ -241,12 +224,7 @@ void TuningFlow::lintGate(std::string_view stageName,
   const lint::LintReport report = cachedStage<lint::LintReport>(
       store_, mem_, "flow.stage.lint", lintKey,
       [&] { return linter_.run(subject, packs); },
-      [](artifact::SctbWriter& writer, const lint::LintReport& value) {
-        artifact::encodeLintReport(writer, value);
-      },
-      [](const artifact::SctbReader& reader) {
-        return artifact::decodeLintReport(reader);
-      });
+      artifact::encodeLintReport, artifact::decodeLintReport);
   if (report.empty()) return;
   if (report.hasErrors() && config_.lintMode == LintMode::kError) {
     constexpr std::size_t kMaxShown = 10;
@@ -283,9 +261,7 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
             library, constraints ? &*constraints : nullptr);
         return synthesizer.run(subject(), clockAt(period), config_.synthesis);
       },
-      [](artifact::SctbWriter& writer, const synth::SynthesisResult& result) {
-        artifact::encodeSynthesisResult(writer, result);
-      },
+      artifact::encodeSynthesisResult,
       [&library](const artifact::SctbReader& reader) {
         return artifact::decodeSynthesisResult(reader, &library);
       });

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "artifact/fields.hpp"
 #include "artifact/hash.hpp"
 #include "core/fmt17.hpp"
 #include "core/stage_cache.hpp"
@@ -71,37 +72,6 @@ std::vector<std::size_t> parseObjectives(const std::string& list) {
     throw std::runtime_error("empty objective set '" + list + "'");
   }
   return {enabled.begin(), enabled.end()};
-}
-
-/// Measured fitness of one genotype — the cached candidate-stage payload.
-struct CandidateFitness {
-  bool feasible = false;  ///< synthesis met timing and windows
-  double sigma = 0.0;     ///< worst endpoint path sigma [ns]
-  double area = 0.0;
-  double power = 0.0;
-};
-
-void encodeFitness(artifact::SctbWriter& writer,
-                   const CandidateFitness& fitness) {
-  writer.beginSection("evo-cand");
-  writer.u32(kEvolveSchema);
-  writer.boolean(fitness.feasible);
-  writer.f64(fitness.sigma);
-  writer.f64(fitness.area);
-  writer.f64(fitness.power);
-}
-
-CandidateFitness decodeFitness(const artifact::SctbReader& reader) {
-  artifact::SctbReader::Cursor cursor = reader.section("evo-cand");
-  if (cursor.u32() != kEvolveSchema) {
-    throw artifact::FormatError("evo-cand schema mismatch");
-  }
-  CandidateFitness fitness;
-  fitness.feasible = cursor.boolean();
-  fitness.sigma = cursor.f64();
-  fitness.area = cursor.f64();
-  fitness.power = cursor.f64();
-  return fitness;
 }
 
 /// Candidate cache key: measurement context (everything influencing a
@@ -211,7 +181,8 @@ class Archive {
                 return computeFitness(flow_, period_, geneCells_,
                                       candidate.genes);
               },
-              encodeFitness, decodeFitness);
+              artifact::encodeRecord<CandidateFitness>,
+              artifact::decodeRecord<CandidateFitness>);
         },
         1);
     for (std::size_t k = 0; k < fresh.size(); ++k) {

@@ -30,6 +30,23 @@ struct EvolveJob {
   EvolveParams params;
 };
 
+/// Measured fitness of one genotype — the cached candidate-stage record.
+struct CandidateFitness {
+  bool feasible = false;  ///< synthesis met timing and windows
+  double sigma = 0.0;     ///< worst endpoint path sigma [ns]
+  double area = 0.0;
+  double power = 0.0;
+
+  static constexpr const char* kSection = "evo-cand";
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("feasible", s.feasible);
+    v("sigma", s.sigma);
+    v("area", s.area);
+    v("power", s.power);
+  }
+};
+
 /// One member of the reported Pareto front.
 struct FrontPoint {
   std::string origin;  ///< "seed:<method>@<value>" | "init:<i>" | "gen<g>:<i>"

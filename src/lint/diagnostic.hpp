@@ -14,6 +14,8 @@ namespace sct::lint {
 
 enum class Severity : std::uint8_t { kError = 0, kWarning = 1, kInfo = 2 };
 
+constexpr Severity lastEnumerator(Severity) noexcept { return Severity::kInfo; }
+
 [[nodiscard]] std::string_view toString(Severity severity) noexcept;
 
 /// SARIF result level for a severity ("error" / "warning" / "note").
@@ -24,6 +26,14 @@ struct Diagnostic {
   Severity severity = Severity::kError;
   std::string objectPath;  ///< e.g. "lib/INV_X2/ZN/cell_rise"
   std::string message;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("ruleId", s.ruleId);
+    v("severity", s.severity);
+    v("objectPath", s.objectPath);
+    v("message", s.message);
+  }
 
   friend bool operator==(const Diagnostic&, const Diagnostic&) = default;
 };

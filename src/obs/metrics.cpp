@@ -159,9 +159,7 @@ void MetricsRegistry::resetValues() noexcept {
   for (const auto& [name, histogram] : impl_->histograms) histogram->reset();
 }
 
-namespace {
-
-void writeJsonString(std::ostream& out, const std::string& s) {
+void writeJsonString(std::ostream& out, std::string_view s) {
   out << '"';
   for (const char c : s) {
     if (c == '"' || c == '\\') {
@@ -175,6 +173,8 @@ void writeJsonString(std::ostream& out, const std::string& s) {
   }
   out << '"';
 }
+
+namespace {
 
 /// Round-trippable double rendering, matching the text serializers' %.17g
 /// canonical precision. JSON needs a fraction or exponent for non-integral

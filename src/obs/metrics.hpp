@@ -154,4 +154,8 @@ class MetricsRegistry {
 /// Renders a snapshot as one deterministic JSON document.
 void writeMetricsJson(std::ostream& out, const MetricsSnapshot& snapshot);
 
+/// Writes `s` as a quoted JSON string: `"` and `\` backslash-escaped,
+/// other control bytes as \u00XX (the metrics and trace exporters).
+void writeJsonString(std::ostream& out, std::string_view s);
+
 }  // namespace sct::obs

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "core/sync.hpp"
+#include "obs/metrics.hpp"
 
 namespace sct::obs {
 
@@ -143,22 +144,6 @@ void clearTrace() noexcept {
 }
 
 namespace {
-
-void writeJsonString(std::ostream& out, const char* s) {
-  out << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-          << "0123456789abcdef"[c & 0xf];
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
 
 /// Chrome trace timestamps are microseconds; emit ns-precision decimals
 /// without float formatting so output is locale- and libc-independent.

@@ -56,56 +56,10 @@ double mappedArea(const netlist::Design& design) {
   return area;
 }
 
-void encodeCell(artifact::SctbWriter& writer, const ScenarioCell& cell) {
-  writer.beginSection("scenario-cell");
-  writer.u32(kScenarioSchema);
-  writer.str(cell.scenario);
-  writer.f64(cell.period);
-  writer.boolean(cell.success);
-  writer.boolean(cell.met);
-  writer.f64(cell.wns);
-  writer.f64(cell.area);
-  writer.f64(cell.designSigma);
-  writer.f64(cell.worstPathSigma);
-  writer.f64(cell.powerMean);
-  writer.f64(cell.powerSigma);
-  writer.f64(cell.yield);
-  writer.u64(cell.buffers);
-  writer.u64(cell.elements);
-  writer.f64(cell.tuningArea);
-  writer.str(cell.flowReport);
-}
-
-ScenarioCell decodeCell(const artifact::SctbReader& reader) {
-  artifact::SctbReader::Cursor cursor = reader.section("scenario-cell");
-  if (cursor.u32() != kScenarioSchema) {
-    throw artifact::FormatError("scenario-cell schema mismatch");
-  }
-  ScenarioCell cell;
-  cell.scenario = cursor.str();
-  cell.period = cursor.f64();
-  cell.success = cursor.boolean();
-  cell.met = cursor.boolean();
-  cell.wns = cursor.f64();
-  cell.area = cursor.f64();
-  cell.designSigma = cursor.f64();
-  cell.worstPathSigma = cursor.f64();
-  cell.powerMean = cursor.f64();
-  cell.powerSigma = cursor.f64();
-  cell.yield = cursor.f64();
-  cell.buffers = cursor.u64();
-  cell.elements = cursor.u64();
-  cell.tuningArea = cursor.f64();
-  cell.flowReport = cursor.str();
-  return cell;
-}
-
 ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
                          const tuning::TuningConfig* tuningConfig,
                          const std::string& scenario, double period,
                          std::size_t trials) {
-  core::FlowJob cellJob = job.flow;
-  cellJob.period = period;
   const core::DesignMeasurement m =
       tuningConfig ? flow.synthesizeTuned(period, *tuningConfig)
                    : flow.synthesizeBaseline(period);
@@ -129,16 +83,13 @@ ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
   mc.mcSeed = job.mcSeed;
 
   if (scenario == kScenarioTuning) {
-    // Baseline: MC yield with no post-silicon knobs, plus the underlying
-    // flow report (byte-identical to `sctune flow --report` by sharing
-    // runFlowJob; the synthesis stage behind it is a cache hit).
+    // Baseline: MC yield with no post-silicon knobs.
     const std::vector<sta::TimingPath> paths =
         flow.tracePaths(m.synthesis, period);
     mc.element = clocktree::TuningElementSpec{};  // disabled
     const ClockTuningResult r = computeClockTuning(
         flow.characterizer(), m.synthesis.design, paths, mc);
     cell.yield = r.designYieldBefore;
-    cell.flowReport = core::runFlowJob(flow, cellJob).report;
     return cell;
   }
 
@@ -239,7 +190,8 @@ ScenarioRunResult runScenarioJob(core::TuningFlow& flow,
           [&] {
             return computeCell(flow, job, tuned, scenario, period, trials);
           },
-          encodeCell, decodeCell);
+          artifact::encodeRecord<ScenarioCell>,
+          artifact::decodeRecord<ScenarioCell>);
       result.success = result.success && cell.success;
       result.cells.push_back(std::move(cell));
     }

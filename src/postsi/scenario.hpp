@@ -55,9 +55,25 @@ struct ScenarioCell {
   std::uint64_t buffers = 0;   ///< sampling-pass insertions accepted
   std::uint64_t elements = 0;  ///< tunable clock elements attached
   double tuningArea = 0.0;
-  /// Baseline cell only: the full "flow-report v1" text of the underlying
-  /// flow job — byte-identical to `sctune flow --report` at this period.
-  std::string flowReport;
+
+  static constexpr const char* kSection = "scenario-cell";
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("scenario", s.scenario);
+    v("period", s.period);
+    v("success", s.success);
+    v("met", s.met);
+    v("wns", s.wns);
+    v("area", s.area);
+    v("designSigma", s.designSigma);
+    v("worstPathSigma", s.worstPathSigma);
+    v("powerMean", s.powerMean);
+    v("powerSigma", s.powerSigma);
+    v("yield", s.yield);
+    v("buffers", s.buffers);
+    v("elements", s.elements);
+    v("tuningArea", s.tuningArea);
+  }
 };
 
 struct ScenarioRunResult {

@@ -79,7 +79,7 @@ Response Client::call(MessageType type, std::span<const std::byte> payload) {
     // nothing to read either.
     std::optional<Frame> pending = readFrame(fd_);
     if (pending && pending->type == MessageType::kResponse) {
-      return decodeResponse(pending->payload);
+      return decodePayload<Response>(pending->payload);
     }
     throw;
   }
@@ -88,11 +88,11 @@ Response Client::call(MessageType type, std::span<const std::byte> payload) {
   if (frame->type != MessageType::kResponse) {
     throw ProtocolError("expected a response frame");
   }
-  return decodeResponse(frame->payload);
+  return decodePayload<Response>(frame->payload);
 }
 
 Response Client::ping(const PingRequest& request) {
-  return call(MessageType::kPingRequest, encodePingRequest(request));
+  return call(MessageType::kPingRequest, encodePayload(request));
 }
 
 Response Client::health() { return call(MessageType::kHealthRequest, {}); }

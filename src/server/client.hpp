@@ -35,7 +35,7 @@ class Client {
   /// One job-table request (server/jobs.hpp).
   template <class Kind>
   [[nodiscard]] Response run(const JobRequest<Kind>& request) {
-    return call(Kind::kType, encodeRequest(request));
+    return call(Kind::kType, encodePayload(request));
   }
   [[nodiscard]] Response flow(const FlowRequest& request) {
     return run(request);

@@ -19,7 +19,6 @@
 // The request deadline travels after the fields and never enters the key.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -52,10 +51,6 @@ struct FileArg {
 /// Whether the CLI resolver insists on a field's flag. The codec and the
 /// digest ignore it.
 enum class Need : std::uint8_t { kOptional, kRequired };
-
-/// Upper bound on a list field's entry count on the wire (input from
-/// outside the program; real jobs carry a handful of periods).
-inline constexpr std::uint64_t kMaxListEntries = 64;
 
 /// What one job produced: the CLI exit code, the one-line human summary and
 /// the body document (report text or JSON).
@@ -221,64 +216,22 @@ bool anyKind(F&& f) {
          f(std::type_identity<LintKind>{}) || f(std::type_identity<StaKind>{});
 }
 
+/// A job request on the wire: the kind's fields, then the deadline.
 template <class Kind>
 struct JobRequest {
   typename Kind::Job job{};
   std::uint64_t deadlineMillis = 0;  ///< 0 = no deadline
+
+  static constexpr const char* kSection = Kind::kName;
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    Kind::fields(s.job, v);
+    v("deadline-ms", s.deadlineMillis);
+  }
 };
 
 /// The flow request under its historical name (bench drivers build it).
 using FlowRequest = JobRequest<FlowKind>;
-
-namespace detail {
-
-/// Reads fields back in declaration order, bounding list lengths.
-struct Read {
-  artifact::SctbReader::Cursor& in;
-  void operator()(const char*, std::string& v, Need = {}) { v = in.str(); }
-  void operator()(const char*, double& v, Need = {}) { v = in.f64(); }
-  void operator()(const char*, std::uint64_t& v, Need = {}) { v = in.u64(); }
-  void operator()(const char*, bool& v, Need = {}) { v = in.boolean(); }
-  void operator()(const char* name, std::vector<double>& v, Need = {}) {
-    const std::uint64_t count = in.u64();
-    if (count > kMaxListEntries) {
-      throw ProtocolError(std::string("unreasonable --") + name + " count");
-    }
-    v.resize(static_cast<std::size_t>(count));
-    for (double& x : v) x = in.f64();
-  }
-  void operator()(const char*, FileArg& v, Need = {}) {
-    v.path = in.str();
-    v.text = in.str();
-  }
-};
-
-}  // namespace detail
-
-template <class Kind>
-[[nodiscard]] std::vector<std::byte> encodeRequest(
-    const JobRequest<Kind>& request) {
-  artifact::SctbWriter writer;
-  writer.beginSection(Kind::kName);
-  Kind::fields(request.job, artifact::Emit<artifact::SctbWriter>{writer});
-  writer.u64(request.deadlineMillis);
-  return writer.finish();
-}
-
-/// Throws ProtocolError on a malformed payload or a wrong section.
-template <class Kind>
-[[nodiscard]] JobRequest<Kind> decodeRequest(std::span<const std::byte> bytes) {
-  const artifact::SctbReader reader = payloadReader(bytes, Kind::kName);
-  JobRequest<Kind> request;
-  try {
-    auto cursor = reader.section(Kind::kName);
-    Kind::fields(request.job, detail::Read{cursor});
-    request.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return request;
-}
 
 /// Response-cache key: the kind tag, then the canonical encoding of every
 /// field. The deadline is not a field, so it never splits the cache.
@@ -292,7 +245,7 @@ template <class Kind>
 
 [[nodiscard]] inline std::vector<std::byte> encodeFlowRequest(
     const FlowRequest& request) {
-  return encodeRequest(request);
+  return encodePayload(request);
 }
 
 }  // namespace sct::server

@@ -1,7 +1,9 @@
 #include "server/protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <stdexcept>
 
 #ifdef _WIN32
 #error "the sctuned protocol layer is POSIX-only"
@@ -10,31 +12,18 @@
 #include <unistd.h>
 #endif
 
-#include "artifact/binary_format.hpp"
-
 namespace sct::server {
-namespace {
 
-using artifact::SctbReader;
-using artifact::SctbWriter;
-
-constexpr const char* kPingSection = "ping-req";
-constexpr const char* kResponseSection = "response";
-
-}  // namespace
-
-SctbReader payloadReader(std::span<const std::byte> bytes,
-                         const char* section) {
-  try {
-    SctbReader reader = SctbReader::fromBytes(bytes);
-    if (!reader.hasSection(section)) {
-      throw ProtocolError(std::string("payload missing section '") + section +
-                          "'");
-    }
-    return reader;
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
+std::uint16_t parseTcpPort(std::string_view text) {
+  unsigned long port = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, port);
+  if (error != std::errc{} || stop != end || port > 65535) {
+    throw std::runtime_error(
+        "--tcp-port must be a port number 0..65535, got '" +
+        std::string(text) + "'");
   }
+  return static_cast<std::uint16_t>(port);
 }
 
 bool isRequestType(std::uint32_t raw) noexcept {
@@ -52,58 +41,6 @@ bool isRequestType(std::uint32_t raw) noexcept {
     default:
       return false;
   }
-}
-
-std::vector<std::byte> encodePingRequest(const PingRequest& r) {
-  SctbWriter writer;
-  writer.beginSection(kPingSection);
-  writer.str(r.echo);
-  writer.u64(r.sleepMillis);
-  writer.u64(r.deadlineMillis);
-  return writer.finish();
-}
-
-PingRequest decodePingRequest(std::span<const std::byte> bytes) {
-  const SctbReader reader = payloadReader(bytes, kPingSection);
-  auto cursor = reader.section(kPingSection);
-  PingRequest r;
-  try {
-    r.echo = cursor.str();
-    r.sleepMillis = cursor.u64();
-    r.deadlineMillis = cursor.u64();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
-}
-
-std::vector<std::byte> encodeResponse(const Response& r) {
-  SctbWriter writer;
-  writer.beginSection(kResponseSection);
-  writer.u8(static_cast<std::uint8_t>(r.status));
-  writer.u8(r.exitCode);
-  writer.str(r.summary);
-  writer.str(r.body);
-  return writer.finish();
-}
-
-Response decodeResponse(std::span<const std::byte> bytes) {
-  const SctbReader reader = payloadReader(bytes, kResponseSection);
-  auto cursor = reader.section(kResponseSection);
-  Response r;
-  try {
-    const std::uint8_t raw = cursor.u8();
-    if (raw > static_cast<std::uint8_t>(Status::kShuttingDown)) {
-      throw ProtocolError("unknown response status");
-    }
-    r.status = static_cast<Status>(raw);
-    r.exitCode = cursor.u8();
-    r.summary = cursor.str();
-    r.body = cursor.str();
-  } catch (const artifact::FormatError& e) {
-    throw ProtocolError(e.what());
-  }
-  return r;
 }
 
 // ---- frame IO ------------------------------------------------------------

@@ -27,9 +27,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "artifact/binary_format.hpp"
+#include "artifact/fields.hpp"
 
 namespace sct::server {
 
@@ -62,6 +64,10 @@ enum class Status : std::uint8_t {
   kShuttingDown = 4,
 };
 
+constexpr Status lastEnumerator(Status) noexcept {
+  return Status::kShuttingDown;
+}
+
 /// Raised on malformed frames and payloads (the recv path catches it).
 class ProtocolError : public std::runtime_error {
  public:
@@ -80,6 +86,14 @@ struct PingRequest {
   std::string echo;
   std::uint64_t sleepMillis = 0;
   std::uint64_t deadlineMillis = 0;
+
+  static constexpr const char* kSection = "ping-req";
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("echo", s.echo);
+    v("sleep-ms", s.sleepMillis);
+    v("deadline-ms", s.deadlineMillis);
+  }
 };
 
 // kHealthRequest and kShutdownRequest carry empty payloads.
@@ -91,19 +105,70 @@ struct Response {
   std::uint8_t exitCode = 0;
   std::string summary;  ///< one human line ("flow: MET | ...", error text)
   std::string body;     ///< full report / JSON document; may be empty
+
+  static constexpr const char* kSection = "response";
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("status", s.status);
+    v("exit-code", s.exitCode);
+    v("summary", s.summary);
+    v("body", s.body);
+  }
 };
 
 // ---- payload codecs (SCTB containers) ------------------------------------
+//
+// A payload is one record (artifact/fields.hpp): its field list, written as
+// the SCTB section T::kSection. Job requests, ping and response share it.
 
-[[nodiscard]] std::vector<std::byte> encodePingRequest(const PingRequest& r);
-[[nodiscard]] PingRequest decodePingRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeResponse(const Response& r);
-[[nodiscard]] Response decodeResponse(std::span<const std::byte> bytes);
+/// Upper bound on a list field's entry count on the wire (input from
+/// outside the program; real jobs carry a handful of periods).
+inline constexpr std::uint64_t kMaxListEntries = 64;
 
-/// Validated SCTB container holding `section`; throws ProtocolError on any
-/// structural problem or when the section is missing.
-[[nodiscard]] artifact::SctbReader payloadReader(
-    std::span<const std::byte> bytes, const char* section);
+template <class T>
+[[nodiscard]] std::vector<std::byte> encodePayload(const T& record) {
+  artifact::SctbWriter writer;
+  artifact::encodeRecord(writer, record);
+  return writer.finish();
+}
+
+namespace detail {
+
+/// artifact::Read plus the wire's list bound, checked before the list is
+/// read.
+struct WireRead {
+  artifact::Read read;
+  template <class T, class... Extra>
+  void operator()(const char* name, T& v, const Extra&...) {
+    if constexpr (artifact::kIsVector<T>) {
+      artifact::SctbReader::Cursor peek = read.in;
+      if (peek.u64() > kMaxListEntries) {
+        throw ProtocolError(std::string("unreasonable --") + name + " count");
+      }
+    }
+    read(name, v);
+  }
+};
+
+}  // namespace detail
+
+/// Throws ProtocolError on a malformed payload or a wrong section.
+template <class T>
+[[nodiscard]] T decodePayload(std::span<const std::byte> bytes) {
+  try {
+    const artifact::SctbReader reader = artifact::SctbReader::fromBytes(bytes);
+    artifact::SctbReader::Cursor cursor = reader.section(T::kSection);
+    T record{};
+    T::fields(record, detail::WireRead{{cursor}});
+    return record;
+  } catch (const artifact::FormatError& e) {
+    throw ProtocolError(e.what());
+  }
+}
+
+/// The value of a --tcp-port flag; throws std::runtime_error naming the
+/// flag unless `text` is a whole number in 0..65535.
+[[nodiscard]] std::uint16_t parseTcpPort(std::string_view text);
 
 // ---- frame IO over a connected socket ------------------------------------
 

@@ -214,7 +214,7 @@ void Server::runSession(int fd, TuningService::Clock::time_point accepted) {
       }
       const Response response =
           service_.handle(frame->type, frame->payload, received);
-      const std::vector<std::byte> bytes = encodeResponse(response);
+      const std::vector<std::byte> bytes = encodePayload(response);
       writeFrame(fd, MessageType::kResponse, bytes);
       if (frame->type == MessageType::kShutdownRequest) {
         requestStop();
@@ -228,7 +228,7 @@ void Server::runSession(int fd, TuningService::Clock::time_point accepted) {
       Response r;
       r.status = Status::kError;
       r.summary = e.what();
-      const std::vector<std::byte> bytes = encodeResponse(r);
+      const std::vector<std::byte> bytes = encodePayload(r);
       writeFrame(fd, MessageType::kResponse, bytes);
     } catch (const ProtocolError&) {
     }

@@ -60,7 +60,7 @@ std::vector<std::byte> encodeStatic(Status status, const char* summary) {
   Response r;
   r.status = status;
   r.summary = summary;
-  return encodeResponse(r);
+  return encodePayload(r);
 }
 
 }  // namespace
@@ -106,7 +106,7 @@ Response TuningService::handle(MessageType type,
   try {
     switch (type) {
       case MessageType::kPingRequest:
-        response = handlePing(decodePingRequest(payload), received);
+        response = handlePing(decodePayload<PingRequest>(payload), received);
         break;
       case MessageType::kHealthRequest:
         response.status = Status::kOk;
@@ -154,7 +154,7 @@ Response TuningService::cachedResponse(
   const auto probe = [&]() -> std::optional<Response> {
     if (const auto reader = mem_.get(key)) {
       ServiceMetrics::get().cacheHits.inc();
-      return decodeResponse(reader->rawBytes());
+      return decodePayload<Response>(reader->rawBytes());
     }
     return std::nullopt;
   };
@@ -180,7 +180,7 @@ Response TuningService::cachedResponse(
   if (response.status == Status::kOk) {
     // Publish the encoded bytes; later hits decode this exact container,
     // so cached and fresh responses are byte-identical.
-    const std::vector<std::byte> bytes = encodeResponse(response);
+    const std::vector<std::byte> bytes = encodePayload(response);
     mem_.put(key, std::make_shared<const artifact::SctbReader>(
                       artifact::SctbReader::fromBytes(bytes)));
   }
@@ -192,7 +192,7 @@ Response TuningService::handleJob(std::span<const std::byte> payload,
                                   Clock::time_point received) {
   static const std::string span = std::string("server.") + Kind::kName;
   SCT_TRACE_SPAN(span.c_str());
-  const JobRequest<Kind> request = decodeRequest<Kind>(payload);
+  const JobRequest<Kind> request = decodePayload<JobRequest<Kind>>(payload);
   if (deadlineExpired(request.deadlineMillis, received)) {
     return timeoutResponse("deadline expired before compute started");
   }

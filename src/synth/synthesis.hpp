@@ -48,6 +48,22 @@ struct SynthesisResult {
   std::size_t resizes = 0;
   std::size_t violations = 0;  ///< residual violation count
 
+  /// The scalars; the design has its own codec (artifact/codecs.hpp).
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("timingMet", s.timingMet);
+    v("legal", s.legal);
+    v("worstSlack", s.worstSlack);
+    v("tns", s.tns);
+    v("area", s.area);
+    v("passes", s.passes);
+    v("buffersInserted", s.buffersInserted);
+    v("decomposed", s.decomposed);
+    v("patternRewrites", s.patternRewrites);
+    v("resizes", s.resizes);
+    v("violations", s.violations);
+  }
+
   [[nodiscard]] bool success() const noexcept { return timingMet && legal; }
   [[nodiscard]] std::map<std::string, std::size_t> cellUsage() const {
     return design.cellUsage();

@@ -24,6 +24,14 @@ struct PinWindow {
   double minLoad = 0.0;
   double maxLoad = 0.0;
 
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("minSlew", s.minSlew);
+    v("maxSlew", s.maxSlew);
+    v("minLoad", s.minLoad);
+    v("maxLoad", s.maxLoad);
+  }
+
   [[nodiscard]] bool allows(double slew, double load) const noexcept {
     return slew >= minSlew && slew <= maxSlew && load >= minLoad &&
            load <= maxLoad;
@@ -36,6 +44,12 @@ struct CellConstraint {
   std::map<std::string, PinWindow> pinWindows;
   /// Sigma threshold that produced the windows (diagnostics/reports).
   double sigmaThreshold = 0.0;
+
+  template <class S, class V>
+  static void fields(S& s, V&& v) {
+    v("sigmaThreshold", s.sigmaThreshold);
+    v("pinWindows", s.pinWindows);
+  }
 
   [[nodiscard]] bool usable() const noexcept { return !pinWindows.empty(); }
 };

@@ -12,11 +12,14 @@
 #include <type_traits>
 #include <vector>
 
+#include "artifact/fields.hpp"
+
 namespace sct::testing_support {
 
 /// Changes every member it visits (or, with `only` set, just that mutation
 /// point) to a value different from the one it holds. Nested structs with a
-/// visitor contribute one point per leaf member.
+/// visitor contribute one point per leaf member; a list or map is one point
+/// (it gains an entry).
 struct Mutate {
   static constexpr int kAll = -1;
   static constexpr int kNone = -2;  ///< only counts the mutation points
@@ -41,6 +44,10 @@ struct Mutate {
       if (hit()) v = static_cast<T>(static_cast<U>(v) ^ U{1});
     } else if constexpr (std::is_same_v<T, std::vector<double>>) {
       if (hit()) v.push_back(2.41);
+    } else if constexpr (artifact::kIsVector<T>) {
+      if (hit()) v.emplace_back();
+    } else if constexpr (artifact::kIsStringMap<T>) {
+      if (hit()) v.try_emplace("~" + std::to_string(v.size()));
     } else {
       T::fields(v, *this);
     }

@@ -515,6 +515,11 @@ int mutationPoints() {
       [](auto& job, auto& v) { Kind::fields(job, v); });
 }
 
+template <class Kind>
+server::JobRequest<Kind> decodeJob(std::span<const std::byte> bytes) {
+  return server::decodePayload<server::JobRequest<Kind>>(bytes);
+}
+
 /// Every declared field set to a non-default value survives the wire, and
 /// so does the deadline that travels after the fields.
 template <class Kind>
@@ -530,7 +535,7 @@ void expectRoundTrip() {
     EXPECT_NE(sent[i], defaults[i]) << "field kept its default";
   }
   const server::JobRequest<Kind> back =
-      server::decodeRequest<Kind>(server::encodeRequest(request));
+      decodeJob<Kind>(server::encodePayload(request));
   EXPECT_EQ(dump<Kind>(back.job), sent);
   EXPECT_EQ(back.deadlineMillis, 1500u);
 
@@ -544,8 +549,7 @@ void expectRoundTrip() {
     }
   });
   if (anyList) {
-    EXPECT_THROW((void)server::decodeRequest<Kind>(
-                     server::encodeRequest(request)),
+    EXPECT_THROW((void)decodeJob<Kind>(server::encodePayload(request)),
                  server::ProtocolError);
   }
 }
@@ -559,8 +563,7 @@ TEST(ProtocolTest, ScenarioRequestRoundTrip) {
   // The list bound itself still decodes.
   server::JobRequest<server::ScenarioKind> request;
   request.job.scenario.periods.assign(server::kMaxListEntries, 4.0);
-  EXPECT_EQ(server::decodeRequest<server::ScenarioKind>(
-                server::encodeRequest(request))
+  EXPECT_EQ(decodeJob<server::ScenarioKind>(server::encodePayload(request))
                 .job.scenario.periods.size(),
             64u);
 }
@@ -581,8 +584,8 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   response.exitCode = 3;
   response.summary = "too late";
   response.body = std::string("line1\nline2\n\0embedded", 22);
-  const auto bytes = server::encodeResponse(response);
-  const Response back = server::decodeResponse(bytes);
+  const auto bytes = server::encodePayload(response);
+  const Response back = server::decodePayload<Response>(bytes);
   EXPECT_EQ(back.status, Status::kTimeout);
   EXPECT_EQ(back.exitCode, 3u);
   EXPECT_EQ(back.summary, "too late");
@@ -595,12 +598,12 @@ TEST(ProtocolTest, DecodeRejectsWrongSection) {
   int kinds = 0;
   server::anyKind([&]<class Sent>(std::type_identity<Sent>) {
     ++kinds;
-    const auto bytes = server::encodeRequest(server::JobRequest<Sent>{});
-    EXPECT_THROW((void)server::decodePingRequest(bytes),
+    const auto bytes = server::encodePayload(server::JobRequest<Sent>{});
+    EXPECT_THROW((void)server::decodePayload<server::PingRequest>(bytes),
                  server::ProtocolError);
     server::anyKind([&]<class Read>(std::type_identity<Read>) {
       if constexpr (!std::is_same_v<Sent, Read>) {
-        EXPECT_THROW((void)server::decodeRequest<Read>(bytes),
+        EXPECT_THROW((void)decodeJob<Read>(bytes),
                      server::ProtocolError)
             << Sent::kName << " payload decoded as " << Read::kName;
       }
@@ -633,13 +636,13 @@ TEST(JobDigestTest, DeadlineNeverSplitsTheCacheKey) {
     SCOPED_TRACE(Kind::kName);
     server::JobRequest<Kind> request;
     Kind::fields(request.job, Mutate{});
-    const auto patient = server::encodeRequest(request);
+    const auto patient = server::encodePayload(request);
     request.deadlineMillis = 250;
-    const auto hurried = server::encodeRequest(request);
+    const auto hurried = server::encodePayload(request);
     EXPECT_NE(patient, hurried);  // the deadline does travel...
     EXPECT_EQ(
-        server::requestDigest<Kind>(server::decodeRequest<Kind>(patient).job),
-        server::requestDigest<Kind>(server::decodeRequest<Kind>(hurried).job));
+        server::requestDigest<Kind>(decodeJob<Kind>(patient).job),
+        server::requestDigest<Kind>(decodeJob<Kind>(hurried).job));
     return false;
   });
 }

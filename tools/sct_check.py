@@ -62,7 +62,7 @@ from collections import namedtuple
 
 SERIALIZER_BASENAME_RE = re.compile(
     r"(_io\.(cpp|hpp)$|codecs|binary_format|report|flow_job|scenario"
-    r"|metrics|trace|text_format)"
+    r"|metrics|trace|text_format|fields|protocol|jobs|tuner)"
 )
 
 #: det.wallclock does not apply here: obs reads clocks by design (and is
@@ -452,6 +452,7 @@ def self_test(root):
         return 1
     expect = {
         "fixture_unordered_report_io.cpp": "det.unordered-in-serializer",
+        "fixture_unordered_fields.hpp": "det.unordered-in-serializer",
         "fixture_wallclock.cpp": "det.wallclock",
         "fixture_raw_rng.cpp": "det.raw-rng",
         "fixture_gformat.cpp": "det.raw-gformat",

@@ -562,8 +562,7 @@ int cmdCacheGc(const Args& args) {
 /// the SCT_SOCKET variable) or --tcp-port (127.0.0.1 loopback).
 server::Client connectClient(const Args& args) {
   if (const auto port = args.get("tcp-port")) {
-    return server::Client::connectTcp(
-        static_cast<std::uint16_t>(std::stoul(*port)));
+    return server::Client::connectTcp(server::parseTcpPort(*port));
   }
   if (const auto path = args.get("socket")) {
     return server::Client::connectUnix(*path);
@@ -582,9 +581,9 @@ controlFrame(const std::string& op, const Args& args,
              std::uint64_t deadlineMillis) {
   if (op == "ping") {
     return std::pair(server::MessageType::kPingRequest,
-                     server::encodePingRequest(
-                         {args.get("echo").value_or(""),
-                          args.getUint("sleep-ms", 0), deadlineMillis}));
+                     server::encodePayload(server::PingRequest{
+                         args.get("echo").value_or(""),
+                         args.getUint("sleep-ms", 0), deadlineMillis}));
   }
   if (op == "health") {
     return std::pair(server::MessageType::kHealthRequest,
@@ -606,7 +605,7 @@ int cmdClient(const std::string& op, const Args& args) {
   auto frame = controlFrame(op, args, deadlineMillis);
   withKind(op, [&]<class Kind>(std::type_identity<Kind>) {
     frame.emplace(Kind::kType,
-                  server::encodeRequest(server::JobRequest<Kind>{
+                  server::encodePayload(server::JobRequest<Kind>{
                       jobFromArgs<Kind>(args), deadlineMillis}));
   });
   if (!frame) {

@@ -87,10 +87,10 @@ int usage() {
       "               [--mem-cache-mb N] [--threads <N|serial|auto>]\n"
       "               [--trace-out t.json] [--metrics-out m.json]\n"
       "               [--obs-off]\n\n"
-      "Clients: `sctune client <op> --socket PATH` (flow, lint, sta, ping,\n"
-      "health, shutdown). SIGINT/SIGTERM drains in-flight requests and\n"
-      "exits 0; a second signal hard-exits 130. SCT_SOCKET and\n"
-      "SCT_CACHE_DIR provide the flag defaults.\n");
+      "Clients: `sctune client <op> --socket PATH` (flow, scenario,\n"
+      "evolve, lint, sta, ping, health, shutdown). SIGINT/SIGTERM drains\n"
+      "in-flight requests and exits 0; a second signal hard-exits 130.\n"
+      "SCT_SOCKET and SCT_CACHE_DIR provide the flag defaults.\n");
   return 1;
 }
 
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     }
     if (const auto port = get(args, "tcp-port")) {
       config.tcpEnable = true;
-      config.tcpPort = static_cast<std::uint16_t>(std::stoul(*port));
+      config.tcpPort = server::parseTcpPort(*port);
     } else if (args.contains("tcp")) {
       config.tcpEnable = true;  // ephemeral port, printed below
     }
