@@ -51,8 +51,7 @@ struct DesignPart {
 
 TuningFlow::TuningFlow(FlowConfig config)
     : config_(std::move(config)),
-      characterizer_(config_.characterization),
-      linter_(lint::LintEngine::withAllRules()) {
+      characterizer_(config_.characterization) {
   if (config_.threads >= 0) {
     parallel::setThreadCount(static_cast<std::size_t>(config_.threads));
   }
@@ -144,10 +143,8 @@ const liberty::Library& TuningFlow::nominalLibrary() {
     // Gate before the member is set: a failed gate leaves the flow without a
     // nominal library, so a retried call re-lints instead of serving the
     // tainted artifact.
-    lint::LintSubject subject;
-    subject.library = library.get();
-    lintGate("nominal", nominalKey(), subject,
-             lint::packBit(lint::RulePack::kLiberty));
+    lintGate("nominal", nominalKey(), lint::packBit(lint::RulePack::kLiberty),
+             [&] { return lint::LintSubject{.library = library.get()}; });
     nominal_ = std::move(library);
   }
   return *nominal_;
@@ -166,15 +163,12 @@ const statlib::StatLibrary& TuningFlow::statLibrary() {
               return statlib::buildStatLibrary(instances);
             },
             artifact::encodeStatLibrary, artifact::decodeStatLibrary));
-    if (config_.lintMode != LintMode::kOff) {
-      lint::LintSubject subject;
-      subject.statLibrary = library.get();
-      // Grid cross-checks need the nominal library; resolving it here keeps
-      // the gate's reference consistent with what synthesis will use.
-      subject.referenceLibrary = &nominalLibrary();
-      lintGate("stat", statKey(), subject,
-               lint::packBit(lint::RulePack::kStatLib));
-    }
+    // Grid cross-checks need the nominal library; resolving it here keeps
+    // the gate's reference consistent with what synthesis will use.
+    lintGate("stat", statKey(), lint::packBit(lint::RulePack::kStatLib), [&] {
+      return lint::LintSubject{.statLibrary = library.get(),
+                               .referenceLibrary = &nominalLibrary()};
+    });
     stat_ = std::move(library);
   }
   return *stat_;
@@ -183,12 +177,17 @@ const statlib::StatLibrary& TuningFlow::statLibrary() {
 const netlist::Design& TuningFlow::subject() {
   if (!subject_) {
     SCT_TRACE_SPAN("flow.stage.subject");
+    // Generation wall time for the CLI's per-stage table, like measure();
+    // the gate's time lands under the lint stage.
+    static obs::Counter& durationNs =
+        obs::MetricsRegistry::global().counter("flow.stage.subject.ns");
+    const bool timed = obs::metricsEnabled();
+    const std::uint64_t start = timed ? obs::monotonicNanos() : 0;
     auto design =
         std::make_unique<netlist::Design>(generateSubject(config_));
-    lint::LintSubject subject;
-    subject.design = design.get();
-    lintGate("subject", subjectKey(), subject,
-             lint::packBit(lint::RulePack::kNetlist));
+    if (timed) durationNs.add(obs::monotonicNanos() - start);
+    lintGate("subject", subjectKey(), lint::packBit(lint::RulePack::kNetlist),
+             [&] { return lint::LintSubject{.design = design.get()}; });
     subject_ = std::move(design);
   }
   return *subject_;
@@ -200,36 +199,23 @@ tuning::LibraryConstraints TuningFlow::tune(const tuning::TuningConfig& config) 
           store_, mem_, "flow.stage.tune", tuneKey(config),
           [&] { return tuning::tuneLibrary(statLibrary(), config); },
           artifact::encodeConstraints, artifact::decodeConstraints);
-  if (config_.lintMode != LintMode::kOff) {
-    lint::LintSubject subject;
-    subject.constraints = &constraints;
-    subject.referenceLibrary = &nominalLibrary();
-    lintGate("tune", tuneKey(config), subject,
-             lint::packBit(lint::RulePack::kConstraints));
-  }
+  lintGate("tune", tuneKey(config), lint::packBit(lint::RulePack::kConstraints),
+           [&] {
+             return lint::LintSubject{.constraints = &constraints,
+                                      .referenceLibrary = &nominalLibrary()};
+           });
   return constraints;
 }
 
-void TuningFlow::lintGate(std::string_view stageName,
-                          const artifact::Digest& stageKey,
-                          const lint::LintSubject& subject,
-                          lint::RulePackMask packs) {
-  if (config_.lintMode == LintMode::kOff) return;
-  // Lint-result cache key: subject identity (the stage's own artifact key)
-  // + rule-pack version, so a rule change invalidates every cached report.
-  const artifact::Digest lintKey =
-      artifact::digestOf("sct-lint", artifact::kSchemaVersion,
-                         lint::kRulePackVersion, stageName, stageKey.hi,
-                         stageKey.lo, packs);
-  const lint::LintReport report = cachedStage<lint::LintReport>(
-      store_, mem_, "flow.stage.lint", lintKey,
-      [&] { return linter_.run(subject, packs); },
-      artifact::encodeLintReport, artifact::decodeLintReport);
+void applyLintMode(LintMode mode, std::string_view stage,
+                   const std::function<lint::LintReport()>& lint) {
+  if (mode == LintMode::kOff) return;
+  const lint::LintReport report = lint();
   if (report.empty()) return;
-  if (report.hasErrors() && config_.lintMode == LintMode::kError) {
+  if (report.hasErrors() && mode == LintMode::kError) {
     constexpr std::size_t kMaxShown = 10;
     std::ostringstream message;
-    message << "lint gate failed at stage '" << stageName
+    message << "lint gate failed at stage '" << stage
             << "': " << report.summary();
     std::size_t shown = 0;
     for (const lint::Diagnostic& d : report.diagnostics()) {
@@ -244,9 +230,27 @@ void TuningFlow::lintGate(std::string_view stageName,
     }
     throw std::runtime_error(message.str());
   }
-  std::fprintf(stderr, "sct: lint[%.*s]: %s\n",
-               static_cast<int>(stageName.size()), stageName.data(),
-               report.summary().c_str());
+  std::fprintf(stderr, "sct: lint[%.*s]: %s\n", static_cast<int>(stage.size()),
+               stage.data(), report.summary().c_str());
+}
+
+void TuningFlow::lintGate(
+    std::string_view stageName, const artifact::Digest& stageKey,
+    lint::RulePackMask packs,
+    const std::function<lint::LintSubject()>& makeSubject) {
+  applyLintMode(config_.lintMode, stageName, [&] {
+    const lint::LintSubject subject = makeSubject();
+    // Lint-result cache key: subject identity (the stage's own artifact key)
+    // + rule-pack version, so a rule change invalidates every cached report.
+    const artifact::Digest lintKey =
+        artifact::digestOf("sct-lint", artifact::kSchemaVersion,
+                           lint::kRulePackVersion, stageName, stageKey.hi,
+                           stageKey.lo, packs);
+    return cachedStage<lint::LintReport>(
+        store_, mem_, "flow.stage.lint", lintKey,
+        [&] { return lint::LintEngine::withAllRules().run(subject, packs); },
+        artifact::encodeLintReport, artifact::decodeLintReport);
+  });
 }
 
 synth::SynthesisResult TuningFlow::synthesizeCached(

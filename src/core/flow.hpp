@@ -4,6 +4,7 @@
 //   restrict LUTs -> synthesize under constraints -> measure design sigma.
 // Every bench and example drives this facade.
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -36,6 +37,15 @@ namespace sct::core {
 /// across all three settings for clean inputs, since the gate only ever
 /// reads the artifacts.
 enum class LintMode : std::uint8_t { kError = 0, kWarn = 1, kOff = 2 };
+
+/// The one LintMode policy, shared by the flow's stage gates, the evolve
+/// parameter gate and the scenario tuning-element gate. kOff returns without
+/// calling `lint`. Otherwise error-severity findings in kError throw
+/// std::runtime_error "lint gate failed at stage '<stage>': ..." listing at
+/// most 10 errors; any other non-empty report prints "sct: lint[<stage>]:
+/// <summary>" to stderr.
+void applyLintMode(LintMode mode, std::string_view stage,
+                   const std::function<lint::LintReport()>& lint);
 
 struct FlowConfig {
   charlib::CharacterizationConfig characterization{};
@@ -268,17 +278,15 @@ class TuningFlow {
   synth::SynthesisResult synthesizeCached(double period,
                                           const tuning::TuningConfig* config);
 
-  /// Runs the selected rule packs over `subject` before a stage consumes it
-  /// (cached by `stageKey` + rule-pack version). Throws std::runtime_error
-  /// on error-severity findings in LintMode::kError; prints a one-line
-  /// summary to stderr in kWarn (and for warning-only reports in kError);
-  /// no-op in kOff.
+  /// Runs the selected rule packs over the subject `makeSubject` builds
+  /// before a stage consumes it (cached by `stageKey` + rule-pack version),
+  /// under applyLintMode; kOff builds no subject.
   void lintGate(std::string_view stageName, const artifact::Digest& stageKey,
-                const lint::LintSubject& subject, lint::RulePackMask packs);
+                lint::RulePackMask packs,
+                const std::function<lint::LintSubject()>& makeSubject);
 
   FlowConfig config_;
   charlib::Characterizer characterizer_;
-  lint::LintEngine linter_;
   std::unique_ptr<artifact::ArtifactStore> ownedStore_;
   std::unique_ptr<artifact::MemoryArtifactCache> ownedMem_;
   artifact::ArtifactStore* store_ = nullptr;  ///< owned or shared

@@ -1,7 +1,6 @@
 #include "evo/tuner.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
@@ -41,37 +40,6 @@ std::string_view cliMethodName(tuning::TuningMethod method) noexcept {
     case tuning::TuningMethod::kSigmaCeiling: return "sigma-ceiling";
   }
   return "?";
-}
-
-constexpr const char* kObjectiveNames[] = {"sigma", "area", "power"};
-
-/// Enabled objective indices (into the canonical sigma/area/power order),
-/// deduplicated and sorted so "power,sigma" and "sigma,power" are the same
-/// search. Throws on unknown names or an empty set (mirrors the lint rule
-/// for callers that skip the gate).
-std::vector<std::size_t> parseObjectives(const std::string& list) {
-  std::set<std::size_t> enabled;
-  std::istringstream stream(list);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;
-    bool known = false;
-    for (std::size_t k = 0; k < 3; ++k) {
-      if (token == kObjectiveNames[k]) {
-        enabled.insert(k);
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw std::runtime_error("unknown objective '" + token +
-                               "' (sigma/area/power)");
-    }
-  }
-  if (enabled.empty()) {
-    throw std::runtime_error("empty objective set '" + list + "'");
-  }
-  return {enabled.begin(), enabled.end()};
 }
 
 /// Candidate cache key: measurement context (everything influencing a
@@ -278,37 +246,26 @@ std::vector<double> populationCrowding(
   return crowding;
 }
 
-void lintGate(const core::TuningFlow& flow, const EvolveParams& params) {
-  if (flow.config().lintMode == core::LintMode::kOff) return;
-  const lint::LintEngine engine = lint::LintEngine::withAllRules();
-  lint::LintSubject subject;
-  subject.evolveParams = &params;
-  const lint::LintReport report =
-      engine.run(subject, lint::packBit(lint::RulePack::kEvo));
-  if (report.empty()) return;
-  std::ostringstream text;
-  text << "lint(evolve): " << report.summary();
-  for (const lint::Diagnostic& d : report.diagnostics()) {
-    text << "\n  [" << d.ruleId << "] " << d.objectPath << ": " << d.message;
-  }
-  if (flow.config().lintMode == core::LintMode::kError && report.hasErrors()) {
-    throw std::runtime_error(text.str());
-  }
-  std::fprintf(stderr, "%s\n", text.str().c_str());
-}
-
 }  // namespace
 
 EvolveRunResult runEvolveJob(core::TuningFlow& flow, const EvolveJob& job) {
   SCT_TRACE_SPAN("evo.run");
-  lintGate(flow, job.params);
+  const EvolveParams& params = job.params;
+  core::applyLintMode(flow.config().lintMode, "evolve", [&] {
+    return lint::LintEngine::withAllRules().run(
+        lint::LintSubject{.evolveParams = &params},
+        lint::packBit(lint::RulePack::kEvo));
+  });
   const double period = job.flow.period;
   if (!(period > 0.0)) {
     throw std::runtime_error("evolve job needs a positive clock period");
   }
-  const std::vector<std::size_t> objectives =
-      parseObjectives(job.params.objectives);
-  const EvolveParams& params = job.params;
+  // Callers that skip the gate still get the rule's verdict on the list.
+  ObjectiveSet objectiveSet = parseObjectives(params.objectives);
+  if (!objectiveSet.error.empty()) {
+    throw std::runtime_error(objectiveSet.error);
+  }
+  const std::vector<std::size_t> objectives = std::move(objectiveSet.enabled);
 
   // Resolve the flow's lazy artifacts before any parallel region: candidate
   // evaluations run concurrently and must only ever read them.

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <string>
 
-#include "lint/engine.hpp"
+#include "lint/rule.hpp"
 
 namespace sct::lint {
 namespace {
@@ -18,112 +18,72 @@ constexpr const char* kSpecPath = "clock/tuning-element";
 
 std::string num(double v) { return std::to_string(v); }
 
-class ClockRangeInvertedRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.clock.range-inverted";
+void checkRangeInverted(const LintSubject& subject, const Emitter& emit) {
+  const TuningElementSpec& spec = *subject.clockTuning;
+  if (!std::isfinite(spec.rangeMin) || !std::isfinite(spec.rangeMax)) {
+    emit(kSpecPath, "range bounds must be finite");
+    return;
   }
-  RulePack pack() const noexcept override { return RulePack::kClock; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "tuning-element delay range must not be inverted or non-finite";
+  if (spec.rangeMin > spec.rangeMax) {
+    emit(kSpecPath, "range is inverted (" + num(spec.rangeMin) + " > " +
+                        num(spec.rangeMax) + ")");
   }
+  if (spec.rangeMin < 0.0) {
+    emit(kSpecPath, "negative delays are not realizable (rangeMin " +
+                        num(spec.rangeMin) + ")");
+  }
+}
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const TuningElementSpec& spec = *subject.clockTuning;
-    if (!std::isfinite(spec.rangeMin) || !std::isfinite(spec.rangeMax)) {
-      emit(report, kSpecPath, "range bounds must be finite");
-      return;
-    }
-    if (spec.rangeMin > spec.rangeMax) {
-      emit(report, kSpecPath,
-           "range is inverted (" + num(spec.rangeMin) + " > " +
-               num(spec.rangeMax) + ")");
-    }
-    if (spec.rangeMin < 0.0) {
-      emit(report, kSpecPath,
-           "negative delays are not realizable (rangeMin " +
-               num(spec.rangeMin) + ")");
-    }
+void checkStep(const LintSubject& subject, const Emitter& emit) {
+  const TuningElementSpec& spec = *subject.clockTuning;
+  if (!std::isfinite(spec.step) || spec.step <= 0.0) {
+    emit(kSpecPath,
+         "step " + num(spec.step) + " leaves no programmable settings");
   }
-};
+}
 
-class ClockStepRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.clock.step-nonpositive";
+void checkStepCoarse(const LintSubject& subject, const Emitter& emit) {
+  const TuningElementSpec& spec = *subject.clockTuning;
+  if (spec.step <= 0.0 || spec.rangeMax < spec.rangeMin) return;  // errors
+  if (spec.step > spec.rangeMax - spec.rangeMin) {
+    emit(kSpecPath, "step " + num(spec.step) + " exceeds the range span " +
+                        num(spec.rangeMax - spec.rangeMin) +
+                        "; only rangeMin is programmable");
   }
-  RulePack pack() const noexcept override { return RulePack::kClock; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "tuning resolution must be a positive finite step";
-  }
+}
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const TuningElementSpec& spec = *subject.clockTuning;
-    if (!std::isfinite(spec.step) || spec.step <= 0.0) {
-      emit(report, kSpecPath,
-           "step " + num(spec.step) + " leaves no programmable settings");
-    }
+void checkRangeBelowSkew(const LintSubject& subject, const Emitter& emit) {
+  if (subject.clockTree == nullptr) return;  // no tree context: skip
+  const TuningElementSpec& spec = *subject.clockTuning;
+  if (spec.rangeMax < spec.rangeMin) return;  // reported as error already
+  const double span = spec.rangeMax - spec.rangeMin;
+  const double skew = subject.clockTree->worstSkewSigma();
+  if (span < skew) {
+    emit(kSpecPath, "range span " + num(span) +
+                        " ns is below the tree's worst skew sigma " +
+                        num(skew) +
+                        " ns; tuning cannot absorb its own clock network "
+                        "variation");
   }
-};
+}
 
-class ClockStepCoarseRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.clock.step-coarse";
-  }
-  RulePack pack() const noexcept override { return RulePack::kClock; }
-  Severity severity() const noexcept override { return Severity::kWarning; }
-  std::string_view description() const noexcept override {
-    return "tuning step coarser than the range span leaves one setting";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const TuningElementSpec& spec = *subject.clockTuning;
-    if (spec.step <= 0.0 || spec.rangeMax < spec.rangeMin) return;  // errors
-    if (spec.step > spec.rangeMax - spec.rangeMin) {
-      emit(report, kSpecPath,
-           "step " + num(spec.step) + " exceeds the range span " +
-               num(spec.rangeMax - spec.rangeMin) +
-               "; only rangeMin is programmable");
-    }
-  }
-};
-
-class ClockRangeBelowSkewRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.clock.range-below-skew";
-  }
-  RulePack pack() const noexcept override { return RulePack::kClock; }
-  Severity severity() const noexcept override { return Severity::kWarning; }
-  std::string_view description() const noexcept override {
-    return "tuning range narrower than the clock tree's worst skew sigma";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    if (subject.clockTree == nullptr) return;  // no tree context: skip
-    const TuningElementSpec& spec = *subject.clockTuning;
-    if (spec.rangeMax < spec.rangeMin) return;  // reported as error already
-    const double span = spec.rangeMax - spec.rangeMin;
-    const double skew = subject.clockTree->worstSkewSigma();
-    if (span < skew) {
-      emit(report, kSpecPath,
-           "range span " + num(span) + " ns is below the tree's worst skew "
-           "sigma " + num(skew) + " ns; tuning cannot absorb its own clock "
-           "network variation");
-    }
-  }
+constexpr RulePack kPack = RulePack::kClock;
+constexpr Rule kRows[] = {
+    {"cst.clock.range-inverted", kPack, Severity::kError,
+     "tuning-element delay range must not be inverted or non-finite",
+     checkRangeInverted},
+    {"cst.clock.step-nonpositive", kPack, Severity::kError,
+     "tuning resolution must be a positive finite step", checkStep},
+    {"cst.clock.step-coarse", kPack, Severity::kWarning,
+     "tuning step coarser than the range span leaves one setting",
+     checkStepCoarse},
+    {"cst.clock.range-below-skew", kPack, Severity::kWarning,
+     "tuning range narrower than the clock tree's worst skew sigma",
+     checkRangeBelowSkew},
 };
 
 }  // namespace
 
-void registerClockRules(LintEngine& engine) {
-  engine.add(std::make_unique<ClockRangeInvertedRule>());
-  engine.add(std::make_unique<ClockStepRule>());
-  engine.add(std::make_unique<ClockStepCoarseRule>());
-  engine.add(std::make_unique<ClockRangeBelowSkewRule>());
-}
+constinit const std::span<const Rule> kClockRules{kRows};
 
 }  // namespace sct::lint

@@ -7,13 +7,10 @@
 #include <cmath>
 #include <string>
 
-#include "lint/engine.hpp"
+#include "lint/rule.hpp"
 
 namespace sct::lint {
 namespace {
-
-using tuning::CellConstraint;
-using tuning::PinWindow;
 
 constexpr double kTolerance = 1e-12;
 
@@ -33,176 +30,134 @@ const liberty::TimingArc* referenceArc(const liberty::Library* library,
   return arcs.empty() ? nullptr : arcs.front();
 }
 
-class WindowInvertedRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.window.inverted";
-  }
-  RulePack pack() const noexcept override { return RulePack::kConstraints; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "pin windows must not be empty or inverted";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    for (const auto& [cellName, constraint] : subject.constraints->cells()) {
-      for (const auto& [pinName, window] : constraint.pinWindows) {
-        if (window.minSlew > window.maxSlew) {
-          emit(report, pinPath(cellName, pinName),
-               "slew window is inverted (" + std::to_string(window.minSlew) +
-                   " > " + std::to_string(window.maxSlew) + ")");
-        }
-        if (window.minLoad > window.maxLoad) {
-          emit(report, pinPath(cellName, pinName),
-               "load window is inverted (" + std::to_string(window.minLoad) +
-                   " > " + std::to_string(window.maxLoad) + ")");
-        }
-        if (!std::isfinite(window.minSlew) || !std::isfinite(window.maxSlew) ||
-            !std::isfinite(window.minLoad) || !std::isfinite(window.maxLoad)) {
-          emit(report, pinPath(cellName, pinName),
-               "window bound is non-finite");
-        }
+void checkInverted(const LintSubject& subject, const Emitter& emit) {
+  for (const auto& [cellName, constraint] : subject.constraints->cells()) {
+    for (const auto& [pinName, window] : constraint.pinWindows) {
+      if (window.minSlew > window.maxSlew) {
+        emit(pinPath(cellName, pinName),
+             "slew window is inverted (" + std::to_string(window.minSlew) +
+                 " > " + std::to_string(window.maxSlew) + ")");
+      }
+      if (window.minLoad > window.maxLoad) {
+        emit(pinPath(cellName, pinName),
+             "load window is inverted (" + std::to_string(window.minLoad) +
+                 " > " + std::to_string(window.maxLoad) + ")");
+      }
+      if (!std::isfinite(window.minSlew) || !std::isfinite(window.maxSlew) ||
+          !std::isfinite(window.minLoad) || !std::isfinite(window.maxLoad)) {
+        emit(pinPath(cellName, pinName), "window bound is non-finite");
       }
     }
   }
-};
+}
 
-class WindowRangeRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.window.out-of-range";
+void checkAxisRange(const Emitter& emit, const std::string& cell,
+                    const std::string& pin, const char* axisName, double lo,
+                    double hi, const numeric::Axis& axis) {
+  if (axis.empty()) return;
+  // A window may start below the first breakpoint (0 means "from the
+  // table origin"), but negative bounds or bounds beyond the last
+  // breakpoint are outside anything the library characterized.
+  if (lo < -kTolerance) {
+    emit(pinPath(cell, pin), std::string(axisName) +
+                                 " window starts at negative " +
+                                 std::to_string(lo));
   }
-  RulePack pack() const noexcept override { return RulePack::kConstraints; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "pin windows must lie inside the characterized LUT range";
+  if (hi > axis.back() + kTolerance) {
+    emit(pinPath(cell, pin),
+         std::string(axisName) + " window extends to " + std::to_string(hi) +
+             " beyond the characterized range (max " +
+             std::to_string(axis.back()) + ")");
+  } else if (lo > axis.back() + kTolerance) {
+    emit(pinPath(cell, pin),
+         std::string(axisName) + " window starts at " + std::to_string(lo) +
+             " beyond the characterized range (max " +
+             std::to_string(axis.back()) + ")");
   }
+}
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    for (const auto& [cellName, constraint] : subject.constraints->cells()) {
-      for (const auto& [pinName, window] : constraint.pinWindows) {
-        const liberty::TimingArc* arc =
-            referenceArc(subject.referenceLibrary, cellName, pinName);
-        if (arc == nullptr) continue;  // cst.unknown-cell reports these
-        checkAxis(report, cellName, pinName, "slew", window.minSlew,
-                  window.maxSlew, arc->riseDelay.slewAxis());
-        checkAxis(report, cellName, pinName, "load", window.minLoad,
-                  window.maxLoad, arc->riseDelay.loadAxis());
+void checkRange(const LintSubject& subject, const Emitter& emit) {
+  for (const auto& [cellName, constraint] : subject.constraints->cells()) {
+    for (const auto& [pinName, window] : constraint.pinWindows) {
+      const liberty::TimingArc* arc =
+          referenceArc(subject.referenceLibrary, cellName, pinName);
+      if (arc == nullptr) continue;  // cst.unknown-cell reports these
+      checkAxisRange(emit, cellName, pinName, "slew", window.minSlew,
+                     window.maxSlew, arc->riseDelay.slewAxis());
+      checkAxisRange(emit, cellName, pinName, "load", window.minLoad,
+                     window.maxLoad, arc->riseDelay.loadAxis());
+    }
+  }
+}
+
+bool axisHit(double lo, double hi, const numeric::Axis& axis) {
+  for (double v : axis) {
+    if (v >= lo - kTolerance && v <= hi + kTolerance) return true;
+  }
+  return false;
+}
+
+void checkNoGridPoint(const LintSubject& subject, const Emitter& emit) {
+  for (const auto& [cellName, constraint] : subject.constraints->cells()) {
+    for (const auto& [pinName, window] : constraint.pinWindows) {
+      if (window.minSlew > window.maxSlew || window.minLoad > window.maxLoad) {
+        continue;  // cst.window.inverted reports these
+      }
+      const liberty::TimingArc* arc =
+          referenceArc(subject.referenceLibrary, cellName, pinName);
+      if (arc == nullptr) continue;
+      const bool slewHit = axisHit(window.minSlew, window.maxSlew,
+                                   arc->riseDelay.slewAxis());
+      const bool loadHit = axisHit(window.minLoad, window.maxLoad,
+                                   arc->riseDelay.loadAxis());
+      if (slewHit && loadHit) continue;
+      emit(pinPath(cellName, pinName),
+           std::string("window excludes every characterized ") +
+               (slewHit ? "load" : "slew") + " breakpoint");
+    }
+  }
+}
+
+void checkUnknownTarget(const LintSubject& subject, const Emitter& emit) {
+  const liberty::Library* library = subject.referenceLibrary;
+  if (library == nullptr) return;
+  for (const auto& [cellName, constraint] : subject.constraints->cells()) {
+    const liberty::Cell* cell = library->findCell(cellName);
+    if (cell == nullptr) {
+      emit("constraints/" + cellName,
+           "constraint references unknown cell (library '" + library->name() +
+               "')");
+      continue;
+    }
+    for (const auto& [pinName, window] : constraint.pinWindows) {
+      (void)window;
+      const liberty::Pin* pin = cell->findPin(pinName);
+      if (pin == nullptr) {
+        emit(pinPath(cellName, pinName), "constraint references unknown pin");
+      } else if (pin->direction != liberty::PinDirection::kOutput) {
+        emit(pinPath(cellName, pinName),
+             "constrained pin is not an output pin");
       }
     }
   }
+}
 
- private:
-  void checkAxis(LintReport& report, const std::string& cell,
-                 const std::string& pin, const char* axisName, double lo,
-                 double hi, const numeric::Axis& axis) const {
-    if (axis.empty()) return;
-    // A window may start below the first breakpoint (0 means "from the
-    // table origin"), but negative bounds or bounds beyond the last
-    // breakpoint are outside anything the library characterized.
-    if (lo < -kTolerance) {
-      emit(report, pinPath(cell, pin),
-           std::string(axisName) + " window starts at negative " +
-               std::to_string(lo));
-    }
-    if (hi > axis.back() + kTolerance) {
-      emit(report, pinPath(cell, pin),
-           std::string(axisName) + " window extends to " + std::to_string(hi) +
-               " beyond the characterized range (max " +
-               std::to_string(axis.back()) + ")");
-    } else if (lo > axis.back() + kTolerance) {
-      emit(report, pinPath(cell, pin),
-           std::string(axisName) + " window starts at " + std::to_string(lo) +
-               " beyond the characterized range (max " +
-               std::to_string(axis.back()) + ")");
-    }
-  }
-};
-
-class WindowNoPointRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "cst.window.no-grid-point";
-  }
-  RulePack pack() const noexcept override { return RulePack::kConstraints; }
-  Severity severity() const noexcept override { return Severity::kWarning; }
-  std::string_view description() const noexcept override {
-    return "pin windows should contain at least one characterized point";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    for (const auto& [cellName, constraint] : subject.constraints->cells()) {
-      for (const auto& [pinName, window] : constraint.pinWindows) {
-        if (window.minSlew > window.maxSlew ||
-            window.minLoad > window.maxLoad) {
-          continue;  // cst.window.inverted reports these
-        }
-        const liberty::TimingArc* arc =
-            referenceArc(subject.referenceLibrary, cellName, pinName);
-        if (arc == nullptr) continue;
-        const bool slewHit = axisHit(window.minSlew, window.maxSlew,
-                                     arc->riseDelay.slewAxis());
-        const bool loadHit = axisHit(window.minLoad, window.maxLoad,
-                                     arc->riseDelay.loadAxis());
-        if (slewHit && loadHit) continue;
-        emit(report, pinPath(cellName, pinName),
-             std::string("window excludes every characterized ") +
-                 (slewHit ? "load" : "slew") + " breakpoint");
-      }
-    }
-  }
-
- private:
-  static bool axisHit(double lo, double hi, const numeric::Axis& axis) {
-    for (double v : axis) {
-      if (v >= lo - kTolerance && v <= hi + kTolerance) return true;
-    }
-    return false;
-  }
-};
-
-class UnknownConstraintTargetRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "cst.unknown-cell"; }
-  RulePack pack() const noexcept override { return RulePack::kConstraints; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "constraints must reference existing library cells and pins";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const liberty::Library* library = subject.referenceLibrary;
-    if (library == nullptr) return;
-    for (const auto& [cellName, constraint] : subject.constraints->cells()) {
-      const liberty::Cell* cell = library->findCell(cellName);
-      if (cell == nullptr) {
-        emit(report, "constraints/" + cellName,
-             "constraint references unknown cell (library '" +
-                 library->name() + "')");
-        continue;
-      }
-      for (const auto& [pinName, window] : constraint.pinWindows) {
-        (void)window;
-        const liberty::Pin* pin = cell->findPin(pinName);
-        if (pin == nullptr) {
-          emit(report, pinPath(cellName, pinName),
-               "constraint references unknown pin");
-        } else if (pin->direction != liberty::PinDirection::kOutput) {
-          emit(report, pinPath(cellName, pinName),
-               "constrained pin is not an output pin");
-        }
-      }
-    }
-  }
+constexpr RulePack kPack = RulePack::kConstraints;
+constexpr Rule kRows[] = {
+    {"cst.window.inverted", kPack, Severity::kError,
+     "pin windows must not be empty or inverted", checkInverted},
+    {"cst.window.out-of-range", kPack, Severity::kError,
+     "pin windows must lie inside the characterized LUT range", checkRange},
+    {"cst.window.no-grid-point", kPack, Severity::kWarning,
+     "pin windows should contain at least one characterized point",
+     checkNoGridPoint},
+    {"cst.unknown-cell", kPack, Severity::kError,
+     "constraints must reference existing library cells and pins",
+     checkUnknownTarget},
 };
 
 }  // namespace
 
-void registerConstraintsRules(LintEngine& engine) {
-  engine.add(std::make_unique<WindowInvertedRule>());
-  engine.add(std::make_unique<WindowRangeRule>());
-  engine.add(std::make_unique<WindowNoPointRule>());
-  engine.add(std::make_unique<UnknownConstraintTargetRule>());
-}
+constinit const std::span<const Rule> kConstraintsRules{kRows};
 
 }  // namespace sct::lint

@@ -1,5 +1,7 @@
 #include "lint/engine.hpp"
 
+#include <vector>
+
 namespace sct::lint {
 
 std::string_view toString(RulePack pack) noexcept {
@@ -14,28 +16,26 @@ std::string_view toString(RulePack pack) noexcept {
   return "?";
 }
 
-void LintEngine::add(std::unique_ptr<Rule> rule) {
-  rules_.push_back(std::move(rule));
-}
-
-LintEngine LintEngine::withAllRules() {
-  LintEngine engine;
-  registerLibertyRules(engine);
-  registerStatLibRules(engine);
-  registerNetlistRules(engine);
-  registerConstraintsRules(engine);
-  registerClockRules(engine);
-  registerEvoRules(engine);
-  return engine;
+std::span<const Rule> LintEngine::rules() const {
+  static const std::vector<Rule> all = [] {
+    std::vector<Rule> rows;
+    for (const std::span<const Rule> table :
+         {kLibertyRules, kStatLibRules, kNetlistRules, kConstraintsRules,
+          kClockRules, kEvoRules}) {
+      rows.insert(rows.end(), table.begin(), table.end());
+    }
+    return rows;
+  }();
+  return all;
 }
 
 LintReport LintEngine::run(const LintSubject& subject,
                            RulePackMask packs) const {
   LintReport report;
-  for (const std::unique_ptr<Rule>& rule : rules_) {
-    if ((packs & packBit(rule->pack())) == 0) continue;
-    if (!subject.carries(rule->pack())) continue;
-    rule->run(subject, report);
+  for (const Rule& rule : rules()) {
+    if ((packs & packBit(rule.pack)) == 0) continue;
+    if (!subject.carries(rule.pack)) continue;
+    rule.check(subject, Emitter(rule, report));
   }
   return report;
 }

@@ -1,11 +1,10 @@
 #pragma once
-// The lint engine: a registry of rules executed over a LintSubject into a
-// LintReport (DESIGN.md §11). Adding a rule = subclass Rule in the matching
-// *_rules.cpp, append it in that pack's register function, and bump
+// The lint engine: the built-in rule tables executed over a LintSubject into
+// a LintReport (DESIGN.md §11). Adding a rule = write its check function in
+// the matching *_rules.cpp, append its row to that pack's table, and bump
 // kRulePackVersion so cached lint results are invalidated.
 
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "lint/rule.hpp"
 
@@ -17,39 +16,19 @@ inline constexpr std::uint32_t kRulePackVersion = 3;
 
 class LintEngine {
  public:
-  LintEngine() = default;
+  /// Engine over every built-in rule pack.
+  [[nodiscard]] static LintEngine withAllRules() noexcept { return {}; }
 
-  // Rules are identity objects owned by the engine.
-  LintEngine(LintEngine&&) noexcept = default;
-  LintEngine& operator=(LintEngine&&) noexcept = default;
-  LintEngine(const LintEngine&) = delete;
-  LintEngine& operator=(const LintEngine&) = delete;
-
-  void add(std::unique_ptr<Rule> rule);
-
-  /// Engine with every built-in rule pack registered.
-  [[nodiscard]] static LintEngine withAllRules();
-
-  /// Runs every registered rule whose pack is selected by `packs` AND whose
-  /// artifact the subject carries; rules execute in registration order.
+  /// Runs every rule whose pack is selected by `packs` AND whose artifact
+  /// the subject carries; rules execute in table order.
   [[nodiscard]] LintReport run(const LintSubject& subject,
                                RulePackMask packs = kAllPacks) const;
 
-  [[nodiscard]] const std::vector<std::unique_ptr<Rule>>& rules()
-      const noexcept {
-    return rules_;
-  }
+  /// Every rule: the pack tables concatenated in pack order.
+  [[nodiscard]] std::span<const Rule> rules() const;
 
  private:
-  std::vector<std::unique_ptr<Rule>> rules_;
+  LintEngine() = default;
 };
-
-// Pack registration (each defined in its *_rules.cpp).
-void registerLibertyRules(LintEngine& engine);
-void registerStatLibRules(LintEngine& engine);
-void registerNetlistRules(LintEngine& engine);
-void registerConstraintsRules(LintEngine& engine);
-void registerClockRules(LintEngine& engine);
-void registerEvoRules(LintEngine& engine);
 
 }  // namespace sct::lint

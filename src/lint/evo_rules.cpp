@@ -5,10 +5,9 @@
 // bounds clamp every mutation to a single point.
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
-#include "lint/engine.hpp"
+#include "lint/rule.hpp"
 
 namespace sct::lint {
 namespace {
@@ -19,116 +18,63 @@ constexpr const char* kSpecPath = "evo/params";
 
 std::string num(double v) { return std::to_string(v); }
 
-class EvoPopulationRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "evo.population.too-small";
+void checkPopulation(const LintSubject& subject, const Emitter& emit) {
+  const EvolveParams& params = *subject.evolveParams;
+  if (params.population < 2) {
+    emit(kSpecPath, "population " + std::to_string(params.population) +
+                        " cannot run binary tournaments (need >= 2)");
   }
-  RulePack pack() const noexcept override { return RulePack::kEvo; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "population must hold at least two individuals for recombination";
-  }
+}
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const EvolveParams& params = *subject.evolveParams;
-    if (params.population < 2) {
-      emit(report, kSpecPath,
-           "population " + std::to_string(params.population) +
-               " cannot run binary tournaments (need >= 2)");
-    }
+void checkGenerations(const LintSubject& subject, const Emitter& emit) {
+  if (subject.evolveParams->generations == 0) {
+    emit(kSpecPath,
+         "generations is 0: the run would only re-evaluate the seeds");
   }
-};
+}
 
-class EvoGenerationsRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "evo.generations.zero";
-  }
-  RulePack pack() const noexcept override { return RulePack::kEvo; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "at least one variation generation must run after the seeded "
-           "generation";
-  }
+void checkObjectives(const LintSubject& subject, const Emitter& emit) {
+  std::string error =
+      evo::parseObjectives(subject.evolveParams->objectives).error;
+  if (!error.empty()) emit(kSpecPath, std::move(error));
+}
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    if (subject.evolveParams->generations == 0) {
-      emit(report, kSpecPath,
-           "generations is 0: the run would only re-evaluate the seeds");
-    }
+void checkGeneBounds(const LintSubject& subject, const Emitter& emit) {
+  const EvolveParams& params = *subject.evolveParams;
+  if (!std::isfinite(params.geneMin) || !std::isfinite(params.geneMax)) {
+    emit(kSpecPath, "gene bounds must be finite");
+    return;
   }
-};
+  if (params.geneMin < 0.0) {
+    emit(kSpecPath, "negative sigma thresholds are meaningless (gene-min " +
+                        num(params.geneMin) + ")");
+  }
+  if (params.geneMin >= params.geneMax) {
+    emit(kSpecPath, "gene bounds are inverted or collapsed (" +
+                        num(params.geneMin) + " >= " + num(params.geneMax) +
+                        ")");
+  }
+}
 
-class EvoObjectivesRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "evo.objectives.invalid";
-  }
-  RulePack pack() const noexcept override { return RulePack::kEvo; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "objective set must be a non-empty subset of sigma,area,power";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const std::string& list = subject.evolveParams->objectives;
-    std::size_t count = 0;
-    std::istringstream stream(list);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-      if (token.empty()) continue;
-      if (token != "sigma" && token != "area" && token != "power") {
-        emit(report, kSpecPath,
-             "unknown objective '" + token + "' (sigma/area/power)");
-        return;
-      }
-      ++count;
-    }
-    if (count == 0) {
-      emit(report, kSpecPath,
-           "objective set '" + list + "' selects nothing to optimize");
-    }
-  }
-};
-
-class EvoGeneBoundsRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "evo.gene-bounds.inverted";
-  }
-  RulePack pack() const noexcept override { return RulePack::kEvo; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "sigma gene bounds must be finite, non-negative and ordered";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const EvolveParams& params = *subject.evolveParams;
-    if (!std::isfinite(params.geneMin) || !std::isfinite(params.geneMax)) {
-      emit(report, kSpecPath, "gene bounds must be finite");
-      return;
-    }
-    if (params.geneMin < 0.0) {
-      emit(report, kSpecPath,
-           "negative sigma thresholds are meaningless (gene-min " +
-               num(params.geneMin) + ")");
-    }
-    if (params.geneMin >= params.geneMax) {
-      emit(report, kSpecPath,
-           "gene bounds are inverted or collapsed (" + num(params.geneMin) +
-               " >= " + num(params.geneMax) + ")");
-    }
-  }
+constexpr RulePack kPack = RulePack::kEvo;
+constexpr Rule kRows[] = {
+    {"evo.population.too-small", kPack, Severity::kError,
+     "population must hold at least two individuals for recombination",
+     checkPopulation},
+    {"evo.generations.zero", kPack, Severity::kError,
+     "at least one variation generation must run after the seeded "
+     "generation",
+     checkGenerations},
+    {"evo.objectives.invalid", kPack, Severity::kError,
+     "objective set must be a non-empty subset of sigma,area,power",
+     checkObjectives},
+    {"evo.gene-bounds.inverted", kPack, Severity::kError,
+     "sigma gene bounds must be finite, non-negative and ordered",
+     checkGeneBounds},
 };
 
 }  // namespace
 
-void registerEvoRules(LintEngine& engine) {
-  engine.add(std::make_unique<EvoPopulationRule>());
-  engine.add(std::make_unique<EvoGenerationsRule>());
-  engine.add(std::make_unique<EvoObjectivesRule>());
-  engine.add(std::make_unique<EvoGeneBoundsRule>());
-}
+constinit const std::span<const Rule> kEvoRules{kRows};
 
 }  // namespace sct::lint

@@ -8,7 +8,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "lint/engine.hpp"
+#include "lint/rule.hpp"
+#include "netlist/analysis.hpp"
 
 namespace sct::lint {
 namespace {
@@ -36,203 +37,126 @@ std::unordered_set<NetIndex> inputPortNets(const Design& design) {
   return nets;
 }
 
-class CombLoopRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "net.comb-loop"; }
-  RulePack pack() const noexcept override { return RulePack::kNetlist; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "combinational logic must be acyclic";
-  }
+void checkCombLoop(const LintSubject& subject, const Emitter& emit) {
+  const Design& design = *subject.design;
+  std::vector<InstIndex> order;
+  std::vector<std::uint32_t> levels;
+  if (netlist::levelize(design, order, levels)) return;
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const Design& design = *subject.design;
-    // Kahn's algorithm with the same edge semantics as the STA levelization:
-    // sequential and zero-input instances are sources; every alive driver of
-    // an input net gates a combinational instance.
-    std::vector<std::uint32_t> indegree(design.instanceCount(), 0);
-    std::vector<InstIndex> queue;
-    std::size_t combCount = 0;
-    for (std::size_t i = 0; i < design.instanceCount(); ++i) {
-      const Instance& inst = design.instance(static_cast<InstIndex>(i));
-      if (!inst.alive) continue;
-      const bool isSource = netlist::isSequential(inst.op) ||
-                            netlist::numInputs(inst.op) == 0;
-      if (isSource) {
-        queue.push_back(static_cast<InstIndex>(i));
-        continue;
-      }
-      ++combCount;
-      std::uint32_t deg = 0;
-      for (NetIndex in : inst.inputs) {
-        const netlist::Net& net = design.net(in);
-        if (net.driver != kNoInst && design.instance(net.driver).alive) ++deg;
-      }
-      indegree[i] = deg;
-      if (deg == 0) queue.push_back(static_cast<InstIndex>(i));
+  // Every alive instance the ordering never reached sits on (or behind) a
+  // cycle.
+  std::vector<bool> ordered(design.instanceCount(), false);
+  for (const InstIndex i : order) ordered[i] = true;
+  std::string members;
+  std::size_t stuck = 0;
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    if (ordered[i] || !design.instance(static_cast<InstIndex>(i)).alive) {
+      continue;
     }
-
-    std::size_t combProcessed = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const Instance& inst = design.instance(queue[head]);
-      if (!netlist::isSequential(inst.op) && netlist::numInputs(inst.op) != 0) {
-        ++combProcessed;
-      }
-      for (NetIndex out : inst.outputs) {
-        for (const netlist::SinkRef& sink : design.net(out).sinks) {
-          const Instance& target = design.instance(sink.instance);
-          if (!target.alive || netlist::isSequential(target.op) ||
-              netlist::numInputs(target.op) == 0) {
-            continue;
-          }
-          if (--indegree[sink.instance] == 0) queue.push_back(sink.instance);
-        }
-      }
-    }
-    if (combProcessed == combCount) return;
-
-    // Everything left with a positive indegree sits on (or behind) a cycle.
-    std::string members;
-    std::size_t stuck = 0;
-    for (std::size_t i = 0; i < design.instanceCount(); ++i) {
-      if (indegree[i] == 0) continue;
-      ++stuck;
-      if (stuck <= 4) {
-        if (!members.empty()) members += ", ";
-        members += design.instance(static_cast<InstIndex>(i)).name;
-      }
-    }
-    emit(report, "design/" + design.name(),
-         "combinational loop: " + std::to_string(stuck) +
-             " instance(s) unreachable by topological ordering (" + members +
-             (stuck > 4 ? ", ..." : "") + ")");
-  }
-};
-
-class MultiDriverRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "net.multi-driver"; }
-  RulePack pack() const noexcept override { return RulePack::kNetlist; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "every net must have exactly one driver";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const Design& design = *subject.design;
-    const std::unordered_set<NetIndex> inputNets = inputPortNets(design);
-    // Count drivers per net from the instance side: the Net::driver field
-    // can only record one of them, so a duplicate claim is exactly the
-    // corruption this rule exists to surface.
-    std::vector<std::uint32_t> claims(design.netCount(), 0);
-    for (std::size_t i = 0; i < design.instanceCount(); ++i) {
-      const Instance& inst = design.instance(static_cast<InstIndex>(i));
-      if (!inst.alive) continue;
-      for (NetIndex out : inst.outputs) {
-        if (out < claims.size()) ++claims[out];
-      }
-    }
-    for (NetIndex n = 0; n < design.netCount(); ++n) {
-      const std::string path = "design/net/" + design.net(n).name;
-      if (claims[n] > 1) {
-        emit(report, path,
-             "net is driven by " + std::to_string(claims[n]) + " instances");
-      } else if (claims[n] == 1 && inputNets.contains(n)) {
-        emit(report, path,
-             "net is driven by both a primary input and an instance output");
-      }
+    ++stuck;
+    if (stuck <= 4) {
+      if (!members.empty()) members += ", ";
+      members += design.instance(static_cast<InstIndex>(i)).name;
     }
   }
-};
+  emit("design/" + design.name(),
+       "combinational loop: " + std::to_string(stuck) +
+           " instance(s) unreachable by topological ordering (" + members +
+           (stuck > 4 ? ", ..." : "") + ")");
+}
 
-class FloatingInputRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "net.floating-input"; }
-  RulePack pack() const noexcept override { return RulePack::kNetlist; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "instance inputs must be driven by an instance or a primary input";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const Design& design = *subject.design;
-    const std::unordered_set<NetIndex> inputNets = inputPortNets(design);
-    for (std::size_t i = 0; i < design.instanceCount(); ++i) {
-      const Instance& inst = design.instance(static_cast<InstIndex>(i));
-      if (!inst.alive) continue;
-      for (std::uint32_t slot = 0; slot < inst.inputs.size(); ++slot) {
-        const netlist::Net& net = design.net(inst.inputs[slot]);
-        const bool driven =
-            (net.driver != kNoInst && design.instance(net.driver).alive) ||
-            inputNets.contains(inst.inputs[slot]);
-        if (driven) continue;
-        emit(report, inputPath(design, static_cast<InstIndex>(i), slot),
-             "input is connected to undriven net '" + net.name + "'");
-      }
+void checkMultiDriver(const LintSubject& subject, const Emitter& emit) {
+  const Design& design = *subject.design;
+  const std::unordered_set<NetIndex> inputNets = inputPortNets(design);
+  // Count drivers per net from the instance side: the Net::driver field
+  // can only record one of them, so a duplicate claim is exactly the
+  // corruption this rule exists to surface.
+  std::vector<std::uint32_t> claims(design.netCount(), 0);
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const Instance& inst = design.instance(static_cast<InstIndex>(i));
+    if (!inst.alive) continue;
+    for (NetIndex out : inst.outputs) {
+      if (out < claims.size()) ++claims[out];
     }
   }
-};
-
-class DanglingOutputRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "net.dangling-output";
-  }
-  RulePack pack() const noexcept override { return RulePack::kNetlist; }
-  Severity severity() const noexcept override { return Severity::kWarning; }
-  std::string_view description() const noexcept override {
-    return "cell outputs should reach a sink or a primary output";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const Design& design = *subject.design;
-    for (std::size_t i = 0; i < design.instanceCount(); ++i) {
-      const Instance& inst = design.instance(static_cast<InstIndex>(i));
-      if (!inst.alive) continue;
-      for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
-        const netlist::Net& net = design.net(inst.outputs[slot]);
-        if (!net.sinks.empty() || net.isPrimaryOutput) continue;
-        emit(report, "design/" + inst.name + "/out" + std::to_string(slot),
-             "output net '" + net.name + "' has no sinks (dead logic)");
-      }
+  for (NetIndex n = 0; n < design.netCount(); ++n) {
+    const std::string path = "design/net/" + design.net(n).name;
+    if (claims[n] > 1) {
+      emit(path,
+           "net is driven by " + std::to_string(claims[n]) + " instances");
+    } else if (claims[n] == 1 && inputNets.contains(n)) {
+      emit(path,
+           "net is driven by both a primary input and an instance output");
     }
   }
-};
+}
 
-class UnknownCellRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "net.unknown-cell"; }
-  RulePack pack() const noexcept override { return RulePack::kNetlist; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "bound cells must exist in the reference library";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    // Cross-check; technology-independent designs and runs without a
-    // reference library are skipped.
-    const liberty::Library* library = subject.referenceLibrary;
-    if (library == nullptr) return;
-    const Design& design = *subject.design;
-    for (std::size_t i = 0; i < design.instanceCount(); ++i) {
-      const Instance& inst = design.instance(static_cast<InstIndex>(i));
-      if (!inst.alive || inst.cell == nullptr) continue;
-      if (library->findCell(inst.cell->name()) != nullptr) continue;
-      emit(report, "design/" + inst.name,
-           "bound cell '" + inst.cell->name() +
-               "' does not exist in library '" + library->name() + "'");
+void checkFloatingInput(const LintSubject& subject, const Emitter& emit) {
+  const Design& design = *subject.design;
+  const std::unordered_set<NetIndex> inputNets = inputPortNets(design);
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const Instance& inst = design.instance(static_cast<InstIndex>(i));
+    if (!inst.alive) continue;
+    for (std::uint32_t slot = 0; slot < inst.inputs.size(); ++slot) {
+      const netlist::Net& net = design.net(inst.inputs[slot]);
+      const bool driven =
+          (net.driver != kNoInst && design.instance(net.driver).alive) ||
+          inputNets.contains(inst.inputs[slot]);
+      if (driven) continue;
+      emit(inputPath(design, static_cast<InstIndex>(i), slot),
+           "input is connected to undriven net '" + net.name + "'");
     }
   }
+}
+
+void checkDanglingOutput(const LintSubject& subject, const Emitter& emit) {
+  const Design& design = *subject.design;
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const Instance& inst = design.instance(static_cast<InstIndex>(i));
+    if (!inst.alive) continue;
+    for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
+      const netlist::Net& net = design.net(inst.outputs[slot]);
+      if (!net.sinks.empty() || net.isPrimaryOutput) continue;
+      emit("design/" + inst.name + "/out" + std::to_string(slot),
+           "output net '" + net.name + "' has no sinks (dead logic)");
+    }
+  }
+}
+
+void checkUnknownCell(const LintSubject& subject, const Emitter& emit) {
+  // Cross-check; technology-independent designs and runs without a
+  // reference library are skipped.
+  const liberty::Library* library = subject.referenceLibrary;
+  if (library == nullptr) return;
+  const Design& design = *subject.design;
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const Instance& inst = design.instance(static_cast<InstIndex>(i));
+    if (!inst.alive || inst.cell == nullptr) continue;
+    if (library->findCell(inst.cell->name()) != nullptr) continue;
+    emit("design/" + inst.name, "bound cell '" + inst.cell->name() +
+                                    "' does not exist in library '" +
+                                    library->name() + "'");
+  }
+}
+
+constexpr RulePack kPack = RulePack::kNetlist;
+constexpr Rule kRows[] = {
+    {"net.comb-loop", kPack, Severity::kError,
+     "combinational logic must be acyclic", checkCombLoop},
+    {"net.multi-driver", kPack, Severity::kError,
+     "every net must have exactly one driver", checkMultiDriver},
+    {"net.floating-input", kPack, Severity::kError,
+     "instance inputs must be driven by an instance or a primary input",
+     checkFloatingInput},
+    {"net.dangling-output", kPack, Severity::kWarning,
+     "cell outputs should reach a sink or a primary output",
+     checkDanglingOutput},
+    {"net.unknown-cell", kPack, Severity::kError,
+     "bound cells must exist in the reference library", checkUnknownCell},
 };
 
 }  // namespace
 
-void registerNetlistRules(LintEngine& engine) {
-  engine.add(std::make_unique<CombLoopRule>());
-  engine.add(std::make_unique<MultiDriverRule>());
-  engine.add(std::make_unique<FloatingInputRule>());
-  engine.add(std::make_unique<DanglingOutputRule>());
-  engine.add(std::make_unique<UnknownCellRule>());
-}
+constinit const std::span<const Rule> kNetlistRules{kRows};
 
 }  // namespace sct::lint

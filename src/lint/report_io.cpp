@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 namespace sct::lint {
@@ -72,8 +71,7 @@ std::string writeJsonToString(const LintReport& report) {
   return out.str();
 }
 
-void writeSarif(std::ostream& out, const LintReport& report,
-                const LintEngine* engine) {
+void writeSarif(std::ostream& out, const LintReport& report) {
   out << "{\n"
          "  \"$schema\": "
          "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
@@ -86,31 +84,15 @@ void writeSarif(std::ostream& out, const LintReport& report,
          "          \"informationUri\": "
          "\"https://example.invalid/sctune\",\n"
          "          \"rules\": [";
-  // Only rules that fired (or all registered rules when an engine is given)
-  // appear in the driver metadata; emission order is deterministic.
-  bool firstRule = true;
-  auto emitRule = [&](std::string_view id, std::string_view description) {
-    out << (firstRule ? "\n" : ",\n");
-    firstRule = false;
-    out << "            {\"id\": \"" << jsonEscape(id) << "\"";
-    if (!description.empty()) {
-      out << ", \"shortDescription\": {\"text\": \"" << jsonEscape(description)
-          << "\"}";
-    }
-    out << "}";
-  };
-  if (engine != nullptr) {
-    for (const auto& rule : engine->rules()) {
-      emitRule(rule->id(), rule->description());
-    }
-  } else {
-    std::set<std::string> seen;
-    for (const Diagnostic& d : report.diagnostics()) {
-      if (seen.insert(d.ruleId).second) emitRule(d.ruleId, {});
-    }
+  const char* separator = "\n";
+  for (const Rule& rule : LintEngine::withAllRules().rules()) {
+    out << separator << "            {\"id\": \"" << jsonEscape(rule.id)
+        << "\", \"shortDescription\": {\"text\": \""
+        << jsonEscape(rule.description) << "\"}}";
+    separator = ",\n";
   }
-  out << (firstRule ? "]" : "\n          ]")
-      << "\n"
+  out << "\n"
+         "          ]\n"
          "        }\n"
          "      },\n"
          "      \"results\": [";
@@ -132,10 +114,9 @@ void writeSarif(std::ostream& out, const LintReport& report,
          "}\n";
 }
 
-std::string writeSarifToString(const LintReport& report,
-                               const LintEngine* engine) {
+std::string writeSarifToString(const LintReport& report) {
   std::ostringstream out;
-  writeSarif(out, report, engine);
+  writeSarif(out, report);
   return out.str();
 }
 

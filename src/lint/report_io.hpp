@@ -20,11 +20,9 @@ void writeText(std::ostream& out, const LintReport& report);
 void writeJson(std::ostream& out, const LintReport& report);
 [[nodiscard]] std::string writeJsonToString(const LintReport& report);
 
-/// SARIF 2.1.0 with one run; rule metadata (shortDescription) is taken from
-/// `engine` when provided so viewers can show rule help inline.
-void writeSarif(std::ostream& out, const LintReport& report,
-                const LintEngine* engine = nullptr);
-[[nodiscard]] std::string writeSarifToString(const LintReport& report,
-                                             const LintEngine* engine = nullptr);
+/// SARIF 2.1.0 with one run; `driver.rules` lists every built-in rule in
+/// table order with its description, so viewers can show rule help inline.
+void writeSarif(std::ostream& out, const LintReport& report);
+[[nodiscard]] std::string writeSarifToString(const LintReport& report);
 
 }  // namespace sct::lint

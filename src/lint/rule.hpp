@@ -1,10 +1,13 @@
 #pragma once
 // The rule side of the lint engine: a LintSubject bundles the artifacts a
-// run may inspect, a Rule is one named check over one artifact kind, and
-// rules are grouped into packs matching the flow's stage inputs (liberty,
-// statlib, netlist, constraints). Rules are stateless const objects; all
-// findings go through the LintReport passed to run().
+// run may inspect, a Rule is one row of its pack's table — a named check
+// over one artifact kind — and rules are grouped into packs matching the
+// flow's stage inputs (liberty, statlib, netlist, constraints, clock, evo).
+// Checks are stateless functions; all findings go through the Emitter that
+// stamps the row's id and severity.
 
+#include <span>
+#include <string>
 #include <string_view>
 
 #include "clocktree/clock_tree.hpp"
@@ -69,33 +72,50 @@ struct LintSubject {
   }
 };
 
-/// One named static check. Implementations live in the per-pack rule
-/// translation units and are registered through the engine's pack
-/// registration functions (see engine.hpp: "how to add a rule").
-class Rule {
- public:
-  virtual ~Rule() = default;
+struct Rule;
 
+/// Where a check reports: appends findings to the run's report stamped with
+/// the rule's id and severity.
+class Emitter {
+ public:
+  Emitter(const Rule& rule, LintReport& report) noexcept
+      : rule_(rule), report_(report) {}
+
+  void operator()(std::string objectPath, std::string message) const;
+
+ private:
+  const Rule& rule_;
+  LintReport& report_;
+};
+
+/// One named static check: a row of its pack's table (see engine.hpp: "how
+/// to add a rule").
+struct Rule {
   /// Stable dotted identifier, e.g. "lib.axis.order". Rule ids are part of
   /// the CI contract (SARIF ruleId) and must never be renamed casually.
-  [[nodiscard]] virtual std::string_view id() const noexcept = 0;
-  [[nodiscard]] virtual RulePack pack() const noexcept = 0;
-  [[nodiscard]] virtual Severity severity() const noexcept = 0;
+  std::string_view id;
+  RulePack pack;
+  Severity severity;
   /// One-line human description (SARIF shortDescription).
-  [[nodiscard]] virtual std::string_view description() const noexcept = 0;
-
-  /// Inspects the subject and appends findings. Only called when the
-  /// subject carries the rule's pack. Must not throw on any subject a
-  /// parser or builder can produce — lint runs before everything else.
-  virtual void run(const LintSubject& subject, LintReport& report) const = 0;
-
- protected:
-  /// Emission helper stamping the rule's id and severity.
-  void emit(LintReport& report, std::string objectPath,
-            std::string message) const {
-    report.add(Diagnostic{std::string(id()), severity(), std::move(objectPath),
-                          std::move(message)});
-  }
+  std::string_view description;
+  /// Inspects the subject and emits findings. Only called when the subject
+  /// carries the rule's pack. Must not throw on any subject a parser or
+  /// builder can produce — lint runs before everything else.
+  void (*check)(const LintSubject& subject, const Emitter& emit);
 };
+
+inline void Emitter::operator()(std::string objectPath,
+                                std::string message) const {
+  report_.add(Diagnostic{std::string(rule_.id), rule_.severity,
+                         std::move(objectPath), std::move(message)});
+}
+
+// The pack tables, in pack order; each is defined in its *_rules.cpp.
+extern const std::span<const Rule> kLibertyRules;
+extern const std::span<const Rule> kStatLibRules;
+extern const std::span<const Rule> kNetlistRules;
+extern const std::span<const Rule> kConstraintsRules;
+extern const std::span<const Rule> kClockRules;
+extern const std::span<const Rule> kEvoRules;
 
 }  // namespace sct::lint

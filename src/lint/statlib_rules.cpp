@@ -7,7 +7,7 @@
 #include <cmath>
 #include <string>
 
-#include "lint/engine.hpp"
+#include "lint/rule.hpp"
 
 namespace sct::lint {
 namespace {
@@ -22,186 +22,137 @@ std::string arcPath(const StatCell& cell, const StatArc& arc,
          "/" + edge;
 }
 
-/// Applies `fn(edgeName, lut)` to both edges of an arc.
+/// Applies `fn(cell, arc, edgeName, lut)` to both edges of every arc.
 template <class Fn>
-void forEachEdge(const StatArc& arc, Fn&& fn) {
-  fn("rise", arc.rise);
-  fn("fall", arc.fall);
+void forEachEdge(const statlib::StatLibrary& library, Fn&& fn) {
+  for (const StatCell* cell : library.cells()) {
+    for (const StatArc& arc : cell->arcs()) {
+      fn(*cell, arc, "rise", arc.rise);
+      fn(*cell, arc, "fall", arc.fall);
+    }
+  }
 }
 
-class SigmaValidRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "stat.sigma.invalid"; }
-  RulePack pack() const noexcept override { return RulePack::kStatLib; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "sigma surfaces must be finite and non-negative";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    for (const StatCell* cell : subject.statLibrary->cells()) {
-      for (const StatArc& arc : cell->arcs()) {
-        forEachEdge(arc, [&](const char* edge, const StatLut& lut) {
-          for (std::size_t r = 0; r < lut.rows(); ++r) {
-            for (std::size_t c = 0; c < lut.cols(); ++c) {
-              const double sigma = lut.sigma().at(r, c);
-              if (std::isfinite(sigma) && sigma >= 0.0) continue;
-              emit(report, arcPath(*cell, arc, edge) + ".sigma",
-                   std::string(std::isfinite(sigma) ? "negative"
-                                                    : "non-finite") +
-                       " sigma " + std::to_string(sigma) + " at [" +
-                       std::to_string(r) + "," + std::to_string(c) + "]");
-              return;
-            }
-          }
-        });
+void checkSigma(const LintSubject& subject, const Emitter& emit) {
+  forEachEdge(*subject.statLibrary, [&](const StatCell& cell,
+                                        const StatArc& arc, const char* edge,
+                                        const StatLut& lut) {
+    for (std::size_t r = 0; r < lut.rows(); ++r) {
+      for (std::size_t c = 0; c < lut.cols(); ++c) {
+        const double sigma = lut.sigma().at(r, c);
+        if (std::isfinite(sigma) && sigma >= 0.0) continue;
+        emit(arcPath(cell, arc, edge) + ".sigma",
+             std::string(std::isfinite(sigma) ? "negative" : "non-finite") +
+                 " sigma " + std::to_string(sigma) + " at [" +
+                 std::to_string(r) + "," + std::to_string(c) + "]");
+        return;
       }
     }
-  }
-};
+  });
+}
 
-class MeanValidRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "stat.mean.invalid"; }
-  RulePack pack() const noexcept override { return RulePack::kStatLib; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "mean surfaces must be finite and non-negative";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    for (const StatCell* cell : subject.statLibrary->cells()) {
-      for (const StatArc& arc : cell->arcs()) {
-        forEachEdge(arc, [&](const char* edge, const StatLut& lut) {
-          for (std::size_t r = 0; r < lut.rows(); ++r) {
-            for (std::size_t c = 0; c < lut.cols(); ++c) {
-              const double mean = lut.mean().at(r, c);
-              if (std::isfinite(mean) && mean >= 0.0) continue;
-              emit(report, arcPath(*cell, arc, edge) + ".mean",
-                   std::string(std::isfinite(mean) ? "negative" : "non-finite") +
-                       " mean delay " + std::to_string(mean) + " at [" +
-                       std::to_string(r) + "," + std::to_string(c) + "]");
-              return;
-            }
-          }
-        });
+void checkMean(const LintSubject& subject, const Emitter& emit) {
+  forEachEdge(*subject.statLibrary, [&](const StatCell& cell,
+                                        const StatArc& arc, const char* edge,
+                                        const StatLut& lut) {
+    for (std::size_t r = 0; r < lut.rows(); ++r) {
+      for (std::size_t c = 0; c < lut.cols(); ++c) {
+        const double mean = lut.mean().at(r, c);
+        if (std::isfinite(mean) && mean >= 0.0) continue;
+        emit(arcPath(cell, arc, edge) + ".mean",
+             std::string(std::isfinite(mean) ? "negative" : "non-finite") +
+                 " mean delay " + std::to_string(mean) + " at [" +
+                 std::to_string(r) + "," + std::to_string(c) + "]");
+        return;
       }
     }
-  }
-};
+  });
+}
 
-class SigmaExceedsMeanRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "stat.sigma.exceeds-mean";
-  }
-  RulePack pack() const noexcept override { return RulePack::kStatLib; }
-  Severity severity() const noexcept override { return Severity::kWarning; }
-  std::string_view description() const noexcept override {
-    return "a local-variation sigma above its mean delay is implausible";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    for (const StatCell* cell : subject.statLibrary->cells()) {
-      for (const StatArc& arc : cell->arcs()) {
-        forEachEdge(arc, [&](const char* edge, const StatLut& lut) {
-          for (std::size_t r = 0; r < lut.rows(); ++r) {
-            for (std::size_t c = 0; c < lut.cols(); ++c) {
-              const double mean = lut.mean().at(r, c);
-              const double sigma = lut.sigma().at(r, c);
-              if (!std::isfinite(mean) || !std::isfinite(sigma)) continue;
-              if (mean <= 0.0 || sigma <= mean) continue;
-              emit(report, arcPath(*cell, arc, edge),
-                   "sigma " + std::to_string(sigma) + " exceeds mean " +
-                       std::to_string(mean) + " at [" + std::to_string(r) +
-                       "," + std::to_string(c) + "]");
-              return;
-            }
-          }
-        });
+void checkSigmaExceedsMean(const LintSubject& subject, const Emitter& emit) {
+  forEachEdge(*subject.statLibrary, [&](const StatCell& cell,
+                                        const StatArc& arc, const char* edge,
+                                        const StatLut& lut) {
+    for (std::size_t r = 0; r < lut.rows(); ++r) {
+      for (std::size_t c = 0; c < lut.cols(); ++c) {
+        const double mean = lut.mean().at(r, c);
+        const double sigma = lut.sigma().at(r, c);
+        if (!std::isfinite(mean) || !std::isfinite(sigma)) continue;
+        if (mean <= 0.0 || sigma <= mean) continue;
+        emit(arcPath(cell, arc, edge),
+             "sigma " + std::to_string(sigma) + " exceeds mean " +
+                 std::to_string(mean) + " at [" + std::to_string(r) + "," +
+                 std::to_string(c) + "]");
+        return;
       }
     }
-  }
-};
+  });
+}
 
-class SampleCountRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "stat.samples.insufficient";
-  }
-  RulePack pack() const noexcept override { return RulePack::kStatLib; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "the merged-instance count must support a sigma estimate";
-  }
+void checkSampleCount(const LintSubject& subject, const Emitter& emit) {
+  const std::size_t samples = subject.statLibrary->sampleCount();
+  if (samples >= 2) return;
+  emit("stat/" + subject.statLibrary->name(),
+       "statistical tables were merged from " + std::to_string(samples) +
+           " library instance(s); sigma needs at least 2");
+}
 
-  void run(const LintSubject& subject, LintReport& report) const override {
-    const std::size_t samples = subject.statLibrary->sampleCount();
-    if (samples >= 2) return;
-    emit(report, "stat/" + subject.statLibrary->name(),
-         "statistical tables were merged from " + std::to_string(samples) +
-             " library instance(s); sigma needs at least 2");
+void checkAxes(const Emitter& emit, const StatCell& cell, const StatArc& arc,
+               const char* edge, const StatLut& stat,
+               const liberty::Lut& nominal) {
+  if (stat.slewAxis() == nominal.slewAxis() &&
+      stat.loadAxis() == nominal.loadAxis()) {
+    return;
   }
-};
+  emit(arcPath(cell, arc, edge),
+       "statistical grid axes differ from the nominal library table");
+}
 
-class GridMismatchRule final : public Rule {
- public:
-  std::string_view id() const noexcept override { return "stat.grid.mismatch"; }
-  RulePack pack() const noexcept override { return RulePack::kStatLib; }
-  Severity severity() const noexcept override { return Severity::kError; }
-  std::string_view description() const noexcept override {
-    return "statistical grids must match the nominal library's arc tables";
-  }
-
-  void run(const LintSubject& subject, LintReport& report) const override {
-    // Cross-check; skipped without a nominal reference library.
-    const liberty::Library* nominal = subject.referenceLibrary;
-    if (nominal == nullptr) return;
-    for (const StatCell* cell : subject.statLibrary->cells()) {
-      const liberty::Cell* nominalCell = nominal->findCell(cell->name());
-      if (nominalCell == nullptr) {
-        emit(report, "stat/" + cell->name(),
-             "cell is not present in the nominal library '" + nominal->name() +
-                 "'");
+void checkGridMismatch(const LintSubject& subject, const Emitter& emit) {
+  // Cross-check; skipped without a nominal reference library.
+  const liberty::Library* nominal = subject.referenceLibrary;
+  if (nominal == nullptr) return;
+  for (const StatCell* cell : subject.statLibrary->cells()) {
+    const liberty::Cell* nominalCell = nominal->findCell(cell->name());
+    if (nominalCell == nullptr) {
+      emit("stat/" + cell->name(),
+           "cell is not present in the nominal library '" + nominal->name() +
+               "'");
+      continue;
+    }
+    for (const StatArc& arc : cell->arcs()) {
+      const liberty::TimingArc* nominalArc =
+          nominalCell->findArc(arc.relatedPin, arc.outputPin);
+      if (nominalArc == nullptr) {
+        emit(arcPath(*cell, arc, "rise"),
+             "arc has no counterpart in the nominal library");
         continue;
       }
-      for (const StatArc& arc : cell->arcs()) {
-        const liberty::TimingArc* nominalArc =
-            nominalCell->findArc(arc.relatedPin, arc.outputPin);
-        if (nominalArc == nullptr) {
-          emit(report, arcPath(*cell, arc, "rise"),
-               "arc has no counterpart in the nominal library");
-          continue;
-        }
-        checkAxes(report, *cell, arc, "rise", arc.rise,
-                  nominalArc->riseDelay);
-        checkAxes(report, *cell, arc, "fall", arc.fall,
-                  nominalArc->fallDelay);
-      }
+      checkAxes(emit, *cell, arc, "rise", arc.rise, nominalArc->riseDelay);
+      checkAxes(emit, *cell, arc, "fall", arc.fall, nominalArc->fallDelay);
     }
   }
+}
 
- private:
-  void checkAxes(LintReport& report, const StatCell& cell, const StatArc& arc,
-                 const char* edge, const StatLut& stat,
-                 const liberty::Lut& nominal) const {
-    if (stat.slewAxis() == nominal.slewAxis() &&
-        stat.loadAxis() == nominal.loadAxis()) {
-      return;
-    }
-    emit(report, arcPath(cell, arc, edge),
-         "statistical grid axes differ from the nominal library table");
-  }
+constexpr RulePack kPack = RulePack::kStatLib;
+constexpr Rule kRows[] = {
+    {"stat.sigma.invalid", kPack, Severity::kError,
+     "sigma surfaces must be finite and non-negative", checkSigma},
+    {"stat.mean.invalid", kPack, Severity::kError,
+     "mean surfaces must be finite and non-negative", checkMean},
+    {"stat.sigma.exceeds-mean", kPack, Severity::kWarning,
+     "a local-variation sigma above its mean delay is implausible",
+     checkSigmaExceedsMean},
+    {"stat.samples.insufficient", kPack, Severity::kError,
+     "the merged-instance count must support a sigma estimate",
+     checkSampleCount},
+    {"stat.grid.mismatch", kPack, Severity::kError,
+     "statistical grids must match the nominal library's arc tables",
+     checkGridMismatch},
 };
 
 }  // namespace
 
-void registerStatLibRules(LintEngine& engine) {
-  engine.add(std::make_unique<SigmaValidRule>());
-  engine.add(std::make_unique<MeanValidRule>());
-  engine.add(std::make_unique<SigmaExceedsMeanRule>());
-  engine.add(std::make_unique<SampleCountRule>());
-  engine.add(std::make_unique<GridMismatchRule>());
-}
+constinit const std::span<const Rule> kStatLibRules{kRows};
 
 }  // namespace sct::lint

@@ -1,5 +1,6 @@
 #include "netlist/analysis.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 namespace sct::netlist {
@@ -41,6 +42,50 @@ DesignStats analyzeDesign(const Design& design) {
     }
   }
   return stats;
+}
+
+bool levelize(const Design& design, std::vector<InstIndex>& order,
+              std::vector<std::uint32_t>& levels) {
+  const auto isSource = [](const Instance& inst) {
+    return isSequential(inst.op) || numInputs(inst.op) == 0;
+  };
+  order.clear();
+  order.reserve(design.instanceCount());
+  levels.assign(design.instanceCount(), 0);
+  std::vector<std::uint32_t> indegree(design.instanceCount(), 0);
+
+  // `order` doubles as the Kahn queue: instances enter it once their last
+  // driver has been ordered.
+  std::size_t alive = 0;
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const Instance& inst = design.instance(static_cast<InstIndex>(i));
+    if (!inst.alive) continue;
+    ++alive;
+    if (!isSource(inst)) {
+      std::uint32_t deg = 0;
+      for (NetIndex in : inst.inputs) {
+        const Net& net = design.net(in);
+        if (net.driver != kNoInst && design.instance(net.driver).alive) ++deg;
+      }
+      indegree[i] = deg;
+      if (deg != 0) continue;
+    }
+    order.push_back(static_cast<InstIndex>(i));
+  }
+
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const InstIndex index = order[head];
+    for (NetIndex out : design.instance(index).outputs) {
+      for (const SinkRef& sink : design.net(out).sinks) {
+        const Instance& target = design.instance(sink.instance);
+        if (!target.alive || isSource(target)) continue;
+        levels[sink.instance] =
+            std::max(levels[sink.instance], levels[index] + 1u);
+        if (--indegree[sink.instance] == 0) order.push_back(sink.instance);
+      }
+    }
+  }
+  return order.size() == alive;
 }
 
 std::size_t sweepDeadLogic(Design& design) {

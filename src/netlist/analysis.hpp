@@ -1,10 +1,13 @@
 #pragma once
 // Netlist utilities around the core data structure: design statistics,
-// dead-logic sweeping and Graphviz export for inspection/debugging.
+// levelization, dead-logic sweeping and Graphviz export for
+// inspection/debugging.
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "netlist/netlist.hpp"
 
@@ -25,6 +28,17 @@ struct DesignStats {
 };
 
 [[nodiscard]] DesignStats analyzeDesign(const Design& design);
+
+/// Kahn levelization of the combinational graph, shared by the STA and the
+/// `net.comb-loop` lint rule. Sequential and zero-input instances are
+/// sources; every alive driver of an input net gates a combinational
+/// instance (launches and tie cells write their nets during propagation
+/// too). Fills `order` with the alive instances in topological order and
+/// `levels` with each instance's longest-path level from the sources (0 for
+/// sources). Returns false when a combinational cycle leaves instances out
+/// of `order`.
+bool levelize(const Design& design, std::vector<InstIndex>& order,
+              std::vector<std::uint32_t>& levels);
 
 /// Removes logic that cannot reach any primary output or sequential element
 /// (dead gates left behind by restructuring). Returns the number of

@@ -1,5 +1,6 @@
 #include "postsi/scenario.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <sstream>
@@ -171,6 +172,17 @@ ScenarioRunResult runScenarioJob(core::TuningFlow& flow,
     throw std::runtime_error("scenario job needs at least one clock period");
   }
   const std::vector<std::string> scenarios = parseScenarios(job.scenarios);
+  // The tuning element is an input of the clock and buffers scenarios: gate
+  // it before any cell is probed, so a cell hit cannot skip the check.
+  if (std::any_of(scenarios.begin(), scenarios.end(), [](const auto& name) {
+        return name == kScenarioClock || name == kScenarioBuffers;
+      })) {
+    core::applyLintMode(flow.config().lintMode, "clock", [&] {
+      return lint::LintEngine::withAllRules().run(
+          lint::LintSubject{.clockTuning = &job.element},
+          lint::packBit(lint::RulePack::kClock));
+    });
+  }
   const std::size_t trials =
       job.mcTrials != 0
           ? job.mcTrials

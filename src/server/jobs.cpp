@@ -122,7 +122,7 @@ JobResult LintKind::run(const Job& job, const JobContext&) {
 
   std::string body;
   if (job.sarif) {
-    body = lint::writeSarifToString(report, &engine);
+    body = lint::writeSarifToString(report);
   } else if (job.json) {
     body = lint::writeJsonToString(report);
   } else {

@@ -14,16 +14,32 @@
 
 namespace sct::server {
 
-std::uint16_t parseTcpPort(std::string_view text) {
-  unsigned long port = 0;
+template <class T>
+T parseFlagNumber(std::string_view flag, std::string_view text,
+                  std::string_view what) {
+  T value{};
   const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, port);
-  if (error != std::errc{} || stop != end || port > 65535) {
-    throw std::runtime_error(
-        "--tcp-port must be a port number 0..65535, got '" +
-        std::string(text) + "'");
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    throw std::runtime_error("--" + std::string(flag) + " must be " +
+                             std::string(what) + ", got '" +
+                             std::string(text) + "'");
   }
-  return static_cast<std::uint16_t>(port);
+  return value;
+}
+
+template double parseFlagNumber<double>(std::string_view, std::string_view,
+                                        std::string_view);
+template std::uint64_t parseFlagNumber<std::uint64_t>(std::string_view,
+                                                      std::string_view,
+                                                      std::string_view);
+template std::uint16_t parseFlagNumber<std::uint16_t>(std::string_view,
+                                                      std::string_view,
+                                                      std::string_view);
+
+std::uint16_t parseTcpPort(std::string_view text) {
+  return parseFlagNumber<std::uint16_t>("tcp-port", text,
+                                        "a port number 0..65535");
 }
 
 bool isRequestType(std::uint32_t raw) noexcept {

@@ -28,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "artifact/binary_format.hpp"
@@ -165,6 +166,18 @@ template <class T>
     throw ProtocolError(e.what());
   }
 }
+
+/// The value of the numeric flag --`flag`, for every numeric flag of sctune
+/// and sctuned: all of `text` must parse as a T (std::from_chars: no sign on
+/// an unsigned T, no blanks or trailing characters, within T's range), else
+/// std::runtime_error "--<flag> must be <what>, got '<text>'". Defined for
+/// double, std::uint64_t and std::uint16_t.
+template <class T>
+[[nodiscard]] T parseFlagNumber(
+    std::string_view flag, std::string_view text,
+    std::string_view what = std::is_floating_point_v<T>
+                                ? "a number"
+                                : "a non-negative integer");
 
 /// The value of a --tcp-port flag; throws std::runtime_error naming the
 /// flag unless `text` is a whole number in 0..65535.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/env.hpp"
+#include "netlist/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -109,61 +110,6 @@ void TimingAnalyzer::computeLoads() {
   for (NetIndex n = 0; n < design_.netCount(); ++n) {
     load_[n] = recomputeNetLoad(n);
   }
-}
-
-bool TimingAnalyzer::levelize() {
-  topo_.clear();
-  topo_.reserve(design_.instanceCount());
-  level_.assign(design_.instanceCount(), 0);
-  std::vector<std::uint32_t> indegree(design_.instanceCount(), 0);
-
-  std::size_t combCount = 0;
-  std::vector<InstIndex> queue;
-  for (std::size_t i = 0; i < design_.instanceCount(); ++i) {
-    const Instance& inst = design_.instance(static_cast<InstIndex>(i));
-    if (!inst.alive) continue;
-    const bool isSource = netlist::isSequential(inst.op) ||
-                          netlist::numInputs(inst.op) == 0;
-    if (!isSource) {
-      ++combCount;
-      // Every alive driver gates this instance: sequential launches and tie
-      // cells write their output nets during propagation too, so a gate must
-      // come after all of its drivers, not just the combinational ones.
-      std::uint32_t deg = 0;
-      for (NetIndex in : inst.inputs) {
-        const netlist::Net& net = design_.net(in);
-        if (net.driver == kNoInst) continue;
-        if (design_.instance(net.driver).alive) ++deg;
-      }
-      indegree[i] = deg;
-      if (deg == 0) queue.push_back(static_cast<InstIndex>(i));
-    } else {
-      queue.push_back(static_cast<InstIndex>(i));
-    }
-  }
-
-  std::size_t combProcessed = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const InstIndex index = queue[head];
-    const Instance& inst = design_.instance(index);
-    topo_.push_back(index);
-    const bool combinational = !netlist::isSequential(inst.op) &&
-                               netlist::numInputs(inst.op) != 0;
-    if (combinational) ++combProcessed;
-    for (NetIndex out : inst.outputs) {
-      for (const netlist::SinkRef& sink : design_.net(out).sinks) {
-        const Instance& target = design_.instance(sink.instance);
-        if (!target.alive || netlist::isSequential(target.op) ||
-            netlist::numInputs(target.op) == 0) {
-          continue;
-        }
-        level_[sink.instance] =
-            std::max(level_[sink.instance], level_[index] + 1u);
-        if (--indegree[sink.instance] == 0) queue.push_back(sink.instance);
-      }
-    }
-  }
-  return combProcessed == combCount;
 }
 
 std::uint32_t TimingAnalyzer::computeLevel(const Instance& inst) const {
@@ -391,7 +337,7 @@ bool TimingAnalyzer::analyze() {
   }
   refreshInstanceViews();
   computeLoads();
-  if (!levelize()) return false;
+  if (!netlist::levelize(design_, topo_, level_)) return false;
   propagateArrivals();
   collectEndpoints();
   propagateRequired();

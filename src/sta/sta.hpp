@@ -275,7 +275,6 @@ class TimingAnalyzer {
 
   void refreshInstanceViews();
   void computeLoads();
-  bool levelize();
   /// Full forward sweep: evalInstance() over topo_.
   void propagateArrivals();
   void propagateRequired();

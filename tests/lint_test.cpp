@@ -8,7 +8,11 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "artifact/binary_format.hpp"
 #include "artifact/codecs.hpp"
@@ -509,6 +513,97 @@ TEST(LintEvoTest, DetectsInvertedOrNonFiniteGeneBounds) {
   EXPECT_TRUE(lintEvolve(nan).hasRule("evo.gene-bounds.inverted"));
 }
 
+TEST(LintEvoTest, ObjectiveRuleAndTunerShareOneParser) {
+  evo::EvolveParams unknown;
+  unknown.objectives = "sigma,yield";
+  const lint::LintReport report = lintEvolve(unknown);
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report.diagnostics()[0].message,
+            evo::parseObjectives(unknown.objectives).error);
+  EXPECT_EQ(report.diagnostics()[0].message,
+            "unknown objective 'yield' (sigma/area/power)");
+  EXPECT_EQ(evo::parseObjectives(",").error,
+            "objective set ',' selects nothing to optimize");
+  const evo::ObjectiveSet set = evo::parseObjectives("power,sigma,power");
+  EXPECT_TRUE(set.error.empty());
+  EXPECT_EQ(set.enabled, (std::vector<std::size_t>{0, 2}));
+}
+
+// ---- rule table ----------------------------------------------------------
+
+/// The id prefix every rule of `pack` carries.
+std::string_view packPrefix(lint::RulePack pack) {
+  switch (pack) {
+    case lint::RulePack::kLiberty: return "lib.";
+    case lint::RulePack::kStatLib: return "stat.";
+    case lint::RulePack::kNetlist: return "net.";
+    case lint::RulePack::kConstraints: return "cst.";
+    case lint::RulePack::kClock: return "cst.clock.";
+    case lint::RulePack::kEvo: return "evo.";
+  }
+  return "?";
+}
+
+TEST(LintRuleTableTest, IdsAreUniqueAndCarryTheirPackPrefix) {
+  std::set<std::string_view> ids;
+  std::set<lint::RulePack> packs;
+  for (const lint::Rule& rule : lint::LintEngine::withAllRules().rules()) {
+    EXPECT_TRUE(ids.insert(rule.id).second) << "duplicate id " << rule.id;
+    packs.insert(rule.pack);
+    EXPECT_TRUE(rule.id.starts_with(packPrefix(rule.pack))) << rule.id;
+    if (rule.pack == lint::RulePack::kConstraints) {
+      EXPECT_FALSE(rule.id.starts_with("cst.clock.")) << rule.id;
+    }
+    EXPECT_FALSE(rule.description.empty()) << rule.id;
+    EXPECT_NE(rule.check, nullptr) << rule.id;
+  }
+  // Every pack has at least one rule.
+  EXPECT_EQ(packs.size(), 6u);
+}
+
+TEST(LintRuleTableTest, RowsRunInPackThenTableOrder) {
+  std::vector<std::string_view> ids;
+  for (const lint::Rule& rule : lint::LintEngine::withAllRules().rules()) {
+    ids.push_back(rule.id);
+  }
+  const std::vector<std::string_view> expected = {
+      "lib.axis.order", "lib.value.invalid", "lib.lut.monotone-load",
+      "lib.pin.missing-arc", "lib.lut.shape",
+      "stat.sigma.invalid", "stat.mean.invalid", "stat.sigma.exceeds-mean",
+      "stat.samples.insufficient", "stat.grid.mismatch",
+      "net.comb-loop", "net.multi-driver", "net.floating-input",
+      "net.dangling-output", "net.unknown-cell",
+      "cst.window.inverted", "cst.window.out-of-range",
+      "cst.window.no-grid-point", "cst.unknown-cell",
+      "cst.clock.range-inverted", "cst.clock.step-nonpositive",
+      "cst.clock.step-coarse", "cst.clock.range-below-skew",
+      "evo.population.too-small", "evo.generations.zero",
+      "evo.objectives.invalid", "evo.gene-bounds.inverted"};
+  EXPECT_EQ(ids, expected);
+}
+
+TEST(LintRuleTableTest, SarifListsEveryRuleInTableOrder) {
+  const std::string sarif = lint::writeSarifToString(lint::LintReport{});
+  std::size_t cursor = 0;
+  std::size_t listed = 0;
+  for (const lint::Rule& rule : lint::LintEngine::withAllRules().rules()) {
+    const std::size_t at = sarif.find(
+        "{\"id\": \"" + std::string(rule.id) + "\", \"shortDescription\": "
+        "{\"text\": \"" + std::string(rule.description) + "\"}}",
+        cursor);
+    ASSERT_NE(at, std::string::npos) << rule.id;
+    cursor = at + 1;
+    ++listed;
+  }
+  EXPECT_EQ(listed, 27u);
+  std::size_t entries = 0;
+  for (std::size_t at = sarif.find("{\"id\": "); at != std::string::npos;
+       at = sarif.find("{\"id\": ", at + 1)) {
+    ++entries;
+  }
+  EXPECT_EQ(entries, 27u);
+}
+
 // ---- engine + report plumbing --------------------------------------------
 
 TEST(LintEngineTest, PackSelectionSkipsUncarriedAndUnselectedPacks) {
@@ -554,7 +649,7 @@ TEST(LintReportTest, RenderersContainRuleIdsInAllThreeFormats) {
   EXPECT_NE(json.find("\"rule\": \"lib.value.invalid\""), std::string::npos);
   EXPECT_NE(json.find("\"severity\": \"error\""), std::string::npos);
 
-  const std::string sarif = lint::writeSarifToString(report, &engine);
+  const std::string sarif = lint::writeSarifToString(report);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\": \"lib.value.invalid\""),
             std::string::npos);

@@ -334,6 +334,40 @@ TEST(Scenario, RejectsBadJobs) {
   EXPECT_THROW((void)runScenarioJob(flow, badName), std::runtime_error);
 }
 
+/// A clock-scenario job whose tuning element has an inverted range.
+ScenarioJob invertedRangeJob(const std::string& lintMode) {
+  ScenarioJob job = smallScenarioJob({8.0}, "clock");
+  job.flow.lintMode = lintMode;
+  job.element.rangeMin = 0.3;
+  job.element.rangeMax = 0.1;
+  return job;
+}
+
+TEST(Scenario, ErrorModeRejectsInvertedTuningRange) {
+  const ScenarioJob job = invertedRangeJob("error");
+  core::TuningFlow flow(core::makeFlowConfig(job.flow));
+  try {
+    (void)runScenarioJob(flow, job);
+    FAIL() << "the clock-pack gate should have thrown";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("lint gate failed at stage 'clock'"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("cst.clock.range-inverted"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(Scenario, WarnModeRunsWithInvertedTuningRange) {
+  const ScenarioJob job = invertedRangeJob("warn");
+  core::TuningFlow flow(core::makeFlowConfig(job.flow));
+  const ScenarioRunResult result = runScenarioJob(flow, job);
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_EQ(result.cells[0].scenario, "clock");
+  EXPECT_EQ(result.cells[0].elements, 0u);  // an inverted range tunes nothing
+}
+
 TEST(Scenario, ColdAndWarmRunsAreByteIdentical) {
   const fs::path dir = fs::temp_directory_path() / "sct_scenario_cache_test";
   fs::remove_all(dir);

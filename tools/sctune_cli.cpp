@@ -109,12 +109,12 @@ class Args {
     return *v;
   }
   [[nodiscard]] double requireDouble(const std::string& key) const {
-    return std::stod(require(key));
+    return server::parseFlagNumber<double>(key, require(key));
   }
   [[nodiscard]] std::uint64_t getUint(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
+    return v ? server::parseFlagNumber<std::uint64_t>(key, *v) : fallback;
   }
 
  private:
@@ -354,23 +354,29 @@ int cmdReport(const Args& args) {
 
 // ---- job-table commands: flow, scenario, evolve, lint, sta ---------------
 
-void parseInto(std::string& field, const std::string& value) { field = value; }
-void parseInto(double& field, const std::string& value) {
-  field = std::stod(value);
+void parseInto(const char*, std::string& field, const std::string& value) {
+  field = value;
 }
-void parseInto(std::uint64_t& field, const std::string& value) {
-  field = std::stoull(value);
+void parseInto(const char* flag, double& field, const std::string& value) {
+  field = server::parseFlagNumber<double>(flag, value);
 }
-void parseInto(bool& field, const std::string&) { field = true; }
-void parseInto(std::vector<double>& field, const std::string& value) {
+void parseInto(const char* flag, std::uint64_t& field,
+               const std::string& value) {
+  field = server::parseFlagNumber<std::uint64_t>(flag, value);
+}
+void parseInto(const char*, bool& field, const std::string&) { field = true; }
+void parseInto(const char* flag, std::vector<double>& field,
+               const std::string& value) {
   field.clear();
   std::stringstream stream(value);
   std::string token;
   while (std::getline(stream, token, ',')) {
-    if (!token.empty()) field.push_back(std::stod(token));
+    if (!token.empty()) {
+      field.push_back(server::parseFlagNumber<double>(flag, token));
+    }
   }
 }
-void parseInto(server::FileArg& field, const std::string& value) {
+void parseInto(const char*, server::FileArg& field, const std::string& value) {
   field.path = value;
   field.text = readFile(value);
 }
@@ -385,7 +391,7 @@ typename Kind::Job jobFromArgs(const Args& args) {
   Kind::fields(job, [&](const char* flag, auto& field,
                         server::Need need = server::Need::kOptional) {
     if (const auto value = args.get(flag)) {
-      parseInto(field, *value);
+      parseInto(flag, field, *value);
     } else if (need == server::Need::kRequired) {
       throw std::runtime_error(std::string("missing required flag --") + flag);
     }

@@ -54,7 +54,7 @@ extern "C" void onSignal(int) {
 /// Same minimal --flag parser idiom as sctune's; kept local because the
 /// daemon has exactly one command.
 std::map<std::string, std::string> parseArgs(int argc, char** argv) {
-  const std::vector<std::string> booleans = {"obs-off", "tcp"};
+  const std::vector<std::string> booleans = {"help", "obs-off", "tcp"};
   std::map<std::string, std::string> values;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
@@ -79,7 +79,7 @@ std::optional<std::string> get(const std::map<std::string, std::string>& args,
   return it != args.end() ? std::optional(it->second) : std::nullopt;
 }
 
-int usage() {
+int usage(int exitCode) {
   std::printf(
       "sctuned — tuning-as-a-service daemon for the sctune flow\n\n"
       "usage: sctuned --socket PATH [--tcp-port N] [--cache-dir DIR]\n"
@@ -91,7 +91,7 @@ int usage() {
       "evolve, lint, sta, ping, health, shutdown). SIGINT/SIGTERM drains\n"
       "in-flight requests and exits 0; a second signal hard-exits 130.\n"
       "SCT_SOCKET and SCT_CACHE_DIR provide the flag defaults.\n");
-  return 1;
+  return exitCode;
 }
 
 }  // namespace
@@ -99,7 +99,7 @@ int usage() {
 int main(int argc, char** argv) {
   try {
     const auto args = parseArgs(argc, argv);
-    if (args.contains("help")) return usage();
+    if (args.contains("help")) return usage(0);
 
     server::ServerConfig config;
     if (const auto socket = get(args, "socket")) {
@@ -115,13 +115,15 @@ int main(int argc, char** argv) {
     }
     if (config.socketPath.empty() && !config.tcpEnable) {
       std::fprintf(stderr, "need --socket PATH (or --tcp-port N)\n\n");
-      return usage();
+      return usage(1);
     }
     if (const auto threads = get(args, "session-threads")) {
-      config.sessionThreads = std::stoul(*threads);
+      config.sessionThreads =
+          server::parseFlagNumber<std::uint64_t>("session-threads", *threads);
     }
     if (const auto queue = get(args, "max-queue")) {
-      config.maxQueuedSessions = std::stoul(*queue);
+      config.maxQueuedSessions =
+          server::parseFlagNumber<std::uint64_t>("max-queue", *queue);
     }
     if (const auto dir = get(args, "cache-dir")) {
       config.service.cacheDir = *dir;
@@ -129,7 +131,8 @@ int main(int argc, char** argv) {
       config.service.cacheDir = *env;
     }
     if (const auto mb = get(args, "mem-cache-mb")) {
-      config.service.memCacheBytes = std::stoull(*mb) << 20;
+      config.service.memCacheBytes =
+          server::parseFlagNumber<std::uint64_t>("mem-cache-mb", *mb) << 20;
     }
     if (const auto threads = get(args, "threads")) {
       const std::size_t hw = std::thread::hardware_concurrency();
