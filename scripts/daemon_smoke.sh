@@ -3,7 +3,8 @@
 # daemon-smoke job:
 #
 #   1. daemon flow responses are byte-identical to the standalone CLI's
-#      `flow --report` output — fresh, cached, it must not matter;
+#      `flow --report` output — fresh, cached, over the Unix socket or the
+#      TCP loopback port, it must not matter;
 #   2. `lint` and `sta` print the same stdout and exit with the same code
 #      locally and through `client` (one job table serves both);
 #   3. a duplicate-heavy mix moves the cache-hit and single-flight counters
@@ -29,10 +30,18 @@ trap cleanup EXIT
 
 cmake --build "$BUILD_DIR" -j --target sctune_cli sctuned >/dev/null
 
-"$BUILD_DIR/tools/sctuned" --socket "$SOCK" --cache-dir "$WORK/cache" &
+"$BUILD_DIR/tools/sctuned" --socket "$SOCK" --tcp --cache-dir "$WORK/cache" \
+  >"$WORK/daemon.out" &
 DAEMON_PID=$!
-for _ in $(seq 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
+for _ in $(seq 50); do
+  grep -q 'listening on 127\.0\.0\.1:' "$WORK/daemon.out" && break
+  sleep 0.1
+done
 [ -S "$SOCK" ] || { echo "daemon never bound $SOCK"; exit 1; }
+# "sctuned: listening on 127.0.0.1:<port> and <socket>"
+TCP_PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+  "$WORK/daemon.out")"
+[ -n "$TCP_PORT" ] || { echo "daemon printed no TCP port"; exit 1; }
 
 CLI="$BUILD_DIR/tools/sctune"
 FLOW_ARGS=(--profile small --mc 6 --period 8.0 --method sigma-ceiling --value 0.02)
@@ -48,6 +57,14 @@ FLOW_ARGS=(--profile small --mc 6 --period 8.0 --method sigma-ceiling --value 0.
 cmp "$WORK/cli.txt" "$WORK/daemon1.txt"
 cmp "$WORK/daemon1.txt" "$WORK/daemon2.txt"
 echo "daemon responses byte-identical to the CLI flow report"
+
+# 1b. The same request twice over the TCP loopback port.
+for n in 1 2; do
+  "$CLI" client flow --tcp-port "$TCP_PORT" "${FLOW_ARGS[@]}" \
+    --report "$WORK/tcp$n.txt" >/dev/null
+  cmp "$WORK/cli.txt" "$WORK/tcp$n.txt"
+done
+echo "TCP responses byte-identical to the CLI flow report"
 
 # 2. Local vs daemon for lint (the README's positional form, exit 3 on the
 # corrupt fixture's errors) and for sta on a characterized library and the

@@ -46,6 +46,7 @@ Client Client::connectTcp(std::uint16_t port) {
     throw std::runtime_error("cannot connect to 127.0.0.1:" +
                              std::to_string(port) + ": " + err);
   }
+  setNoDelay(fd);
   return Client(fd);
 }
 

@@ -8,7 +8,10 @@
 #ifdef _WIN32
 #error "the sctuned protocol layer is POSIX-only"
 #else
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #endif
 
@@ -135,21 +138,39 @@ void writeFrame(int fd, MessageType type, std::span<const std::byte> payload) {
   // MSG_NOSIGNAL: a peer that vanished mid-write must surface as EPIPE →
   // ProtocolError, never as a process-killing SIGPIPE (the in-process test
   // servers and the bench run without the daemon's SIG_IGN).
-  const auto writeAll = [fd](const std::byte* data, std::size_t n) {
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t rc = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-      if (rc > 0) {
-        sent += static_cast<std::size_t>(rc);
-        continue;
-      }
-      if (rc < 0 && errno == EINTR) continue;
+  // iovec's base pointer is non-const; sendmsg only reads through it.
+  iovec parts[2] = {
+      {header, sizeof header},
+      {const_cast<std::byte*>(payload.data()), payload.size()},
+  };
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = payload.empty() ? 1 : 2;
+  while (message.msg_iovlen > 0) {
+    const ssize_t rc = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) {
       throw ProtocolError(std::string("write failed: ") +
                           std::strerror(errno));
     }
-  };
-  writeAll(header, sizeof header);
-  if (!payload.empty()) writeAll(payload.data(), payload.size());
+    // Skip what was sent: whole parts first, then into the part cut short.
+    auto sent = static_cast<std::size_t>(rc);
+    while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
+      sent -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<std::byte*>(message.msg_iov->iov_base) + sent;
+      message.msg_iov->iov_len -= sent;
+    }
+  }
+}
+
+void setNoDelay(int fd) noexcept {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 }  // namespace sct::server

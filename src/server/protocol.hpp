@@ -196,8 +196,14 @@ struct Frame {
 /// payload / connection lost mid-frame. Retries EINTR.
 [[nodiscard]] std::optional<Frame> readFrame(int fd);
 
-/// Blocking write of one frame (header + payload). Throws ProtocolError
-/// when the peer is gone. Retries EINTR and short writes.
+/// Blocking write of one frame: header and payload go out in one vectored
+/// sendmsg, so a frame never becomes two small TCP segments waiting on each
+/// other (Nagle + delayed ACK). Throws ProtocolError when the peer is gone.
+/// Retries EINTR and short writes.
 void writeFrame(int fd, MessageType type, std::span<const std::byte> payload);
+
+/// Sets TCP_NODELAY on a connected TCP socket: a request/response protocol
+/// sends each frame whole, so coalescing small writes only adds latency.
+void setNoDelay(int fd) noexcept;
 
 }  // namespace sct::server

@@ -162,6 +162,7 @@ void Server::acceptLoop() {
       if ((fds[i].revents & POLLIN) == 0) continue;
       const int client = ::accept(fds[i].fd, nullptr, nullptr);
       if (client < 0) continue;
+      if (fds[i].fd == tcpFd_) setNoDelay(client);
 
       bool admitted = false;
       {
@@ -212,10 +213,11 @@ void Server::runSession(int fd, TuningService::Clock::time_point accepted) {
                    TuningService::shuttingDownResponseBytes());
         break;
       }
-      const Response response =
-          service_.handle(frame->type, frame->payload, received);
-      const std::vector<std::byte> bytes = encodePayload(response);
-      writeFrame(fd, MessageType::kResponse, bytes);
+      // The encoded container goes to the socket as it is: a cache hit is
+      // the stored entry itself, never decoded and encoded again.
+      const TuningService::Encoded response =
+          service_.respond(frame->type, frame->payload, received);
+      writeFrame(fd, MessageType::kResponse, response->rawBytes());
       if (frame->type == MessageType::kShutdownRequest) {
         requestStop();
         break;

@@ -1,7 +1,6 @@
 #include "server/service.hpp"
 
 #include <exception>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -42,25 +41,13 @@ struct ServiceMetrics {
   }
 };
 
-Response errorResponse(const std::string& message) {
-  Response r;
-  r.status = Status::kError;
-  r.summary = message;
-  return r;
-}
-
-Response timeoutResponse(const char* what) {
-  Response r;
-  r.status = Status::kTimeout;
-  r.summary = what;
-  return r;
-}
-
-std::vector<std::byte> encodeStatic(Status status, const char* summary) {
+Response makeResponse(Status status, std::string summary,
+                      std::string body = {}) {
   Response r;
   r.status = status;
-  r.summary = summary;
-  return encodePayload(r);
+  r.summary = std::move(summary);
+  r.body = std::move(body);
+  return r;
 }
 
 }  // namespace
@@ -74,16 +61,25 @@ TuningService::TuningService(const ServiceConfig& config)
 
 TuningService::~TuningService() = default;
 
+TuningService::Encoded TuningService::encode(const Response& response) {
+  return std::make_shared<const artifact::SctbReader>(
+      artifact::SctbReader::fromBytes(encodePayload(response)));
+}
+
+TuningService::Reply TuningService::reply(const Response& response) {
+  return {response.status, encode(response)};
+}
+
 std::span<const std::byte> TuningService::busyResponseBytes() {
-  static const std::vector<std::byte> bytes =
-      encodeStatic(Status::kBusy, "server at capacity, retry later");
-  return bytes;
+  static const Encoded bytes =
+      encode(makeResponse(Status::kBusy, "server at capacity, retry later"));
+  return bytes->rawBytes();
 }
 
 std::span<const std::byte> TuningService::shuttingDownResponseBytes() {
-  static const std::vector<std::byte> bytes =
-      encodeStatic(Status::kShuttingDown, "server is shutting down");
-  return bytes;
+  static const Encoded bytes =
+      encode(makeResponse(Status::kShuttingDown, "server is shutting down"));
+  return bytes->rawBytes();
 }
 
 bool TuningService::deadlineExpired(std::uint64_t deadlineMillis,
@@ -98,43 +94,42 @@ TuningService::Clock::time_point TuningService::deadlinePoint(
   return received + std::chrono::milliseconds(deadlineMillis);
 }
 
-Response TuningService::handle(MessageType type,
-                               std::span<const std::byte> payload,
-                               Clock::time_point received) {
+TuningService::Encoded TuningService::respond(
+    MessageType type, std::span<const std::byte> payload,
+    Clock::time_point received) {
   ServiceMetrics::get().requests.inc();
-  Response response;
+  Reply out;
   try {
     switch (type) {
       case MessageType::kPingRequest:
-        response = handlePing(decodePayload<PingRequest>(payload), received);
+        out = handlePing(decodePayload<PingRequest>(payload), received);
         break;
       case MessageType::kHealthRequest:
-        response.status = Status::kOk;
-        response.summary = "ok";
-        response.body = healthJson();
+        out = reply(makeResponse(Status::kOk, "ok", healthJson()));
         break;
       case MessageType::kShutdownRequest:
         // The server layer watches for this type and begins draining; the
         // service only acknowledges.
-        response.status = Status::kOk;
-        response.summary = "shutting down";
+        out = reply(makeResponse(Status::kOk, "shutting down"));
         break;
       default: {
         const bool isJob = anyKind([&]<class Kind>(std::type_identity<Kind>) {
           if (Kind::kType != type) return false;
-          response = handleJob<Kind>(payload, received);
+          out = handleJob<Kind>(payload, received);
           return true;
         });
-        if (!isJob) response = errorResponse("not a request type");
+        if (!isJob) {
+          out = reply(makeResponse(Status::kError, "not a request type"));
+        }
         break;
       }
     }
   } catch (const std::exception& e) {
-    response = errorResponse(e.what());
+    out = reply(makeResponse(Status::kError, e.what()));
   } catch (...) {
-    response = errorResponse("unknown error");
+    out = reply(makeResponse(Status::kError, "unknown error"));
   }
-  switch (response.status) {
+  switch (out.status) {
     case Status::kOk:
       ServiceMetrics::get().responsesOk.inc();
       break;
@@ -145,83 +140,82 @@ Response TuningService::handle(MessageType type,
       ServiceMetrics::get().responsesError.inc();
       break;
   }
-  return response;
+  return std::move(out.bytes);
 }
 
-Response TuningService::cachedResponse(
+Response TuningService::handle(MessageType type,
+                               std::span<const std::byte> payload,
+                               Clock::time_point received) {
+  return decodePayload<Response>(respond(type, payload, received)->rawBytes());
+}
+
+TuningService::Reply TuningService::cachedResponse(
     const artifact::Digest& key, Clock::time_point deadline,
     const std::function<Response()>& compute) {
-  const auto probe = [&]() -> std::optional<Response> {
-    if (const auto reader = mem_.get(key)) {
-      ServiceMetrics::get().cacheHits.inc();
-      return decodePayload<Response>(reader->rawBytes());
-    }
-    return std::nullopt;
+  // Only kOk responses are published, so a hit is a kOk reply.
+  const auto probe = [&]() -> Encoded {
+    Encoded hit = mem_.get(key);
+    if (hit) ServiceMetrics::get().cacheHits.inc();
+    return hit;
   };
 
-  if (auto hit = probe()) return *hit;
+  if (Encoded hit = probe()) return {Status::kOk, std::move(hit)};
   ServiceMetrics::get().cacheMisses.inc();
 
   // Exactly one session computes a given key at a time; the others block
-  // here and then serve the leader's published bytes. A leader that failed
-  // (kError response, not cached) hands leadership to the next waiter.
+  // here and then serve the leader's published container. A leader that
+  // failed (kError response, not cached) hands leadership to the next
+  // waiter.
   auto guard = flights_.lock(key, deadline);
   if (!guard) {
-    return timeoutResponse(
-        "deadline expired waiting for an identical in-flight request");
+    return reply(makeResponse(
+        Status::kTimeout,
+        "deadline expired waiting for an identical in-flight request"));
   }
   if (guard->waited()) {
     ServiceMetrics::get().singleflightCoalesced.inc();
-    if (auto hit = probe()) return *hit;
+    if (Encoded hit = probe()) return {Status::kOk, std::move(hit)};
   }
   ServiceMetrics::get().singleflightLeader.inc();
 
-  Response response = compute();
-  if (response.status == Status::kOk) {
-    // Publish the encoded bytes; later hits decode this exact container,
-    // so cached and fresh responses are byte-identical.
-    const std::vector<std::byte> bytes = encodePayload(response);
-    mem_.put(key, std::make_shared<const artifact::SctbReader>(
-                      artifact::SctbReader::fromBytes(bytes)));
-  }
-  return response;
+  // Encode once and publish the very container this session sends, so
+  // cached and fresh responses are the same bytes.
+  Reply out = reply(compute());
+  if (out.status == Status::kOk) mem_.put(key, out.bytes);
+  return out;
 }
 
 template <class Kind>
-Response TuningService::handleJob(std::span<const std::byte> payload,
-                                  Clock::time_point received) {
+TuningService::Reply TuningService::handleJob(
+    std::span<const std::byte> payload, Clock::time_point received) {
   static const std::string span = std::string("server.") + Kind::kName;
   SCT_TRACE_SPAN(span.c_str());
   const JobRequest<Kind> request = decodePayload<JobRequest<Kind>>(payload);
   if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
+    return reply(makeResponse(Status::kTimeout,
+                              "deadline expired before compute started"));
   }
   return cachedResponse(requestDigest<Kind>(request.job),
                         deadlinePoint(request.deadlineMillis, received), [&] {
     JobResult result = Kind::run(request.job, JobContext{store_.get(), &mem_});
-    Response r;
-    r.status = Status::kOk;
+    Response r = makeResponse(Status::kOk, std::move(result.summary),
+                              std::move(result.body));
     r.exitCode = static_cast<std::uint8_t>(result.exitCode);
-    r.summary = std::move(result.summary);
-    r.body = std::move(result.body);
     return r;
   });
 }
 
-Response TuningService::handlePing(const PingRequest& request,
-                                   Clock::time_point received) {
+TuningService::Reply TuningService::handlePing(const PingRequest& request,
+                                               Clock::time_point received) {
   if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
+    return reply(makeResponse(Status::kTimeout,
+                              "deadline expired before compute started"));
   }
   if (request.sleepMillis > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(request.sleepMillis));
   }
-  Response r;
-  r.status = Status::kOk;
-  r.summary = "pong";
-  r.body = request.echo;
-  return r;
+  return reply(makeResponse(Status::kOk, "pong", request.echo));
 }
 
 std::string TuningService::healthJson() {

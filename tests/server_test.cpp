@@ -5,16 +5,19 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -108,6 +111,25 @@ TEST(ServerTest, TcpLoopbackRoundTrip) {
   EXPECT_EQ(response.body, "over tcp");
 }
 
+// One frame is one sendmsg and both ends set TCP_NODELAY, so a small
+// request/response exchange never waits on Nagle + delayed ACK (~40 ms a
+// round trip when header and payload went out as two writes).
+TEST(ServerTest, TcpRoundTripDoesNotStall) {
+  TempDir dir("sct_server_tcp_stall");
+  TestServer srv(dir, 4, 16, /*tcp=*/true);
+  Client client = Client::connectTcp(srv.instance->tcpPort());
+  server::PingRequest request;
+  request.echo = std::string(16, 'x');
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    const Response response = client.ping(request);
+    ASSERT_EQ(response.status, Status::kOk);
+    ASSERT_EQ(response.body, request.echo);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(400));
+}
+
 TEST(ServerTest, HealthReturnsMetricsJson) {
   TempDir dir("sct_server_health");
   TestServer srv(dir);
@@ -185,6 +207,153 @@ TEST(ServerTest, ConcurrentIdenticalFlowsComputeOnce) {
   const std::uint64_t leadersAfter =
       registry.snapshot().counterValue("server.singleflight.leader");
   EXPECT_EQ(leadersAfter - leadersBefore, 1u);
+  obs::setMetricsEnabled(false);
+}
+
+// ---- the response byte path ---------------------------------------------
+
+/// Raw payload of the response frame answering one request frame.
+std::vector<std::byte> rawResponse(Client& client, MessageType type,
+                                   std::span<const std::byte> payload) {
+  server::writeFrame(client.fd(), type, payload);
+  std::optional<server::Frame> frame = server::readFrame(client.fd());
+  if (!frame || frame->type != MessageType::kResponse) {
+    ADD_FAILURE() << "no response frame";
+    return {};
+  }
+  return std::move(frame->payload);
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::global().snapshot().counterValue(name);
+}
+
+TEST(ServerTest, MissHitAndCoalescedWaiterSendTheSameStoredBytes) {
+  TempDir dir("sct_server_wire_bytes");
+  TestServer srv(dir, /*sessionThreads=*/8);
+  obs::setMetricsEnabled(true);
+  server::FlowRequest request = smallFlow(9.0);
+  request.job.mcCount = 32;  // a compute long enough for waiters to queue
+  const std::vector<std::byte> payload = server::encodePayload(request);
+  const std::uint64_t leadersBefore = counter("server.singleflight.leader");
+  const std::uint64_t coalescedBefore =
+      counter("server.singleflight.coalesced");
+
+  // The leader misses and computes; once it holds the key, three more
+  // identical requests arrive and wait on it.
+  std::vector<std::vector<std::byte>> waiters(3);
+  std::vector<std::byte> miss;
+  std::thread leader([&] {
+    Client client = srv.connect();
+    miss = rawResponse(client, MessageType::kFlowRequest, payload);
+  });
+  while (counter("server.singleflight.leader") == leadersBefore) {
+    std::this_thread::yield();
+  }
+  std::vector<std::thread> threads;
+  for (std::vector<std::byte>& bytes : waiters) {
+    threads.emplace_back([&] {
+      Client client = srv.connect();
+      bytes = rawResponse(client, MessageType::kFlowRequest, payload);
+    });
+  }
+  leader.join();
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(counter("server.singleflight.leader") - leadersBefore, 1u);
+  EXPECT_GE(counter("server.singleflight.coalesced") - coalescedBefore, 1u);
+
+  Client client = srv.connect();
+  const std::vector<std::byte> hit =
+      rawResponse(client, MessageType::kFlowRequest, payload);
+
+  ASSERT_FALSE(miss.empty());
+  const Response decoded = server::decodePayload<Response>(miss);
+  EXPECT_EQ(decoded.status, Status::kOk);
+  EXPECT_EQ(server::encodePayload(decoded), miss);
+  EXPECT_EQ(hit, miss);
+  for (const std::vector<std::byte>& bytes : waiters) EXPECT_EQ(bytes, miss);
+
+  // A hit is the cached container object itself, and its bytes are the
+  // ones on the wire: nothing decodes and re-encodes it on the way out.
+  server::TuningService& service = srv.instance->service();
+  const artifact::Digest key = server::requestDigest<server::FlowKind>(
+      request.job);
+  const server::TuningService::Encoded served = service.respond(
+      MessageType::kFlowRequest, payload, server::TuningService::Clock::now());
+  EXPECT_EQ(served.get(), service.memCache().get(key).get());
+  const std::span<const std::byte> stored = served->rawBytes();
+  EXPECT_TRUE(
+      std::equal(stored.begin(), stored.end(), hit.begin(), hit.end()));
+
+  // A miss publishes the very container it returns: encoded once.
+  const server::FlowRequest fresh = smallFlow(9.25);
+  const server::TuningService::Encoded computed =
+      service.respond(MessageType::kFlowRequest, server::encodePayload(fresh),
+                      server::TuningService::Clock::now());
+  EXPECT_EQ(computed.get(),
+            service.memCache()
+                .get(server::requestDigest<server::FlowKind>(fresh.job))
+                .get());
+  obs::setMetricsEnabled(false);
+}
+
+// The server.* counting rule that perfbench, daemon_smoke.sh and
+// bench_server read: per request, one server.requests and one
+// server.responses.<status>; a miss also counts a cache miss and a leader,
+// a hit only a cache hit, and a request refused before the cache (expired
+// deadline, undecodable payload) touches no cache or single-flight counter.
+TEST(ServerTest, ServerCountersFollowTheCountingRule) {
+  TempDir dir("sct_server_counters");
+  TestServer srv(dir);
+  obs::setMetricsEnabled(true);
+  static constexpr const char* kNames[] = {
+      "server.requests",
+      "server.cache.hits",
+      "server.cache.misses",
+      "server.singleflight.leader",
+      "server.singleflight.coalesced",
+      "server.responses.ok",
+      "server.responses.error",
+      "server.responses.timeout",
+  };
+  const auto deltas = [&](const auto& request) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : kNames) before.push_back(counter(name));
+    request();
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      out.push_back(counter(kNames[i]) - before[i]);
+    }
+    return out;
+  };
+  using Counts = std::vector<std::uint64_t>;
+  Client client = srv.connect();
+  const server::FlowRequest request = smallFlow(8.25);
+
+  //                          req hit mis ldr coa ok err tmo
+  EXPECT_EQ(deltas([&] { (void)client.flow(request); }),
+            (Counts{1, 0, 1, 1, 0, 1, 0, 0}))
+      << "miss";
+  EXPECT_EQ(deltas([&] { (void)client.flow(request); }),
+            (Counts{1, 1, 0, 0, 0, 1, 0, 0}))
+      << "hit";
+  server::FlowRequest late = smallFlow(8.75);
+  late.deadlineMillis = 50;
+  EXPECT_EQ(deltas([&] {
+              const Response r = srv.instance->service().handle(
+                  MessageType::kFlowRequest, server::encodePayload(late),
+                  server::TuningService::Clock::now() -
+                      std::chrono::seconds(1));
+              EXPECT_EQ(r.status, Status::kTimeout);
+            }),
+            (Counts{1, 0, 0, 0, 0, 0, 0, 1}))
+      << "expired deadline";
+  const std::vector<std::byte> junk(64, std::byte{0x5A});
+  EXPECT_EQ(deltas([&] {
+              (void)client.call(MessageType::kFlowRequest, junk);
+            }),
+            (Counts{1, 0, 0, 0, 0, 0, 1, 0}))
+      << "garbage payload";
   obs::setMetricsEnabled(false);
 }
 
@@ -438,22 +607,26 @@ TEST(ServerTest, GracefulStopDrainsInFlightRequests) {
   TempDir dir("sct_server_drain");
   TestServer srv(dir, /*sessionThreads=*/2);
 
-  std::atomic<bool> answered{false};
-  std::thread inflight([&] {
-    Client client = srv.connect();
-    server::PingRequest request;
-    request.sleepMillis = 300;
-    request.echo = "drain me";
-    const Response response = client.ping(request);
-    EXPECT_EQ(response.status, Status::kOk);
-    EXPECT_EQ(response.body, "drain me");
-    answered.store(true);
-  });
+  Client client = srv.connect();
+  server::PingRequest request;
+  request.sleepMillis = 300;
+  request.echo = "drain me";
+  server::writeFrame(client.fd(), MessageType::kPingRequest,
+                     server::encodePayload(request));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  srv.instance->stop();  // must block until the sleeping ping answered
-  EXPECT_TRUE(answered.load());
-  inflight.join();
+  // stop() must block until the sleeping ping answered. A session writes
+  // its response before it deregisters, so the frame already waits in the
+  // client's socket when stop() returns (a flag set by a client thread
+  // after its read would race with stop()'s return).
+  srv.instance->stop();
+  pollfd ready{client.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&ready, 1, 0), 1) << "stop() returned before the answer";
+  const std::optional<server::Frame> frame = server::readFrame(client.fd());
+  ASSERT_TRUE(frame.has_value());
+  const Response response = server::decodePayload<Response>(frame->payload);
+  EXPECT_EQ(response.status, Status::kOk);
+  EXPECT_EQ(response.body, "drain me");
 }
 
 TEST(ServerTest, ShutdownRequestStopsTheServer) {
