@@ -25,6 +25,21 @@ using netlist::PrimOp;
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Drain marks (TimingAnalyzer::net_mark_ / inst_mark_).
+constexpr std::uint8_t kNetTouched = 1;    ///< load re-summed this drain
+constexpr std::uint8_t kNetChanged = 2;    ///< forward triple changed
+constexpr std::uint8_t kNetQueued = 4;     ///< in the backward worklist
+constexpr std::uint8_t kNetEpStale = 8;    ///< endpoint minimum to refold
+constexpr std::uint8_t kInstDirty = 1;     ///< seeds the forward drain
+constexpr std::uint8_t kInstEdited = 2;    ///< named by a pending edit
+constexpr std::uint8_t kInstQueued = 4;    ///< in the forward worklist
+
+/// Instances that time through their data inputs: not sequential (clock
+/// launched) and not tie cells.
+bool isCombinational(const Instance& inst) {
+  return !netlist::isSequential(inst.op) && netlist::numInputs(inst.op) != 0;
+}
+
 /// Incremental-STA worklist instrumentation (DESIGN.md §12): how big the
 /// dirty seed sets are and how far the convergence sweeps actually reach.
 /// Pure write-only observability — never read back by the analysis.
@@ -123,10 +138,10 @@ std::uint32_t TimingAnalyzer::computeLevel(const Instance& inst) const {
   return level;
 }
 
-void TimingAnalyzer::rebuildTopoFromLevels() {
+void TimingAnalyzer::rebuildTopoFromLevels() const {
   // Counting sort: bucket offsets per level, then one scan in index order,
   // which leaves every bucket ascending by index.
-  const std::size_t instCount = design_.instanceCount();
+  const std::size_t instCount = level_.size();
   std::vector<std::size_t> offset;
   std::size_t alive = 0;
   for (std::size_t i = 0; i < instCount; ++i) {
@@ -142,6 +157,60 @@ void TimingAnalyzer::rebuildTopoFromLevels() {
     if (!design_.instance(static_cast<InstIndex>(i)).alive) continue;
     topo_[offset[level_[i]]++] = static_cast<InstIndex>(i);
   }
+  topo_stale_ = false;
+}
+
+const std::vector<InstIndex>& TimingAnalyzer::topoOrder() const {
+  if (topo_stale_) rebuildTopoFromLevels();
+  return topo_;
+}
+
+void TimingAnalyzer::growArcDelays() {
+  for (std::size_t i = arc_offset_.size(); i < design_.instanceCount(); ++i) {
+    const Instance& inst = design_.instance(static_cast<InstIndex>(i));
+    arc_offset_.push_back(static_cast<std::uint32_t>(arc_delay_.size()));
+    if (isCombinational(inst)) {
+      arc_delay_.resize(arc_delay_.size() +
+                            inst.inputs.size() * inst.outputs.size(),
+                        0.0);
+    }
+  }
+}
+
+void TimingAnalyzer::LevelWorklist::push(std::uint32_t level,
+                                         std::uint32_t item) {
+  if (level >= buckets_.size()) buckets_.resize(std::size_t{level} + 1);
+  buckets_[level].push_back(item);
+  lo_ = std::min(lo_, level);
+  hi_ = std::max(hi_, level);
+}
+
+template <class Visit>
+void TimingAnalyzer::LevelWorklist::drainAscending(Visit&& visit) {
+  // hi_ is re-read as visits push higher; buckets are indexed, never held
+  // by reference, because a push may grow buckets_.
+  for (std::uint32_t level = lo_; level <= hi_; ++level) {
+    for (std::size_t k = 0; k < buckets_[level].size(); ++k) {
+      visit(buckets_[level][k]);
+    }
+    buckets_[level].clear();
+  }
+  lo_ = UINT32_MAX;
+  hi_ = 0;
+}
+
+template <class Visit>
+void TimingAnalyzer::LevelWorklist::drainDescending(Visit&& visit) {
+  if (lo_ > hi_) return;  // empty
+  // lo_ is re-read as visits push lower.
+  for (std::uint32_t level = hi_ + 1; level-- > lo_;) {
+    for (std::size_t k = 0; k < buckets_[level].size(); ++k) {
+      visit(buckets_[level][k]);
+    }
+    buckets_[level].clear();
+  }
+  lo_ = UINT32_MAX;
+  hi_ = 0;
 }
 
 void TimingAnalyzer::evalInstance(InstIndex index,
@@ -184,6 +253,8 @@ void TimingAnalyzer::evalInstance(InstIndex index,
     return;
   }
 
+  double* delays = arc_delay_.data() + arc_offset_[index];
+  const std::size_t stride = inst.outputs.size();
   for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
     const NetIndex out = inst.outputs[slot];
     double bestArrival = -kInf;
@@ -192,10 +263,15 @@ void TimingAnalyzer::evalInstance(InstIndex index,
     Pred best;
     for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
       const CompiledArc& arc = view->arc(i, slot);
-      if (!arc) continue;
+      double& cached = delays[i * stride + slot];
+      if (!arc) {
+        cached = 0.0;  // never read; kept equal to a fresh analysis's slot
+        continue;
+      }
       const NetIndex in = inst.inputs[i];
       const ArcTiming t = arc.evaluate(slew_[in], load_[out]);
       const double delay = t.worstDelay * clock_.derateLate;
+      cached = delay;
       const double cand = arrival_[in] + delay;
       if (cand > bestArrival) {
         bestArrival = cand;
@@ -224,7 +300,7 @@ void TimingAnalyzer::propagateArrivals() {
     }
   }
 
-  for (InstIndex index : topo_) {
+  for (InstIndex index : topoOrder()) {
     assert(design_.instance(index).cell != nullptr &&
            "STA requires a mapped design");
     evalInstance(index, nullptr);
@@ -281,22 +357,21 @@ void TimingAnalyzer::collectEndpoints() {
 
 void TimingAnalyzer::propagateRequired() {
   required_ = ep_required_;
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+  const std::vector<InstIndex>& order = topoOrder();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Instance& inst = design_.instance(*it);
-    if (netlist::isSequential(inst.op) || netlist::numInputs(inst.op) == 0) {
-      continue;
-    }
+    if (!isCombinational(inst)) continue;
     const CompiledCell* view = inst_view_[*it];
+    const double* delays = arcDelays(*it);
+    const std::size_t stride = inst.outputs.size();
     for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
       const NetIndex out = inst.outputs[slot];
       if (required_[out] == kInf) continue;
       for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
-        const CompiledArc& arc = view->arc(i, slot);
-        if (!arc) continue;
+        if (!view->arc(i, slot)) continue;
         const NetIndex in = inst.inputs[i];
-        const double delay =
-            arc.worstDelay(slew_[in], load_[out]) * clock_.derateLate;
-        required_[in] = std::min(required_[in], required_[out] - delay);
+        required_[in] = std::min(required_[in],
+                                 required_[out] - delays[i * stride + slot]);
       }
     }
   }
@@ -307,18 +382,15 @@ double TimingAnalyzer::recomputeRequired(NetIndex n) const {
   for (const netlist::SinkRef& sink : design_.net(n).sinks) {
     const Instance& inst = design_.instance(sink.instance);
     if (!inst.alive || inst.cell == nullptr) continue;
-    if (netlist::isSequential(inst.op) || netlist::numInputs(inst.op) == 0) {
-      continue;
-    }
+    if (!isCombinational(inst)) continue;
     const CompiledCell* view = inst_view_[sink.instance];
+    const double* delays =
+        arcDelays(sink.instance) + sink.inputSlot * inst.outputs.size();
     for (std::uint32_t slot = 0; slot < inst.outputs.size(); ++slot) {
       const NetIndex out = inst.outputs[slot];
       if (required_[out] == kInf) continue;
-      const CompiledArc& arc = view->arc(sink.inputSlot, slot);
-      if (!arc) continue;
-      const double delay =
-          arc.worstDelay(slew_[n], load_[out]) * clock_.derateLate;
-      r = std::min(r, required_[out] - delay);
+      if (!view->arc(sink.inputSlot, slot)) continue;
+      r = std::min(r, required_[out] - delays[slot]);
     }
   }
   return r;
@@ -338,6 +410,12 @@ bool TimingAnalyzer::analyze() {
   refreshInstanceViews();
   computeLoads();
   if (!netlist::levelize(design_, topo_, level_)) return false;
+  topo_stale_ = false;
+  arc_offset_.clear();
+  arc_delay_.clear();
+  growArcDelays();
+  net_mark_.assign(design_.netCount(), 0);
+  inst_mark_.assign(design_.instanceCount(), 0);
   propagateArrivals();
   collectEndpoints();
   propagateRequired();
@@ -361,6 +439,52 @@ void TimingAnalyzer::notifyReconnect(InstIndex sink, std::uint32_t slot,
       PendingEdit{PendingEdit::Kind::kReconnect, sink, slot, previousNet});
 }
 
+void TimingAnalyzer::refreshEndpoints(std::vector<NetIndex>& seeds) {
+  worst_slack_ = kInf;
+  worst_hold_slack_ = kInf;
+  tns_ = 0.0;
+  const auto markEpStale = [&](NetIndex n) {
+    if ((net_mark_[n] & kNetEpStale) != 0) return;
+    net_mark_[n] |= kNetEpStale;
+    ep_required_[n] = kInf;
+    seeds.push_back(n);
+  };
+  bool refold = false;
+  for (Endpoint& ep : endpoints_) {
+    if (ep.instance != kNoInst) {
+      const Instance& inst = design_.instance(ep.instance);
+      const NetIndex net = inst.inputs[ep.inputSlot];
+      if ((inst_mark_[ep.instance] & kInstEdited) != 0 ||
+          (net_mark_[net] & kNetChanged) != 0) {
+        const double required =
+            clock_.effectivePeriod() -
+            inst.cell->setupTime(slew_[net], clock_.clockSlew);
+        if (net != ep.net || required != ep.required) {
+          markEpStale(ep.net);
+          markEpStale(net);
+          refold = true;
+          ep.net = net;
+          ep.required = required;
+        }
+      }
+      ep.minArrival = min_arrival_[net];
+      ep.holdSlack = ep.minArrival - inst.cell->holdTime();
+      worst_hold_slack_ = std::min(worst_hold_slack_, ep.holdSlack);
+    }
+    ep.arrival = arrival_[ep.net];
+    ep.slack = ep.required - ep.arrival;
+    worst_slack_ = std::min(worst_slack_, ep.slack);
+    if (ep.slack < 0.0) tns_ += ep.slack;
+  }
+  if (endpoints_.empty()) worst_slack_ = 0.0;
+  if (!refold) return;
+  // Same endpoint-order fold as collectEndpoints(), on the stale nets only.
+  for (const Endpoint& ep : endpoints_) {
+    if ((net_mark_[ep.net] & kNetEpStale) == 0) continue;
+    ep_required_[ep.net] = std::min(ep_required_[ep.net], ep.required);
+  }
+}
+
 bool TimingAnalyzer::update() {
   if (!baseline_valid_) return analyze();
   if (pending_.empty()) return true;
@@ -378,33 +502,46 @@ bool TimingAnalyzer::update() {
   min_arrival_.resize(netCount, 0.0);
   slew_.resize(netCount, clock_.inputSlew);
   required_.resize(netCount, kInf);
+  ep_required_.resize(netCount, kInf);
   pred_.resize(netCount);
+  net_mark_.resize(netCount, 0);
   level_.resize(instCount, 0);
   inst_view_.resize(instCount, nullptr);
+  inst_mark_.resize(instCount, 0);
+  growArcDelays();
 
   // --- classify the recorded edits -----------------------------------------
-  std::vector<std::uint8_t> netTouched(netCount, 0);
-  std::vector<std::uint8_t> instDirty(instCount, 0);
+  // Every marked net is also a backward seed and every marked instance is
+  // dirty, so clearing the marks of those two lists resets the scratch.
   std::vector<NetIndex> touchedNets;
   std::vector<InstIndex> dirtyInsts;
   std::vector<NetIndex> backwardSeeds;
   bool structural = false;
 
   const auto touchNet = [&](NetIndex n) {
-    if (n == kNoNet || n >= netCount || netTouched[n] != 0) return;
-    netTouched[n] = 1;
+    if (n == kNoNet || n >= netCount) return;
+    backwardSeeds.push_back(n);
+    if ((net_mark_[n] & kNetTouched) != 0) return;
+    net_mark_[n] |= kNetTouched;
     touchedNets.push_back(n);
   };
   const auto markDirty = [&](InstIndex i) {
-    if (instDirty[i] != 0) return;
-    instDirty[i] = 1;
+    if ((inst_mark_[i] & kInstDirty) != 0) return;
+    inst_mark_[i] |= kInstDirty;
     dirtyInsts.push_back(i);
+  };
+  const auto clearMarks = [&]() {
+    for (NetIndex n : backwardSeeds) net_mark_[n] = 0;
+    for (InstIndex i : dirtyInsts) inst_mark_[i] = 0;
   };
 
   for (const PendingEdit& edit : pending_) {
     const Instance& inst = design_.instance(edit.instance);
-    if (!inst.alive || inst.cell == nullptr) {
-      // Removed or unmapped mid-flight: outside the incremental contract.
+    if (!inst.alive || inst.cell == nullptr ||
+        (edit.kind == PendingEdit::Kind::kNewInstance &&
+         netlist::isSequential(inst.op))) {
+      // Removed or unmapped mid-flight, or a new endpoint: outside the
+      // incremental contract.
       metrics.fullFallbacks.inc();
       return analyze();
     }
@@ -413,37 +550,22 @@ bool TimingAnalyzer::update() {
         // New LUTs and input caps: re-evaluate the instance, re-sum the
         // loads it presents, and redo required times into its inputs.
         inst_view_[edit.instance] = &views_.of(*inst.cell);
-        for (NetIndex in : inst.inputs) {
-          touchNet(in);
-          backwardSeeds.push_back(in);
-        }
-        markDirty(edit.instance);
+        for (NetIndex in : inst.inputs) touchNet(in);
         break;
       case PendingEdit::Kind::kNewInstance:
         structural = true;
         inst_view_[edit.instance] = &views_.of(*inst.cell);
-        for (NetIndex in : inst.inputs) {
-          touchNet(in);
-          backwardSeeds.push_back(in);
-        }
-        for (NetIndex out : inst.outputs) {
-          touchNet(out);
-          backwardSeeds.push_back(out);
-        }
-        markDirty(edit.instance);
+        for (NetIndex in : inst.inputs) touchNet(in);
+        for (NetIndex out : inst.outputs) touchNet(out);
         break;
       case PendingEdit::Kind::kReconnect:
         structural = true;
         touchNet(edit.oldNet);
-        backwardSeeds.push_back(edit.oldNet);
-        if (edit.slot < inst.inputs.size()) {
-          const NetIndex now = inst.inputs[edit.slot];
-          touchNet(now);
-          backwardSeeds.push_back(now);
-        }
-        markDirty(edit.instance);
+        if (edit.slot < inst.inputs.size()) touchNet(inst.inputs[edit.slot]);
         break;
     }
+    markDirty(edit.instance);
+    inst_mark_[edit.instance] |= kInstEdited;
   }
   pending_.clear();
 
@@ -465,8 +587,10 @@ bool TimingAnalyzer::update() {
 
   // --- levelization splice --------------------------------------------------
   // Structural edits move instances between levels; relax the affected
-  // region forward to a fixpoint instead of re-running Kahn globally.
+  // region forward to a fixpoint instead of re-running Kahn globally. The
+  // topological order is rebuilt from the levels only when next needed.
   if (structural) {
+    topo_stale_ = true;
     std::vector<InstIndex> queue(dirtyInsts);
     std::size_t relaxations = 0;
     const std::size_t relaxationCap = 16 * instCount + 64;
@@ -477,20 +601,14 @@ bool TimingAnalyzer::update() {
       }
       const InstIndex index = queue[head];
       const Instance& inst = design_.instance(index);
-      if (!inst.alive) continue;
-      if (netlist::isSequential(inst.op) || netlist::numInputs(inst.op) == 0) {
-        continue;  // sources stay at level 0
-      }
+      if (!inst.alive || !isCombinational(inst)) continue;  // sources: 0
       const std::uint32_t level = computeLevel(inst);
       if (level == level_[index]) continue;
       level_[index] = level;
       for (NetIndex out : inst.outputs) {
         for (const netlist::SinkRef& sink : design_.net(out).sinks) {
           const Instance& target = design_.instance(sink.instance);
-          if (!target.alive || netlist::isSequential(target.op) ||
-              netlist::numInputs(target.op) == 0) {
-            continue;
-          }
+          if (!target.alive || !isCombinational(target)) continue;
           queue.push_back(sink.instance);
         }
       }
@@ -499,15 +617,15 @@ bool TimingAnalyzer::update() {
 
   // --- adaptive fallback ----------------------------------------------------
   // A drain seeded with a large fraction of the design (the first electrical
-  // fix-up pass resizes most gates) pays more in worklist ordering than the
-  // plain level-order sweeps of a full pass. The sweeps reassign every array
-  // entry and are order-independent within a valid topological order, so the
-  // spliced levels stand in for a Kahn re-levelization.
+  // fix-up pass resizes most gates) pays more in worklist bookkeeping than
+  // the plain level-order sweeps of a full pass. The sweeps reassign every
+  // array entry and are order-independent within a valid topological order,
+  // so the spliced levels stand in for a Kahn re-levelization.
   metrics.dirtyInstances.observe(static_cast<double>(dirtyInsts.size()));
   if (dirtyInsts.size() * 4 > instCount) {
     metrics.fullSweeps.inc();
+    clearMarks();
     computeLoads();
-    if (structural) rebuildTopoFromLevels();
     propagateArrivals();
     collectEndpoints();
     propagateRequired();
@@ -515,94 +633,75 @@ bool TimingAnalyzer::update() {
   }
 
   // --- forward propagation --------------------------------------------------
-  // Dirty instances seed a level-ordered worklist. Levels strictly increase
-  // along every driver->sink edge, so each instance is evaluated at most
-  // once and always after its relevant fan-in settled; propagation stops
-  // where the (arrival, minArrival, slew) triple is bitwise unchanged.
-  using LevelInst = std::pair<std::uint32_t, InstIndex>;
-  std::priority_queue<LevelInst, std::vector<LevelInst>, std::greater<>> fwd;
-  std::vector<std::uint8_t> inFwd(instCount, 0);
+  // Dirty instances seed the level worklist. Levels strictly increase along
+  // every driver->sink edge, so each instance is evaluated at most once and
+  // always after its relevant fan-in settled; propagation stops where the
+  // (arrival, minArrival, slew) triple is bitwise unchanged.
   const auto enqueueFwd = [&](InstIndex i) {
-    if (inFwd[i] != 0) return;
-    inFwd[i] = 1;
-    fwd.emplace(level_[i], i);
+    if ((inst_mark_[i] & kInstQueued) != 0) return;
+    inst_mark_[i] |= kInstQueued;
+    forward_.push(level_[i], i);
   };
   for (InstIndex i : dirtyInsts) enqueueFwd(i);
 
   std::vector<NetIndex> changedNets;
-  std::vector<std::uint8_t> netForwardChanged(netCount, 0);
   std::size_t forwardEvals = 0;
-  const auto fanoutChanged = [&]() {
+  forward_.drainAscending([&](InstIndex index) {
+    inst_mark_[index] &= static_cast<std::uint8_t>(~kInstQueued);
+    ++forwardEvals;
+    changedNets.clear();
+    evalInstance(index, &changedNets);
     for (NetIndex out : changedNets) {
-      if (netForwardChanged[out] == 0) {
-        netForwardChanged[out] = 1;
+      if ((net_mark_[out] & kNetChanged) == 0) {
+        net_mark_[out] |= kNetChanged;
         backwardSeeds.push_back(out);
       }
       for (const netlist::SinkRef& sink : design_.net(out).sinks) {
         const Instance& target = design_.instance(sink.instance);
         if (!target.alive || target.cell == nullptr) continue;
-        if (netlist::isSequential(target.op) ||
-            netlist::numInputs(target.op) == 0) {
-          continue;  // endpoint census below picks up the new arrival
-        }
+        // Endpoints: the census below picks up the new arrival.
+        if (!isCombinational(target)) continue;
         enqueueFwd(sink.instance);
       }
     }
-  };
-  while (!fwd.empty()) {
-    const InstIndex index = fwd.top().second;
-    fwd.pop();
-    ++forwardEvals;
-    changedNets.clear();
-    evalInstance(index, &changedNets);
-    fanoutChanged();
-  }
+  });
 
   // --- endpoint census ------------------------------------------------------
-  // O(endpoints) and allocation-free (no name strings); recomputing all
-  // endpoint slacks keeps the WNS/TNS aggregates exact under any edit.
-  collectEndpoints();
+  refreshEndpoints(backwardSeeds);
 
   // --- backward required ----------------------------------------------------
   // Seeds: nets whose forward triple changed, inputs of re-timed or
-  // re-compiled instances, and both sides of every reconnect. Nets drain in
-  // decreasing driver-level order, so each net is recomputed at most once,
-  // after all of its sinks' output nets settled.
-  using LevelNet = std::pair<std::uint32_t, NetIndex>;
-  std::priority_queue<LevelNet, std::vector<LevelNet>, std::less<>> bwd;
-  std::vector<std::uint8_t> inBwd(netCount, 0);
-  const auto netLevel = [&](NetIndex n) -> std::uint32_t {
-    const InstIndex d = design_.net(n).driver;
-    return d == kNoInst ? 0u : level_[d] + 1u;
-  };
+  // re-compiled instances, both sides of every reconnect and nets whose
+  // endpoint required time moved. Nets drain in decreasing driver-level
+  // order, so each net is recomputed at most once, after all of its sinks'
+  // output nets settled. The arc delays read here are current: every
+  // instance whose input slew, output load, cell or input net changed was
+  // evaluated by the forward drain.
   const auto enqueueBwd = [&](NetIndex n) {
-    if (n == kNoNet || n >= netCount || inBwd[n] != 0) return;
-    inBwd[n] = 1;
-    bwd.emplace(netLevel(n), n);
+    if ((net_mark_[n] & kNetQueued) != 0) return;
+    net_mark_[n] |= kNetQueued;
+    const InstIndex d = design_.net(n).driver;
+    backward_.push(d == kNoInst ? 0u : level_[d] + 1u, n);
   };
   for (NetIndex n : backwardSeeds) enqueueBwd(n);
 
   std::size_t backwardEvals = 0;
-  while (!bwd.empty()) {
-    const NetIndex n = bwd.top().second;
-    bwd.pop();
+  backward_.drainDescending([&](NetIndex n) {
+    net_mark_[n] &= static_cast<std::uint8_t>(~kNetQueued);
     ++backwardEvals;
     const double r = recomputeRequired(n);
-    if (r == required_[n]) continue;
+    if (r == required_[n]) return;
     required_[n] = r;
     const InstIndex d = design_.net(n).driver;
-    if (d == kNoInst) continue;
+    if (d == kNoInst) return;
     const Instance& drv = design_.instance(d);
-    if (!drv.alive || netlist::isSequential(drv.op) ||
-        netlist::numInputs(drv.op) == 0) {
-      continue;
-    }
+    if (!drv.alive || !isCombinational(drv)) return;
     for (NetIndex in : drv.inputs) enqueueBwd(in);
-  }
+  });
 
   metrics.forwardEvals.observe(static_cast<double>(forwardEvals));
   metrics.backwardEvals.observe(static_cast<double>(backwardEvals));
-  if (structural) rebuildTopoFromLevels();
+  clearMarks();
   return true;
 }
 
@@ -663,6 +762,11 @@ std::string TimingAnalyzer::diffAgainstReference() const {
   }
   if (!(d = diffVec("slew", slew_, ref.slew_)).empty()) return d;
   if (!(d = diffVec("required", required_, ref.required_)).empty()) return d;
+  if (!(d = diffVec("epRequired", ep_required_, ref.ep_required_)).empty()) {
+    return d;
+  }
+  if (arc_offset_ != ref.arc_offset_) return "arcOffset: layout mismatch";
+  if (!(d = diffVec("arcDelay", arc_delay_, ref.arc_delay_)).empty()) return d;
 
   if (pred_.size() != ref.pred_.size()) return "pred: size mismatch";
   for (std::size_t i = 0; i < pred_.size(); ++i) {

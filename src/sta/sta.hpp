@@ -226,12 +226,11 @@ class TimingAnalyzer {
     return worst_hold_slack_ >= 0.0;
   }
 
-  /// Instances in combinational topological order (valid after analyze() or
-  /// update(); rebuilt by update() after structural edits).
-  [[nodiscard]] const std::vector<netlist::InstIndex>& topoOrder()
-      const noexcept {
-    return topo_;
-  }
+  /// Instances in combinational topological order, as of the last
+  /// analyze() or update(). A structural update() only marks the order
+  /// stale; the first call after it rebuilds the order from the levels, so
+  /// that call must not race with other calls on the analyzer.
+  [[nodiscard]] const std::vector<netlist::InstIndex>& topoOrder() const;
 
   // --- verification ----------------------------------------------------------
   /// True when SCT_STA_CHECK=1 asks for incremental-vs-full cross checks.
@@ -239,7 +238,9 @@ class TimingAnalyzer {
   /// Compares this analyzer's full result state against a freshly analyzed
   /// reference on the same design. Returns an empty string on bitwise
   /// equality, else a description of the first difference. Expensive; meant
-  /// for SCT_STA_CHECK runs and tests.
+  /// for SCT_STA_CHECK runs and tests. The caches that update() keeps
+  /// (arc delays, per-net endpoint required times) are compared too, so a
+  /// stale entry shows on the drain that left it.
   [[nodiscard]] std::string diffAgainstReference() const;
 
   // --- paths ------------------------------------------------------------------
@@ -273,16 +274,46 @@ class TimingAnalyzer {
     netlist::NetIndex oldNet = netlist::kNoNet;   ///< kReconnect
   };
 
+  /// Items filed by level and drained one level at a time (DESIGN.md §9).
+  /// Levels strictly increase along driver->sink edges, so the items of one
+  /// level never read each other's results and their order within the
+  /// level cannot change a bit. The buckets keep their capacity between
+  /// drains.
+  class LevelWorklist {
+   public:
+    void push(std::uint32_t level, std::uint32_t item);
+    /// Visits every item, lowest level first. `visit` may push items only
+    /// at levels above the one it is visiting.
+    template <class Visit>
+    void drainAscending(Visit&& visit);
+    /// Visits every item, highest level first. `visit` may push items only
+    /// at levels below the one it is visiting.
+    template <class Visit>
+    void drainDescending(Visit&& visit);
+
+   private:
+    std::vector<std::vector<std::uint32_t>> buckets_;
+    std::uint32_t lo_ = UINT32_MAX;  ///< lowest occupied level
+    std::uint32_t hi_ = 0;           ///< highest occupied level
+  };
+
   void refreshInstanceViews();
   void computeLoads();
-  /// Full forward sweep: evalInstance() over topo_.
+  /// Full forward sweep: evalInstance() over the topological order.
   void propagateArrivals();
+  /// Full backward sweep over the topological order.
   void propagateRequired();
   void collectEndpoints();
+  /// Endpoint census of update(): setup requirements are re-derived only
+  /// for endpoints whose net slew, flip-flop cell or input net changed;
+  /// WNS, TNS and hold slack are folded over all endpoints in order.
+  /// Nets whose endpoint required time may have moved are appended to
+  /// `seeds` for the backward drain.
+  void refreshEndpoints(std::vector<netlist::NetIndex>& seeds);
   /// Recomputes the output-net annotations (arrival, min arrival, slew,
-  /// pred) of one instance from the current input state. When `changedNets`
-  /// is non-null, output nets whose (arrival, minArrival, slew) triple
-  /// changed bitwise are appended to it.
+  /// pred) and the arc delays of one instance from the current input
+  /// state. When `changedNets` is non-null, output nets whose (arrival,
+  /// minArrival, slew) triple changed bitwise are appended to it.
   void evalInstance(netlist::InstIndex index,
                     std::vector<netlist::NetIndex>* changedNets);
   /// Fresh sink-order load summation of one net (bit-identical to the
@@ -295,7 +326,14 @@ class TimingAnalyzer {
   [[nodiscard]] std::uint32_t computeLevel(const netlist::Instance& inst) const;
   /// Rebuilds topo_ from level_ (counting sort by (level, index) — a valid
   /// topological order because levels strictly increase along comb edges).
-  void rebuildTopoFromLevels();
+  /// Covers the instances level_ knows, i.e. those of the last drain.
+  void rebuildTopoFromLevels() const;
+  /// Allocates arc-delay slots for instances added since the last call.
+  void growArcDelays();
+  /// First arc-delay slot of an instance: row-major [input][output].
+  [[nodiscard]] const double* arcDelays(netlist::InstIndex index) const {
+    return arc_delay_.data() + arc_offset_[index];
+  }
 
   const netlist::Design& design_;
   const liberty::Library& library_;
@@ -309,7 +347,15 @@ class TimingAnalyzer {
   std::vector<double> required_;
   std::vector<double> ep_required_;  ///< min endpoint required per net
   std::vector<Pred> pred_;  ///< winning predecessor per net (path tracing)
-  std::vector<netlist::InstIndex> topo_;
+  /// Derated worst delay of every combinational arc at its current
+  /// operating point, written by evalInstance() and read by the required
+  /// times. Valid because update() re-evaluates every instance whose input
+  /// slew, output load, cell or input net changed before it drains
+  /// required times.
+  std::vector<double> arc_delay_;
+  std::vector<std::uint32_t> arc_offset_;  ///< per instance, into arc_delay_
+  mutable std::vector<netlist::InstIndex> topo_;
+  mutable bool topo_stale_ = false;  ///< structural drain since last rebuild
   std::vector<std::uint32_t> level_;  ///< per instance, 0 for sources
   std::vector<const CompiledCell*> inst_view_;  ///< per instance, bound cell
   std::vector<Endpoint> endpoints_;
@@ -319,6 +365,13 @@ class TimingAnalyzer {
 
   std::vector<PendingEdit> pending_;
   bool baseline_valid_ = false;  ///< results usable as incremental baseline
+
+  // Drain scratch, kept across update() calls so that a drain touches only
+  // its cone. Every mark a drain sets is cleared before it returns.
+  std::vector<std::uint8_t> net_mark_;   ///< per net, kNet* bits
+  std::vector<std::uint8_t> inst_mark_;  ///< per instance, kInst* bits
+  LevelWorklist forward_;   ///< instances by level
+  LevelWorklist backward_;  ///< nets by driver level + 1
 };
 
 /// Diagnostic label of an endpoint ("inst/D" or the output port name),

@@ -13,6 +13,8 @@
 #include <unordered_map>
 
 #include "netlist/analysis.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
 #include "synth/decompose.hpp"
 #include "synth/pattern_map.hpp"
@@ -465,9 +467,13 @@ std::size_t Session::decideAndCommit(Stage stage,
                                      std::span<const InstIndex> order,
                                      const Decide& decide) {
   std::vector<Move> moves(order.size());
-  parallel::parallelFor(
-      order.size(), [&](std::size_t k) { moves[k] = decide(order[k]); },
-      kDecideGrain);
+  {
+    SCT_TRACE_SPAN("synth.decide");
+    parallel::parallelFor(
+        order.size(), [&](std::size_t k) { moves[k] = decide(order[k]); },
+        kDecideGrain);
+  }
+  SCT_TRACE_SPAN("synth.commit");
 
   // Commit in stage order. A move changes the decision inputs of its
   // neighbours, so the serial loop would have decided them against the
@@ -685,6 +691,7 @@ std::size_t Session::recoverArea() {
 }
 
 void Session::optimize() {
+  bool converged = false;
   for (std::size_t pass = 0; pass < options_.maxPasses; ++pass) {
     result_.passes = pass + 1;
     // Drain the previous pass's edits (or full-analyze when incremental
@@ -705,7 +712,15 @@ void Session::optimize() {
         changes += recoverArea();
       }
     }
-    if (changes == 0) break;
+    if (changes == 0) {
+      converged = true;
+      break;
+    }
+  }
+  if (!converged) {
+    static obs::Counter& passLimitHits =
+        obs::MetricsRegistry::global().counter("synth.pass_limit_hits");
+    passLimitHits.inc();  // stopped at maxPasses with moves still pending
   }
   refreshTiming();
 }

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "netlist/builder.hpp"
 #include "netlist/random.hpp"
 #include "sta/sta.hpp"
 #include "synth/synthesis.hpp"
@@ -316,6 +319,177 @@ TEST_P(IncrementalEditSweep, BatchedEditsDrainToBitIdenticalState) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEditSweep,
                          ::testing::Values(1, 2, 5, 17, 91));
+
+// ------------------------------------- level shifts and cached arc delays ----
+
+class IncrementalCaches : public ::testing::Test, public IncrementalBase {
+ protected:
+  /// Binds every instance to the smallest member of its family.
+  static void bindSmallest(Design& d, const synth::Synthesizer& synth) {
+    for (InstIndex i = 0; i < d.instanceCount(); ++i) {
+      const auto& family = synth.family(d.instance(i).op);
+      ASSERT_FALSE(family.empty()) << d.instance(i).name;
+      d.bindCell(i, family.front());
+    }
+  }
+
+  /// Splices a bound buffer between `net` and all of its sinks.
+  static void spliceBuffer(Design& d, const synth::Synthesizer& synth,
+                           sta::TimingAnalyzer& inc, NetIndex net) {
+    const std::vector<netlist::SinkRef> sinks = d.net(net).sinks;
+    const NetIndex out = d.addNet(d.freshName("bufn"));
+    const InstIndex ib =
+        d.addInstance(d.freshName("sibuf"), PrimOp::kBuf, {net}, {out});
+    d.bindCell(ib, synth.family(PrimOp::kBuf).front());
+    inc.notifyBufferInsert(ib);
+    for (const netlist::SinkRef& sink : sinks) {
+      d.reconnectInput(sink.instance, sink.inputSlot, out);
+      inc.notifyReconnect(sink.instance, sink.inputSlot, net);
+    }
+  }
+
+  /// Rebinds `i` to the next member of its family (wrapping around).
+  static void swapToNextSize(Design& d, const synth::Synthesizer& synth,
+                             sta::TimingAnalyzer& inc, InstIndex i) {
+    const auto& family = synth.family(d.instance(i).op);
+    const auto it =
+        std::find(family.begin(), family.end(), d.instance(i).cell);
+    ASSERT_NE(it, family.end());
+    const std::size_t next =
+        (static_cast<std::size_t>(it - family.begin()) + 1) % family.size();
+    d.bindCell(i, family[next]);
+    inc.notifyCellSwap(i);
+  }
+};
+
+/// `order` holds every alive instance once, and every alive driver of an
+/// instance's inputs comes before it.
+std::string topoOrderProblem(const Design& d,
+                             const std::vector<InstIndex>& order) {
+  std::vector<std::size_t> position(d.instanceCount(), SIZE_MAX);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (order[k] >= d.instanceCount()) return "index out of range";
+    if (position[order[k]] != SIZE_MAX) return "instance listed twice";
+    position[order[k]] = k;
+  }
+  for (InstIndex i = 0; i < d.instanceCount(); ++i) {
+    const auto& inst = d.instance(i);
+    if (!inst.alive) continue;
+    if (position[i] == SIZE_MAX) return inst.name + " missing";
+    if (netlist::isSequential(inst.op)) continue;  // clock-launched source
+    for (NetIndex in : inst.inputs) {
+      const InstIndex drv = d.net(in).driver;
+      if (drv == netlist::kNoInst || !d.instance(drv).alive) continue;
+      if (position[drv] > position[i]) {
+        return inst.name + " before its driver " + d.instance(drv).name;
+      }
+    }
+  }
+  return {};
+}
+
+TEST_F(IncrementalCaches, RepeatedBufferInsertsOnOnePathStayBitIdentical) {
+  // One long path, edited the way the sizing passes edit it: each batch
+  // splices a buffer into the path (every gate behind it moves up one
+  // level) and resizes the gate the buffer now drives. The design is large
+  // enough that every drain takes the worklist path, not the full sweep.
+  const synth::Synthesizer synth(library());
+  Design d("path");
+  netlist::NetlistBuilder b(d);
+  NetIndex node = b.dff(b.inputPort("din"), PrimOp::kDff);
+  std::vector<NetIndex> path{node};
+  for (int k = 0; k < 48; ++k) {
+    node = b.inv(node);
+    path.push_back(node);
+  }
+  b.outputPort("dout", b.dff(node, PrimOp::kDff));
+  bindSmallest(d, synth);
+  ASSERT_EQ(d.validate(), "");
+
+  sta::ClockSpec clock;
+  clock.period = 3.0;
+  sta::TimingAnalyzer inc(d, library(), clock);
+  ASSERT_TRUE(inc.analyze());
+  for (std::size_t round = 0; round < 24; ++round) {
+    const NetIndex at = path[(round * 7) % 20];
+    spliceBuffer(d, synth, inc, at);
+    const NetIndex moved = d.instance(d.net(at).sinks.front().instance)
+                               .outputs.front();
+    swapToNextSize(d, synth, inc, d.net(moved).sinks.front().instance);
+    ASSERT_TRUE(inc.update());
+    ASSERT_EQ(inc.diffAgainstReference(), "") << "round " << round;
+    ASSERT_EQ(topoOrderProblem(d, inc.topoOrder()), "") << "round " << round;
+  }
+  EXPECT_EQ(d.validate(), "");
+}
+
+TEST_F(IncrementalCaches, TopoOrderIsValidAfterStructuralUpdates) {
+  const synth::Synthesizer synth(library());
+  netlist::RandomDagConfig config;
+  config.seed = 7;
+  config.gates = 150;
+  config.flipFlops = 12;
+  sta::ClockSpec clock;
+  clock.period = 4.0;
+  synth::SynthesisResult mapped =
+      synth.run(netlist::generateRandomDag(config), clock);
+  Design design = std::move(mapped.design);
+
+  sta::TimingAnalyzer inc(design, library(), clock);
+  ASSERT_TRUE(inc.analyze());
+  ASSERT_EQ(topoOrderProblem(design, inc.topoOrder()), "");
+  std::mt19937_64 rng(7);
+  for (std::size_t edit = 0; edit < 12; ++edit) {
+    std::vector<NetIndex> driven;
+    for (NetIndex n = 0; n < design.netCount(); ++n) {
+      if (!design.net(n).sinks.empty()) driven.push_back(n);
+    }
+    spliceBuffer(design, synth, inc,
+                 driven[static_cast<std::size_t>(rng() % driven.size())]);
+    ASSERT_TRUE(inc.update());
+    ASSERT_EQ(topoOrderProblem(design, inc.topoOrder()), "") << "edit " << edit;
+    ASSERT_EQ(inc.diffAgainstReference(), "") << "edit " << edit;
+  }
+}
+
+TEST_F(IncrementalCaches, FlopAndAdderSwapsKeepArcDelaysCurrent) {
+  // A flip-flop times only through its clock arc; a full adder has three
+  // inputs and two outputs, so its arc delays sit at stride 2. Both swaps
+  // must leave every cached arc delay equal to a fresh analysis (which
+  // diffAgainstReference compares) on the worklist path.
+  const synth::Synthesizer synth(library());
+  ASSERT_GE(synth.family(PrimOp::kFullAdder).size(), 2u);
+  ASSERT_GE(synth.family(PrimOp::kDff).size(), 2u);
+  Design d("adder");
+  netlist::NetlistBuilder b(d);
+  const auto chain = [&](NetIndex n, int depth) {
+    for (int k = 0; k < depth; ++k) n = b.inv(n);
+    return n;
+  };
+  const NetIndex a = chain(b.dff(b.inputPort("a"), PrimOp::kDff), 6);
+  const NetIndex bb = chain(b.dff(b.inputPort("b"), PrimOp::kDff), 3);
+  const NetIndex ci = b.dff(b.inputPort("ci"), PrimOp::kDff);
+  const auto [sum, carry] = b.fullAdder(a, bb, ci);
+  b.outputPort("s", b.dff(chain(sum, 8), PrimOp::kDff));
+  b.outputPort("co", b.dff(chain(carry, 5), PrimOp::kDff));
+  bindSmallest(d, synth);
+  ASSERT_EQ(d.validate(), "");
+
+  sta::ClockSpec clock;
+  clock.period = 2.0;
+  sta::TimingAnalyzer inc(d, library(), clock);
+  ASSERT_TRUE(inc.analyze());
+  for (InstIndex i = 0; i < d.instanceCount(); ++i) {
+    const PrimOp op = d.instance(i).op;
+    if (op != PrimOp::kFullAdder && op != PrimOp::kDff) continue;
+    for (std::size_t k = 0; k < synth.family(op).size(); ++k) {
+      swapToNextSize(d, synth, inc, i);
+      ASSERT_TRUE(inc.update());
+      ASSERT_EQ(inc.diffAgainstReference(), "")
+          << d.instance(i).name << " size " << k;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sct
