@@ -49,11 +49,8 @@ int main() {
         period,
         tuning::TuningConfig::forMethod(tuning::TuningMethod::kSigmaCeiling,
                                         ceiling));
-    const auto windowConstraints = flow.tune(
-        tuning::TuningConfig::forMethod(tuning::TuningMethod::kSigmaCeiling,
-                                        ceiling));
     std::printf("%-22s %8.3f %10zu %+12.1f %+12.1f %6s\n", "window (paper)",
-                ceiling, windowConstraints.unusableCellCount(),
+                ceiling, window.constraints->unusableCellCount(),
                 100.0 * (baseline.sigma() - window.sigma()) / baseline.sigma(),
                 100.0 * (window.area() - baseline.area()) / baseline.area(),
                 window.success() ? "yes" : "NO");

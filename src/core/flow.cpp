@@ -254,15 +254,13 @@ void TuningFlow::lintGate(
 }
 
 synth::SynthesisResult TuningFlow::synthesizeCached(
-    double period, const tuning::TuningConfig* config) {
+    double period, const tuning::TuningConfig* config,
+    const tuning::LibraryConstraints* constraints) {
   const liberty::Library& library = nominalLibrary();
   return cachedStage<synth::SynthesisResult>(
       store_, mem_, "flow.stage.synth", synthKey(period, config),
       [&] {
-        std::optional<tuning::LibraryConstraints> constraints;
-        if (config != nullptr) constraints.emplace(tune(*config));
-        synth::Synthesizer synthesizer(
-            library, constraints ? &*constraints : nullptr);
+        synth::Synthesizer synthesizer(library, constraints);
         return synthesizer.run(subject(), clockAt(period), config_.synthesis);
       },
       artifact::encodeSynthesisResult,
@@ -272,12 +270,16 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
 }
 
 DesignMeasurement TuningFlow::synthesizeBaseline(double period) {
-  return measure(synthesizeCached(period, nullptr), period);
+  return measure(synthesizeCached(period, nullptr, nullptr), period);
 }
 
 DesignMeasurement TuningFlow::synthesizeTuned(
     double period, const tuning::TuningConfig& config) {
-  return measure(synthesizeCached(period, &config), period);
+  tuning::LibraryConstraints constraints = tune(config);
+  DesignMeasurement m =
+      measure(synthesizeCached(period, &config, &constraints), period);
+  m.constraints = std::move(constraints);
+  return m;
 }
 
 std::vector<sta::TimingPath> TuningFlow::tracePaths(

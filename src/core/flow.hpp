@@ -167,6 +167,8 @@ struct DesignMeasurement {
   std::vector<PathRecord> paths;  ///< one per unique endpoint
   power::DesignPower power;       ///< dynamic-power mean/sigma totals
   double clockPeriod = 0.0;
+  /// The constraints a tuned synthesis used; nullopt for the baseline.
+  std::optional<tuning::LibraryConstraints> constraints;
 
   [[nodiscard]] bool success() const noexcept { return synthesis.success(); }
   [[nodiscard]] double area() const noexcept { return synthesis.area; }
@@ -216,7 +218,8 @@ class TuningFlow {
 
   /// Baseline synthesis (untuned library) at a clock period.
   DesignMeasurement synthesizeBaseline(double period);
-  /// Constrained synthesis under a tuning config.
+  /// Constrained synthesis under a tuning config. Tunes once; the
+  /// measurement carries the constraints.
   DesignMeasurement synthesizeTuned(double period,
                                     const tuning::TuningConfig& config);
 
@@ -274,9 +277,11 @@ class TuningFlow {
                                      const Parts&... parts) const;
 
   /// Shared cached-synthesis stage behind synthesizeBaseline/synthesizeTuned
-  /// (config == nullptr means the untuned baseline library).
-  synth::SynthesisResult synthesizeCached(double period,
-                                          const tuning::TuningConfig* config);
+  /// (config == nullptr means the untuned baseline library; otherwise
+  /// `constraints` is tune(*config)).
+  synth::SynthesisResult synthesizeCached(
+      double period, const tuning::TuningConfig* config,
+      const tuning::LibraryConstraints* constraints);
 
   /// Runs the selected rule packs over the subject `makeSubject` builds
   /// before a stage consumes it (cached by `stageKey` + rule-pack version),

@@ -1,12 +1,16 @@
 #include "core/flow_job.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "artifact/hash.hpp"
 #include "core/fmt17.hpp"
+#include "obs/trace.hpp"
+#include "parallel/parallel.hpp"
 #include "tuning/constraints_io.hpp"
 
 namespace sct::core {
@@ -75,12 +79,47 @@ FlowConfig makeFlowConfig(const FlowJob& job) {
   return config;
 }
 
+namespace {
+
+/// Path lines per report chunk. Chunk contents depend on this alone; the
+/// chunks render on the pool and join in order.
+constexpr std::size_t kPathsPerChunk = 512;
+/// Reserve per path line beyond its endpoint name: four doubles of at most
+/// 24 characters, a count of at most 20 and 42 characters of keywords.
+constexpr std::size_t kPathLineReserve = 160;
+
+void appendCount(std::string& out, std::size_t v) {
+  char buffer[24];
+  const std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof buffer, v);
+  out.append(buffer, r.ptr);
+}
+
+void appendPathLine(std::string& out, const PathRecord& p) {
+  out += "path ";
+  out += p.endpoint;
+  out += " depth ";
+  appendCount(out, p.depth);
+  out += " mean ";
+  fmt17(out, p.mean);
+  out += " sigma ";
+  fmt17(out, p.sigma);
+  out += " arrival ";
+  fmt17(out, p.arrival);
+  out += " slack ";
+  fmt17(out, p.slack);
+  out += '\n';
+}
+
+}  // namespace
+
 FlowJobResult runFlowJob(TuningFlow& flow, const FlowJob& job) {
   const std::optional<tuning::TuningConfig> tuningConfig = tuningConfigOf(job);
   const DesignMeasurement m = tuningConfig
                                   ? flow.synthesizeTuned(job.period, *tuningConfig)
                                   : flow.synthesizeBaseline(job.period);
 
+  SCT_TRACE_SPAN("flow.report");
   FlowJobResult result;
   result.success = m.success();
 
@@ -93,35 +132,76 @@ FlowJobResult runFlowJob(TuningFlow& flow, const FlowJob& job) {
                 m.paths.size());
   result.summary = summary;
 
-  std::ostringstream report;
-  report << "flow-report v1\n";
-  report << "design " << m.synthesis.design.name() << " period "
-         << fmt17(job.period) << "\n";
-  report << "synthesis met " << m.synthesis.timingMet << " legal "
-         << m.synthesis.legal << " wns " << fmt17(m.synthesis.worstSlack)
-         << " tns " << fmt17(m.synthesis.tns) << " area "
-         << fmt17(m.synthesis.area) << "\n";
-  report << "gates " << m.synthesis.design.gateCount() << " buffers "
-         << m.synthesis.buffersInserted << " resizes " << m.synthesis.resizes
-         << " decomposed " << m.synthesis.decomposed << "\n";
-  report << "design-sigma " << fmt17(m.sigma()) << " paths " << m.paths.size()
-         << "\n";
-  report << "power mean " << fmt17(m.power.meanPower) << " sigma "
-         << fmt17(m.power.sigmaPower) << " cells " << m.power.cells << "\n";
-  if (tuningConfig) {
-    const tuning::LibraryConstraints constraints = flow.tune(*tuningConfig);
+  const std::size_t chunks =
+      (m.paths.size() + kPathsPerChunk - 1) / kPathsPerChunk;
+  const std::vector<std::string> pathText = parallel::parallelMap(
+      chunks,
+      [&](std::size_t c) {
+        const std::size_t begin = c * kPathsPerChunk;
+        const std::size_t end =
+            std::min(begin + kPathsPerChunk, m.paths.size());
+        std::size_t bytes = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          bytes += m.paths[i].endpoint.size() + kPathLineReserve;
+        }
+        std::string text;
+        text.reserve(bytes);
+        for (std::size_t i = begin; i < end; ++i) {
+          appendPathLine(text, m.paths[i]);
+        }
+        return text;
+      },
+      1);
+
+  std::string& report = result.report;
+  report += "flow-report v1\ndesign ";
+  report += m.synthesis.design.name();
+  report += " period ";
+  fmt17(report, job.period);
+  report += "\nsynthesis met ";
+  report += m.synthesis.timingMet ? '1' : '0';
+  report += " legal ";
+  report += m.synthesis.legal ? '1' : '0';
+  report += " wns ";
+  fmt17(report, m.synthesis.worstSlack);
+  report += " tns ";
+  fmt17(report, m.synthesis.tns);
+  report += " area ";
+  fmt17(report, m.synthesis.area);
+  report += "\ngates ";
+  appendCount(report, m.synthesis.design.gateCount());
+  report += " buffers ";
+  appendCount(report, m.synthesis.buffersInserted);
+  report += " resizes ";
+  appendCount(report, m.synthesis.resizes);
+  report += " decomposed ";
+  appendCount(report, m.synthesis.decomposed);
+  report += "\ndesign-sigma ";
+  fmt17(report, m.sigma());
+  report += " paths ";
+  appendCount(report, m.paths.size());
+  report += "\npower mean ";
+  fmt17(report, m.power.meanPower);
+  report += " sigma ";
+  fmt17(report, m.power.sigmaPower);
+  report += " cells ";
+  appendCount(report, m.power.cells);
+  report += '\n';
+  if (m.constraints) {
     artifact::Hasher hasher;
-    hasher.str(tuning::writeConstraintsToString(constraints));
-    report << "constraints " << constraints.size() << " unusable "
-           << constraints.unusableCellCount() << " digest "
-           << hasher.digest().hex() << "\n";
+    hasher.str(tuning::writeConstraintsToString(*m.constraints));
+    report += "constraints ";
+    appendCount(report, m.constraints->size());
+    report += " unusable ";
+    appendCount(report, m.constraints->unusableCellCount());
+    report += " digest ";
+    report += hasher.digest().hex();
+    report += '\n';
   }
-  for (const PathRecord& p : m.paths) {
-    report << "path " << p.endpoint << " depth " << p.depth << " mean "
-           << fmt17(p.mean) << " sigma " << fmt17(p.sigma) << " arrival "
-           << fmt17(p.arrival) << " slack " << fmt17(p.slack) << "\n";
-  }
-  result.report = report.str();
+  std::size_t bytes = report.size();
+  for (const std::string& text : pathText) bytes += text.size();
+  report.reserve(bytes);
+  for (const std::string& text : pathText) report += text;
   return result;
 }
 

@@ -21,4 +21,13 @@ namespace sct::core {
   return {buffer, r.ptr};
 }
 
+/// Appends fmt17(v) to `out` without a temporary string.
+inline void fmt17(std::string& out, double v) {
+  char buffer[32];
+  const std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof buffer, v,
+                    std::chars_format::general, 17);
+  out.append(buffer, r.ptr);
+}
+
 }  // namespace sct::core

@@ -157,6 +157,23 @@ void Design::reconnectInput(InstIndex instance, std::uint32_t slot,
   nets_[netIndex].sinks.push_back({instance, slot});
 }
 
+void Design::redistributeSinks(NetIndex from, std::span<const NetIndex> to) {
+  std::vector<SinkRef>& sinks = nets_[from].sinks;
+  assert(to.size() <= sinks.size());
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < sinks.size(); ++k) {
+    const SinkRef sink = sinks[k];
+    const NetIndex target = k < to.size() ? to[k] : kNoNet;
+    if (target == kNoNet || target == from) {
+      sinks[kept++] = sink;
+      continue;
+    }
+    instances_[sink.instance].inputs[sink.inputSlot] = target;
+    nets_[target].sinks.push_back(sink);
+  }
+  sinks.resize(kept);
+}
+
 void Design::removeInstance(InstIndex instance) {
   Instance& inst = instances_[instance];
   if (!inst.alive) return;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,11 @@ class Design {
   // --- surgery (used by buffering / decomposition / sizing) --------------
   /// Reconnects one input slot to a different net, updating sink lists.
   void reconnectInput(InstIndex instance, std::uint32_t slot, NetIndex net);
+  /// Moves sinks of `from` onto other nets in one pass over its sink list:
+  /// the k-th sink moves to `to[k]` (kNoNet keeps it on `from`), and sinks
+  /// past `to.size()` stay. Every sink list ends as reconnectInput on each
+  /// moved sink, in ascending k, leaves it.
+  void redistributeSinks(NetIndex from, std::span<const NetIndex> to);
   /// Marks an instance dead and detaches it from all nets. Its output nets
   /// lose their driver; the caller must rewire or abandon them.
   void removeInstance(InstIndex instance);

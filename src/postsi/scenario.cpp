@@ -109,16 +109,14 @@ ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
 
   // "buffers": sampling-based insertion on top of the synthesized design,
   // then clock tuning over the buffered paths (cumulative scenario).
-  std::optional<tuning::LibraryConstraints> constraints;
-  if (tuningConfig) constraints = flow.tune(*tuningConfig);
   const sta::ClockSpec clock = flow.clockAt(period);
   synth::BufferSamplingOptions options;
   options.trials = trials;
   options.seed = job.mcSeed;
   const synth::BufferSamplingResult sampled = synth::sampleBufferInsertion(
       m.synthesis.design, flow.nominalLibrary(), flow.statLibrary(),
-      flow.characterizer(), clock, constraints ? &*constraints : nullptr,
-      options);
+      flow.characterizer(), clock,
+      m.constraints ? &*m.constraints : nullptr, options);
   cell.buffers = sampled.inserted;
 
   sta::TimingAnalyzer analyzer(sampled.design, flow.nominalLibrary(), clock);

@@ -11,6 +11,7 @@
 #include "netlist/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/parallel.hpp"
 
 namespace sct::sta {
 
@@ -222,13 +223,16 @@ void TimingAnalyzer::evalInstance(InstIndex index,
 
   const auto commit = [&](NetIndex out, double a, double m, double s,
                           const Pred& p) {
+    const bool slewChanged = s != slew_[out];
     const bool changed =
-        a != arrival_[out] || m != min_arrival_[out] || s != slew_[out];
+        a != arrival_[out] || m != min_arrival_[out] || slewChanged;
     arrival_[out] = a;
     min_arrival_[out] = m;
     slew_[out] = s;
     pred_[out] = p;
-    if (changed && changedNets != nullptr) changedNets->push_back(out);
+    if (changedNets == nullptr) return;
+    if (changed) changedNets->push_back(out);
+    if (slewChanged) changes_.slews.push_back(out);
   };
 
   if (netlist::numInputs(inst.op) == 0) {
@@ -401,6 +405,9 @@ bool TimingAnalyzer::analyze() {
   StaMetrics::get().analyzeCalls.inc();
   pending_.clear();
   baseline_valid_ = false;
+  changes_.full = true;
+  changes_.loads.clear();
+  changes_.slews.clear();
   // A mapped design is a precondition; fail cleanly on unmapped instances
   // (e.g. when synthesis could not find usable cells for every function).
   for (std::size_t i = 0; i < design_.instanceCount(); ++i) {
@@ -486,6 +493,9 @@ void TimingAnalyzer::refreshEndpoints(std::vector<NetIndex>& seeds) {
 }
 
 bool TimingAnalyzer::update() {
+  changes_.full = false;
+  changes_.loads.clear();
+  changes_.slews.clear();
   if (!baseline_valid_) return analyze();
   if (pending_.empty()) return true;
   SCT_TRACE_SPAN("sta.update");
@@ -577,6 +587,7 @@ bool TimingAnalyzer::update() {
     const double load = recomputeNetLoad(n);
     if (load == load_[n]) continue;
     load_[n] = load;
+    changes_.loads.push_back(n);
     const InstIndex d = design_.net(n).driver;
     if (d == kNoInst) continue;
     const Instance& drv = design_.instance(d);
@@ -624,6 +635,7 @@ bool TimingAnalyzer::update() {
   metrics.dirtyInstances.observe(static_cast<double>(dirtyInsts.size()));
   if (dirtyInsts.size() * 4 > instCount) {
     metrics.fullSweeps.inc();
+    changes_.full = true;
     clearMarks();
     computeLoads();
     propagateArrivals();
@@ -926,10 +938,11 @@ std::vector<TimingPath> TimingAnalyzer::kWorstPathsTo(
 }
 
 std::vector<TimingPath> TimingAnalyzer::endpointWorstPaths() const {
-  std::vector<TimingPath> paths;
-  paths.reserve(endpoints_.size());
-  for (const Endpoint& ep : endpoints_) paths.push_back(worstPathTo(ep));
-  return paths;
+  // worstPathTo reads only the frozen annotations: each endpoint's path is
+  // traced on the pool into its own slot.
+  return parallel::parallelMap(endpoints_.size(), [&](std::size_t i) {
+    return worstPathTo(endpoints_[i]);
+  });
 }
 
 }  // namespace sct::sta

@@ -169,6 +169,19 @@ class TimingAnalyzer {
     return !pending_.empty();
   }
 
+  /// What the last analyze() or update() changed, for callers that cache
+  /// results derived from net loads and slews (the sizing loop's
+  /// electrical moves, DESIGN.md §9). Arrival and required times are not
+  /// listed. A drain lists each net at most once.
+  struct DrainChanges {
+    bool full = false;  ///< every net may have changed (analyze, full sweep)
+    std::vector<netlist::NetIndex> loads;  ///< nets whose load changed
+    std::vector<netlist::NetIndex> slews;  ///< nets whose slew changed
+  };
+  [[nodiscard]] const DrainChanges& lastChanges() const noexcept {
+    return changes_;
+  }
+
   [[nodiscard]] const ClockSpec& clock() const noexcept { return clock_; }
   void setClock(const ClockSpec& clock) noexcept {
     clock_ = clock;
@@ -312,8 +325,9 @@ class TimingAnalyzer {
   void refreshEndpoints(std::vector<netlist::NetIndex>& seeds);
   /// Recomputes the output-net annotations (arrival, min arrival, slew,
   /// pred) and the arc delays of one instance from the current input
-  /// state. When `changedNets` is non-null, output nets whose (arrival,
-  /// minArrival, slew) triple changed bitwise are appended to it.
+  /// state. When `changedNets` is non-null (an incremental drain), output
+  /// nets whose (arrival, minArrival, slew) triple changed bitwise are
+  /// appended to it, and those whose slew changed to changes_.slews.
   void evalInstance(netlist::InstIndex index,
                     std::vector<netlist::NetIndex>* changedNets);
   /// Fresh sink-order load summation of one net (bit-identical to the
@@ -365,6 +379,7 @@ class TimingAnalyzer {
 
   std::vector<PendingEdit> pending_;
   bool baseline_valid_ = false;  ///< results usable as incremental baseline
+  DrainChanges changes_;  ///< of the last analyze() / update()
 
   // Drain scratch, kept across update() calls so that a drain touches only
   // its cone. Every mark a drain sets is cleared before it returns.

@@ -37,6 +37,14 @@ constexpr double kMinBenefit = 5e-4;  // 0.5 ps
 /// stages of fewer instances decide in one inline chunk, off the pool.
 constexpr std::size_t kDecideGrain = 256;
 
+/// Instances decided by fixElectrical: the dirty ones at its start plus the
+/// ones its commit re-decides.
+obs::Counter& electricalDecisions() {
+  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
+      "synth.electrical_decisions");
+  return counter;
+}
+
 /// All primitive ops, for family construction.
 constexpr PrimOp kAllOps[] = {
     PrimOp::kConst0, PrimOp::kConst1, PrimOp::kInv,    PrimOp::kBuf,
@@ -299,10 +307,23 @@ class Session {
   }
 
   /// Brings the analyzer up to date at a pass boundary by draining the
-  /// edits the previous pass recorded. With SCT_STA_CHECK=1 every refresh
-  /// is cross-checked against a fresh full analysis.
+  /// edits the previous pass recorded, and marks the electrical decisions
+  /// the drain invalidated: a changed load re-decides the net's driver, a
+  /// changed slew the net's sinks. With SCT_STA_CHECK=1 every refresh is
+  /// cross-checked against a fresh full analysis.
   bool refreshTiming() {
     const bool ok = analyzer_.update();
+    const sta::TimingAnalyzer::DrainChanges& changes = analyzer_.lastChanges();
+    if (changes.full) {
+      std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{1});
+    } else {
+      for (NetIndex n : changes.loads) flag(dirty_, design_.net(n).driver);
+      for (NetIndex n : changes.slews) {
+        for (const netlist::SinkRef& sink : design_.net(n).sinks) {
+          flag(dirty_, sink.instance);
+        }
+      }
+    }
     if (ok && sta::TimingAnalyzer::crossCheckEnabled()) {
       const std::string diff = analyzer_.diffAgainstReference();
       if (!diff.empty()) {
@@ -336,15 +357,26 @@ class Session {
   [[nodiscard]] Move decideUpsize(InstIndex i) const;
   [[nodiscard]] Move decideDownsize(InstIndex i) const;
   enum class Stage { kElectrical, kTiming, kArea };
-  /// Shared stage driver: decides every instance of `order` on the pool,
-  /// then commits the moves serially in `order`, re-deciding the instances
-  /// an earlier commit marked stale. Returns the number of committed moves.
+  /// Timing and area stage driver: decides every instance of `order` on
+  /// the pool, then commits the moves through commitMoves.
   template <typename Decide>
   std::size_t decideAndCommit(Stage stage, std::span<const InstIndex> order,
                               const Decide& decide);
-  /// Ignores kNoInst and the buffers a split added (never in an order).
-  void markStale(InstIndex i) {
-    if (i < stale_.size()) stale_[i] = 1;
+  /// Commits `moves` (moves[k] is order[k]'s) serially in `order`. An
+  /// instance marked in `stale` is re-decided at its turn, and its mark is
+  /// cleared. A commit marks in `stale` the instances whose decision it
+  /// changed, and in dirty_ the electrical decisions it invalidated.
+  /// Returns the number of committed moves.
+  template <typename Decide>
+  std::size_t commitMoves(Stage stage, std::span<const InstIndex> order,
+                          std::span<Move> moves,
+                          std::vector<std::uint8_t>& stale,
+                          const Decide& decide);
+  /// Ignores kNoInst and instances past the end of `flags` (those added
+  /// since `flags` was sized: never in an order, and dirty when dirty_
+  /// next grows).
+  static void flag(std::vector<std::uint8_t>& flags, InstIndex i) {
+    if (i < flags.size()) flags[i] = 1;
   }
   void splitNet(NetIndex net, std::size_t groups);
   [[nodiscard]] const Cell* bufferCellFor(double load) const;
@@ -358,9 +390,19 @@ class Session {
   /// Summed input-pin capacitance per family cell (upsizing cost).
   std::unordered_map<const Cell*, double> inputCap_;
   std::set<InstIndex> noDownsize_;
-  /// Per-instance flag of the running stage: a committed move changed an
-  /// input of this instance's decision.
+  /// Per-instance flag of the running timing or area stage: a committed
+  /// move changed an input of this instance's decision.
   std::vector<std::uint8_t> stale_;
+  /// Last electrical move of each instance, reused while its dirty_ flag is
+  /// clear (DESIGN.md §9).
+  std::vector<Move> electrical_;
+  /// Per instance: an input of its electrical decision changed since the
+  /// decision in electrical_ was made. Instances past the end are new.
+  std::vector<std::uint8_t> dirty_;
+  /// Nets split since the last fixFanout. With the nets created since, they
+  /// are the only nets whose sink count can have grown.
+  std::vector<NetIndex> splitNets_;
+  std::size_t fanoutNets_ = 0;  ///< net count at the last fixFanout
   std::size_t analyzedNets_ = 0;
 };
 
@@ -401,20 +443,23 @@ const Cell* Session::bufferCellFor(double load) const {
 }
 
 void Session::splitNet(NetIndex net, std::size_t groups) {
-  // Copy: reconnect mutates the sink list.
-  const std::vector<netlist::SinkRef> sinks = design_.net(net).sinks;
-  if (sinks.size() < 2 || groups < 2) return;
-  groups = std::min(groups, sinks.size());
-  const std::size_t perGroup = (sinks.size() + groups - 1) / groups;
+  const std::size_t fanout = design_.net(net).sinks.size();
+  if (fanout < 2 || groups < 2) return;
+  groups = std::min(groups, fanout);
+  const std::size_t perGroup = (fanout + groups - 1) / groups;
 
   const auto& invFam = synth_.family(PrimOp::kInv);
   const bool useInvPair = synth_.family(PrimOp::kBuf).empty();
   if (useInvPair && invFam.empty()) return;  // nothing we can do
 
+  // The sinks to move are the first `fanout` entries of the net's list; the
+  // buffers' inputs join the list behind them. Sink k moves to target[k],
+  // all in one pass over the list once every buffer exists.
+  std::vector<NetIndex> target(fanout);
   for (std::size_t g = 0; g < groups; ++g) {
     const std::size_t begin = g * perGroup;
-    if (begin >= sinks.size()) break;
-    const std::size_t end = std::min(begin + perGroup, sinks.size());
+    if (begin >= fanout) break;
+    const std::size_t end = std::min(begin + perGroup, fanout);
 
     NetIndex stage = net;
     if (useInvPair) {
@@ -441,22 +486,38 @@ void Session::splitNet(NetIndex net, std::size_t groups) {
       stage = out;
       ++result_.buffersInserted;
     }
-    for (std::size_t s = begin; s < end; ++s) {
-      design_.reconnectInput(sinks[s].instance, sinks[s].inputSlot, stage);
-      analyzer_.notifyReconnect(sinks[s].instance, sinks[s].inputSlot, net);
+    // Re-read: adding nets may have moved the net list.
+    const std::vector<netlist::SinkRef>& sinks = design_.net(net).sinks;
+    for (std::size_t k = begin; k < end; ++k) {
+      target[k] = stage;
+      flag(dirty_, sinks[k].instance);  // its input net changes
+      analyzer_.notifyReconnect(sinks[k].instance, sinks[k].inputSlot, net);
     }
   }
+  design_.redistributeSinks(net, target);
+  flag(dirty_, design_.net(net).driver);  // its output net lost its sinks
+  splitNets_.push_back(net);
 }
 
 std::size_t Session::fixFanout() {
+  // Visit, in index order, the nets split since the last call (a split
+  // leaves one buffer sink per group on the net) and the nets created since.
+  const std::size_t netCount = design_.netCount();
+  std::vector<NetIndex> nets;
+  nets.swap(splitNets_);
+  std::erase_if(nets, [&](NetIndex n) { return n >= fanoutNets_; });
+  std::sort(nets.begin(), nets.end());
+  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+  for (std::size_t n = fanoutNets_; n < netCount; ++n) {
+    nets.push_back(static_cast<NetIndex>(n));
+  }
+  fanoutNets_ = netCount;
+
   std::size_t changes = 0;
-  const std::size_t preCount = design_.netCount();
-  for (NetIndex n = 0; n < preCount; ++n) {
-    const netlist::Net& net = design_.net(n);
-    if (net.sinks.size() <= options_.maxFanout) continue;
-    const std::size_t groups =
-        (net.sinks.size() + options_.maxFanout - 1) / options_.maxFanout;
-    splitNet(n, groups);
+  for (NetIndex n : nets) {
+    const std::size_t fanout = design_.net(n).sinks.size();
+    if (fanout <= options_.maxFanout) continue;
+    splitNet(n, (fanout + options_.maxFanout - 1) / options_.maxFanout);
     ++changes;
   }
   return changes;
@@ -473,6 +534,16 @@ std::size_t Session::decideAndCommit(Stage stage,
         order.size(), [&](std::size_t k) { moves[k] = decide(order[k]); },
         kDecideGrain);
   }
+  stale_.assign(design_.instanceCount(), 0);
+  return commitMoves(stage, order, moves, stale_, decide);
+}
+
+template <typename Decide>
+std::size_t Session::commitMoves(Stage stage,
+                                 std::span<const InstIndex> order,
+                                 std::span<Move> moves,
+                                 std::vector<std::uint8_t>& stale,
+                                 const Decide& decide) {
   SCT_TRACE_SPAN("synth.commit");
 
   // Commit in stage order. A move changes the decision inputs of its
@@ -484,45 +555,52 @@ std::size_t Session::decideAndCommit(Stage stage,
   // a new net with no timing yet.
   const bool pinSize = stage != Stage::kArea;
   const bool sinksReadDriver = stage == Stage::kTiming;
-  stale_.assign(design_.instanceCount(), 0);
   const bool check = sta::TimingAnalyzer::crossCheckEnabled();
   std::size_t changes = 0;
+  std::size_t redecided = 0;
   for (std::size_t k = 0; k < order.size(); ++k) {
     const InstIndex i = order[k];
-    Move move = moves[k];
-    if (stale_[i] != 0) {
-      move = decide(i);
-    } else if (check && decide(i) != move) {
+    if (stale[i] != 0) {
+      moves[k] = decide(i);
+      stale[i] = 0;
+      ++redecided;
+    } else if (check && decide(i) != moves[k]) {
       std::fprintf(stderr,
                    "SCT_STA_CHECK: speculative sizing move of %s diverged "
                    "from its serial re-decision\n",
                    design_.instance(i).name.c_str());
       std::abort();
     }
+    const Move move = moves[k];
     if (move.cell != nullptr) {
       const netlist::Instance& inst = design_.instance(i);
       if (inputSlewLimit(inst, *inst.cell) !=
           inputSlewLimit(inst, *move.cell)) {
-        for (NetIndex in : inst.inputs) markStale(design_.net(in).driver);
+        for (NetIndex in : inst.inputs) {
+          flag(stale, design_.net(in).driver);
+          flag(dirty_, design_.net(in).driver);
+        }
       }
       if (sinksReadDriver) {
         for (NetIndex out : inst.outputs) {
           for (const netlist::SinkRef& sink : design_.net(out).sinks) {
-            markStale(sink.instance);
+            flag(stale, sink.instance);
           }
         }
       }
+      flag(dirty_, i);  // its own cell changes
       resize(i, move.cell);
       if (pinSize) noDownsize_.insert(i);
       ++changes;
     } else if (move.split != kNoNet) {
       for (const netlist::SinkRef& sink : design_.net(move.split).sinks) {
-        markStale(sink.instance);
+        flag(stale, sink.instance);
       }
       splitNet(move.split, 2);
       ++changes;
     }
   }
+  if (stage == Stage::kElectrical) electricalDecisions().add(redecided);
   return changes;
 }
 
@@ -568,11 +646,41 @@ Session::Move Session::decideElectrical(InstIndex i,
 
 std::size_t Session::fixElectrical() {
   const std::size_t preNets = design_.netCount();
-  std::vector<InstIndex> order(design_.instanceCount());
+  const std::size_t count = design_.instanceCount();
+  const auto decide = [&](InstIndex i) { return decideElectrical(i, preNets); };
+
+  // Re-decide only the dirty instances; every other cached move is what a
+  // fresh decision would give. The commit walks every instance in index
+  // order, and its stale marks are dirty_ marks: an instance marked after
+  // its turn is re-decided in the next pass.
+  electrical_.resize(count);
+  dirty_.resize(count, 1);
+  std::vector<InstIndex> order(count);
   std::iota(order.begin(), order.end(), InstIndex{0});
-  return decideAndCommit(Stage::kElectrical, order, [&](InstIndex i) {
-    return decideElectrical(i, preNets);
-  });
+  std::vector<InstIndex> redecide;
+  for (InstIndex i : order) {
+    if (dirty_[i] != 0) redecide.push_back(i);
+  }
+  {
+    SCT_TRACE_SPAN("synth.decide");
+    parallel::parallelFor(
+        redecide.size(),
+        [&](std::size_t k) { electrical_[redecide[k]] = decide(redecide[k]); },
+        kDecideGrain);
+  }
+  for (InstIndex i : redecide) dirty_[i] = 0;
+  electricalDecisions().add(redecide.size());
+  if (sta::TimingAnalyzer::crossCheckEnabled()) {
+    for (InstIndex i : order) {
+      if (decide(i) == electrical_[i]) continue;
+      std::fprintf(stderr,
+                   "SCT_STA_CHECK: cached electrical move of %s differs "
+                   "from a fresh decision\n",
+                   design_.instance(i).name.c_str());
+      std::abort();
+    }
+  }
+  return commitMoves(Stage::kElectrical, order, electrical_, dirty_, decide);
 }
 
 Session::Move Session::decideUpsize(InstIndex i) const {

@@ -71,6 +71,54 @@ TEST(Design, ReconnectInputMovesSink) {
   EXPECT_TRUE(d.validate().empty());
 }
 
+TEST(Design, RedistributeSinksMatchesPerSinkReconnects) {
+  // A net with single- and double-slot sinks, two targets that already
+  // have sinks, kept sinks between moved ones and an unlisted tail.
+  const auto build = [] {
+    Design d("t");
+    const NetIndex a = d.addNet("a");
+    const NetIndex b = d.addNet("b");
+    const NetIndex c = d.addNet("c");
+    (void)d.addInstance("pb", PrimOp::kInv, {b}, {d.addNet("pbz")});
+    (void)d.addInstance("pc", PrimOp::kInv, {c}, {d.addNet("pcz")});
+    for (int i = 0; i < 12; ++i) {
+      const NetIndex z = d.addNet("z" + std::to_string(i));
+      if (i % 3 == 0) {
+        (void)d.addInstance("g" + std::to_string(i), PrimOp::kNand2, {a, a},
+                            {z});
+      } else {
+        (void)d.addInstance("g" + std::to_string(i), PrimOp::kInv, {a}, {z});
+      }
+    }
+    return d;
+  };
+  const NetIndex a = 0;
+  Design loop = build();
+  Design batch = build();
+  const std::size_t fanout = loop.net(a).sinks.size();
+  ASSERT_EQ(fanout, 16u);
+  std::vector<NetIndex> to(fanout - 2, kNoNet);  // the last two stay
+  for (std::size_t k = 0; k < to.size(); ++k) {
+    if (k % 4 != 3) to[k] = (k / 2) % 2 == 0 ? NetIndex{1} : NetIndex{2};
+  }
+
+  const std::vector<SinkRef> sinks = loop.net(a).sinks;
+  for (std::size_t k = 0; k < to.size(); ++k) {
+    if (to[k] == kNoNet) continue;
+    loop.reconnectInput(sinks[k].instance, sinks[k].inputSlot, to[k]);
+  }
+  batch.redistributeSinks(a, to);
+
+  EXPECT_TRUE(batch.validate().empty()) << batch.validate();
+  for (NetIndex n = 0; n < loop.netCount(); ++n) {
+    EXPECT_EQ(batch.net(n).sinks, loop.net(n).sinks) << loop.net(n).name;
+  }
+  for (InstIndex i = 0; i < loop.instanceCount(); ++i) {
+    EXPECT_EQ(batch.instance(i).inputs, loop.instance(i).inputs);
+  }
+  EXPECT_EQ(batch.net(a).sinks.size(), 2u + 3u);  // tail + every 4th
+}
+
 TEST(Design, RemoveInstanceDetaches) {
   Design d("t");
   const NetIndex a = d.addNet("a");

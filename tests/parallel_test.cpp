@@ -2,7 +2,8 @@
 // ordering, exceptions, nesting) and the determinism contract — serial and
 // multi-threaded runs of the Monte-Carlo characterization, stat-library
 // merge, library tuning, path Monte Carlo, design power, design path
-// statistics and synthesis must agree bit for bit.
+// statistics, synthesis, endpoint path tracing and the flow report must
+// agree bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "charlib/characterizer.hpp"
+#include "core/flow_job.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/random.hpp"
 #include "netlist/verilog_io.hpp"
@@ -550,6 +552,54 @@ TEST_F(ParallelDeterminismTest, SynthesisBitIdentical) {
                 std::bit_cast<std::uint64_t>(serial.tns));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded.area),
                 std::bit_cast<std::uint64_t>(serial.area));
+    }
+  }
+}
+
+TEST_F(ParallelDeterminismTest, FlowReportAndEndpointPathsBitIdentical) {
+  // runFlowJob traces the endpoint paths and renders the report's path
+  // lines on the pool, in fixed chunks joined in order. The small MCU has
+  // enough endpoints for several chunks of both.
+  core::FlowJob job;
+  job.profile = "small";
+  job.period = 6.0;
+  job.method = "sigma-ceiling";
+  job.value = 0.02;
+  core::TuningFlow flow(core::makeFlowConfig(job));
+  const synth::SynthesisResult synthesized =
+      flow.synthesizeBaseline(job.period).synthesis;
+
+  std::string serialReport;
+  std::vector<sta::TimingPath> serialPaths;
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{4},
+                              std::size_t{8}}) {
+    const ScopedThreads scope(threads);
+    const std::string report = core::runFlowJob(flow, job).report;
+    const std::vector<sta::TimingPath> paths =
+        flow.tracePaths(synthesized, job.period);
+    if (threads == 0) {
+      ASSERT_GT(paths.size(), 2 * parallel::defaultGrain(paths.size()));
+      ASSERT_GT(paths.size(), 1024u);
+      serialReport = report;
+      serialPaths = paths;
+      continue;
+    }
+    EXPECT_EQ(report, serialReport) << threads << " threads";
+    ASSERT_EQ(paths.size(), serialPaths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const sta::TimingPath& a = paths[i];
+      const sta::TimingPath& b = serialPaths[i];
+      EXPECT_EQ(a.endpoint.net, b.endpoint.net);
+      EXPECT_EQ(a.endpoint.arrival, b.endpoint.arrival);
+      EXPECT_EQ(a.endpoint.slack, b.endpoint.slack);
+      ASSERT_EQ(a.steps.size(), b.steps.size());
+      for (std::size_t k = 0; k < a.steps.size(); ++k) {
+        EXPECT_EQ(a.steps[k].instance, b.steps[k].instance);
+        EXPECT_EQ(a.steps[k].arc, b.steps[k].arc);
+        EXPECT_EQ(a.steps[k].inputSlew, b.steps[k].inputSlew);
+        EXPECT_EQ(a.steps[k].load, b.steps[k].load);
+        EXPECT_EQ(a.steps[k].delay, b.steps[k].delay);
+      }
     }
   }
 }

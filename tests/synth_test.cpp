@@ -10,6 +10,7 @@
 #include "netlist/builder.hpp"
 #include "netlist/mcu.hpp"
 #include "netlist/random.hpp"
+#include "obs/metrics.hpp"
 #include "statlib/stat_library.hpp"
 #include "synth/decompose.hpp"
 #include "synth/synthesis.hpp"
@@ -420,6 +421,92 @@ TEST_F(SynthesisTest, SpeculativeSizingWorkload) {
   EXPECT_GT(result.passes, 10u);
   EXPECT_GT(result.buffersInserted, 0u);
   EXPECT_GT(result.resizes, subject.instanceCount() / 2);
+}
+
+TEST_F(SynthesisTest, ElectricalMovesCachedAcrossPasses) {
+  // A multi-pass job with resizes and splits under tight slew windows.
+  // fixElectrical re-decides only instances whose decision inputs changed
+  // (DESIGN.md §9): under SCT_STA_CHECK=1 (its own ctest entry) every clean
+  // instance is re-decided before each commit and a cached move that
+  // differs aborts, so each dirty mark (load -> driver, slew -> sinks,
+  // resize -> input drivers, split -> driver and moved sinks, stale -> next
+  // pass) is exercised here.
+  const tuning::LibraryConstraints constraints = tuning::tuneLibrary(
+      *stat_,
+      tuning::TuningConfig::forMethod(tuning::TuningMethod::kCellSlewSlope,
+                                      0.005));
+  const Synthesizer synth(*lib_, &constraints);
+  netlist::RandomDagConfig config;
+  config.gates = 1200;
+  config.flipFlops = 60;
+  config.seed = 5;
+  const Design subject = netlist::generateRandomDag(config);
+  sta::ClockSpec clock;
+  clock.period = 2.0;
+  SynthesisOptions options;
+  options.maxFanout = 6;
+
+  const bool wasEnabled = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  obs::Counter& decisions = obs::MetricsRegistry::global().counter(
+      "synth.electrical_decisions");
+  const std::uint64_t before = decisions.value();
+  const SynthesisResult result = synth.run(subject, clock, options);
+  const std::uint64_t decided = decisions.value() - before;
+  obs::setMetricsEnabled(wasEnabled);
+
+  EXPECT_EQ(result.design.validate(), "");
+  EXPECT_GT(result.passes, 20u);
+  EXPECT_GT(result.buffersInserted, 0u);
+  EXPECT_GT(result.resizes, subject.instanceCount() / 2);
+  // Every instance is decided in the first pass; later passes re-decide
+  // only the dirty ones.
+  EXPECT_GE(decided, result.design.gateCount() / 2);
+  EXPECT_LT(decided, result.passes * result.design.instanceCount() / 2);
+}
+
+TEST_F(SynthesisTest, WideNetIsSplitAgainAndKeepsSinkOrder) {
+  // One net with more than maxFanout^2 sinks: the first split leaves
+  // ceil(300 / 16) = 19 buffer sinks on it, so the next fixFanout must
+  // visit it again. Splits keep sink order, so walking the buffer tree
+  // from the net, sinks in list order, meets the original sinks in their
+  // original order.
+  Design subject("wide");
+  NetlistBuilder b(subject);
+  const NetIndex hub = b.inv(b.inputPort("in"));
+  for (int k = 0; k < 300; ++k) {
+    b.outputPort("q" + std::to_string(k), b.dff(b.inv(hub), PrimOp::kDff));
+  }
+  std::vector<InstIndex> original;
+  for (const netlist::SinkRef& sink : subject.net(hub).sinks) {
+    original.push_back(sink.instance);
+  }
+  ASSERT_EQ(original.size(), 300u);
+
+  const Synthesizer synth(*lib_);
+  sta::ClockSpec clock;
+  clock.period = 8.0;
+  const SynthesisResult result = synth.run(subject, clock);
+  const Design& d = result.design;
+  EXPECT_EQ(d.validate(), "");
+  EXPECT_GT(result.passes, 2u);
+  for (const netlist::Net& net : d.nets()) {
+    EXPECT_LE(net.sinks.size(), SynthesisOptions{}.maxFanout) << net.name;
+  }
+
+  std::vector<InstIndex> leaves;
+  const auto walk = [&](const auto& self, NetIndex net) -> void {
+    for (const netlist::SinkRef& sink : d.net(net).sinks) {
+      const netlist::Instance& inst = d.instance(sink.instance);
+      if (inst.name.starts_with("sibuf")) {
+        self(self, inst.outputs[0]);
+      } else {
+        leaves.push_back(sink.instance);
+      }
+    }
+  };
+  walk(walk, hub);
+  EXPECT_EQ(leaves, original);
 }
 
 TEST_F(SynthesisTest, RelaxedUsesSmallerCellsThanTight) {
