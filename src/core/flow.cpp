@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "power/power_stats.hpp"
+#include "sta/sta.hpp"
 
 namespace sct::core {
 
@@ -177,15 +178,12 @@ const statlib::StatLibrary& TuningFlow::statLibrary() {
 const netlist::Design& TuningFlow::subject() {
   if (!subject_) {
     SCT_TRACE_SPAN("flow.stage.subject");
-    // Generation wall time for the CLI's per-stage table, like measure();
-    // the gate's time lands under the lint stage.
-    static obs::Counter& durationNs =
-        obs::MetricsRegistry::global().counter("flow.stage.subject.ns");
-    const bool timed = obs::metricsEnabled();
-    const std::uint64_t start = timed ? obs::monotonicNanos() : 0;
-    auto design =
-        std::make_unique<netlist::Design>(generateSubject(config_));
-    if (timed) durationNs.add(obs::monotonicNanos() - start);
+    std::unique_ptr<netlist::Design> design;
+    {
+      // Generation only; the gate's time lands under the lint stage.
+      const StageTimer timer("flow.stage.subject");
+      design = std::make_unique<netlist::Design>(generateSubject(config_));
+    }
     lintGate("subject", subjectKey(), lint::packBit(lint::RulePack::kNetlist),
              [&] { return lint::LintSubject{.design = design.get()}; });
     subject_ = std::move(design);
@@ -253,6 +251,31 @@ void TuningFlow::lintGate(
   });
 }
 
+const synth::MappedSubject& TuningFlow::mappedSubject(
+    const synth::Synthesizer& synthesizer) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  static obs::Counter& probes = registry.counter("flow.stage.map.probes");
+  static obs::Counter& hits = registry.counter("flow.stage.map.hits");
+  static obs::Counter& misses = registry.counter("flow.stage.map.misses");
+  const netlist::Design& design = subject();
+  const LockGuard lock(mapMutex_);
+  probes.inc();
+  const std::uint64_t key = synthesizer.usableOps();
+  if (const auto it = mapped_.find(key); it != mapped_.end()) {
+    hits.inc();
+    return it->second;
+  }
+  misses.inc();
+  const StageTimer timer("flow.stage.map");
+  return mapped_.emplace(key, synthesizer.map(design)).first->second;
+}
+
+synth::SynthesisResult TuningFlow::synthesize(
+    const synth::Synthesizer& synthesizer, double period) {
+  return synthesizer.run(mappedSubject(synthesizer), clockAt(period),
+                         config_.synthesis);
+}
+
 synth::SynthesisResult TuningFlow::synthesizeCached(
     double period, const tuning::TuningConfig* config,
     const tuning::LibraryConstraints* constraints) {
@@ -260,8 +283,7 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
   return cachedStage<synth::SynthesisResult>(
       store_, mem_, "flow.stage.synth", synthKey(period, config),
       [&] {
-        synth::Synthesizer synthesizer(library, constraints);
-        return synthesizer.run(subject(), clockAt(period), config_.synthesis);
+        return synthesize(synth::Synthesizer(library, constraints), period);
       },
       artifact::encodeSynthesisResult,
       [&library](const artifact::SctbReader& reader) {
@@ -292,20 +314,29 @@ std::vector<sta::TimingPath> TuningFlow::tracePaths(
 DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
                                       double period) {
   SCT_TRACE_SPAN("flow.measure");
-  // Wall time for the CLI's per-stage table, like the cached stages'
-  // `<stage>.ns` counters.
-  static obs::Counter& durationNs =
-      obs::MetricsRegistry::global().counter("flow.stage.measure.ns");
-  const bool timed = obs::metricsEnabled();
-  const std::uint64_t start = timed ? obs::monotonicNanos() : 0;
+  const StageTimer timer("flow.stage.measure");
   DesignMeasurement out;
   out.clockPeriod = period;
   out.synthesis = std::move(result);
+  const sta::ClockSpec clock = clockAt(period);
 
-  sta::TimingAnalyzer analyzer(out.synthesis.design, nominalLibrary(),
-                               clockAt(period));
-  if (analyzer.analyze()) {
-    const std::vector<sta::TimingPath> paths = analyzer.endpointWorstPaths();
+  // Synthesis' last drain left its analyzer bit-identical to a fresh
+  // analyze() of the final design (DESIGN.md §9). It stands in for one when
+  // it timed against the same library and clock, bit for bit.
+  std::unique_ptr<sta::TimingAnalyzer> analyzer =
+      out.synthesis.timing.take(out.synthesis.design);
+  bool timed = false;
+  if (analyzer != nullptr && &analyzer->library() == &nominalLibrary() &&
+      artifact::digestOf(analyzer->clock()) == artifact::digestOf(clock)) {
+    timed = true;
+    analyzer->crossCheck("adopted synthesis timing");
+  } else {
+    analyzer = std::make_unique<sta::TimingAnalyzer>(
+        out.synthesis.design, nominalLibrary(), clock);
+    timed = analyzer->analyze();
+  }
+  if (timed) {
+    const std::vector<sta::TimingPath> paths = analyzer->endpointWorstPaths();
     const variation::PathStatistics stats(statLibrary(), config_.rho);
     // Each endpoint path is convolved once (on the pool); eq. (11) and the
     // per-path records both read the same results.
@@ -322,7 +353,7 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
       record.sigma = ps.sigma;
       record.arrival = path.endpoint.arrival;
       record.slack = path.endpoint.slack;
-      record.endpoint = analyzer.endpointName(path.endpoint);
+      record.endpoint = analyzer->endpointName(path.endpoint);
       out.paths.push_back(std::move(record));
     }
     // Dynamic-power totals at the measured operating points (satellite of
@@ -331,10 +362,9 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
     // powerSeed.
     const power::PowerModel powerModel(characterizer_.model());
     out.power = power::analyzeDesignPower(
-        out.synthesis.design, analyzer, characterizer_, powerModel,
+        out.synthesis.design, *analyzer, characterizer_, powerModel,
         config_.powerActivity, config_.powerSamples, config_.powerSeed);
   }
-  if (timed) durationNs.add(obs::monotonicNanos() - start);
   return out;
 }
 

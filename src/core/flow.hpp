@@ -4,7 +4,9 @@
 //   restrict LUTs -> synthesize under constraints -> measure design sigma.
 // Every bench and example drives this facade.
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -17,6 +19,7 @@
 #include "artifact/mem_cache.hpp"
 #include "artifact/store.hpp"
 #include "charlib/characterizer.hpp"
+#include "core/sync.hpp"
 #include "lint/engine.hpp"
 #include "netlist/dsp.hpp"
 #include "netlist/mcu.hpp"
@@ -223,7 +226,20 @@ class TuningFlow {
   DesignMeasurement synthesizeTuned(double period,
                                     const tuning::TuningConfig& config);
 
-  /// Statistical measurement of an already-synthesized design.
+  /// Synthesizes the subject with `synthesizer` at `period` under
+  /// config().synthesis. The usable-op dependent part of mapping runs once
+  /// per flow for each synthesizer.usableOps() and is kept; each call binds
+  /// and optimizes a copy. Safe to call from pool workers once subject() is
+  /// resolved (the mapping memo is locked).
+  [[nodiscard]] synth::SynthesisResult synthesize(
+      const synth::Synthesizer& synthesizer, double period);
+
+  /// Statistical measurement of an already-synthesized design. Adopts the
+  /// result's final synthesis timing when it timed this design against the
+  /// nominal library at this period; otherwise (a result decoded from the
+  /// cache, or one without timing) analyzes afresh. With SCT_STA_CHECK=1
+  /// adopted timing is checked against a fresh analysis (abort on any
+  /// difference).
   DesignMeasurement measure(synth::SynthesisResult result, double period);
 
   /// Traced endpoint worst paths of a synthesized design (for Monte-Carlo
@@ -290,6 +306,11 @@ class TuningFlow {
                 lint::RulePackMask packs,
                 const std::function<lint::LintSubject()>& makeSubject);
 
+  /// The subject mapped for `synthesizer`'s usable-op set: memo entries are
+  /// computed under mapMutex_ and never change once inserted.
+  const synth::MappedSubject& mappedSubject(
+      const synth::Synthesizer& synthesizer);
+
   FlowConfig config_;
   charlib::Characterizer characterizer_;
   std::unique_ptr<artifact::ArtifactStore> ownedStore_;
@@ -299,6 +320,10 @@ class TuningFlow {
   std::unique_ptr<liberty::Library> nominal_;
   std::unique_ptr<statlib::StatLibrary> stat_;
   std::unique_ptr<netlist::Design> subject_;
+  sct::Mutex mapMutex_;
+  /// Keyed by Synthesizer::usableOps().
+  std::map<std::uint64_t, synth::MappedSubject> mapped_
+      SCT_GUARDED_BY(mapMutex_);
 };
 
 }  // namespace sct::core

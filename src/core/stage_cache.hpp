@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,44 @@
 #include "obs/trace.hpp"
 
 namespace sct::core {
+
+/// Wall time of one flow stage for the CLI's stage table (a no-op while
+/// metrics are off). Adds the stage's elapsed nanoseconds to `<stage>.ns`,
+/// and the same amount to `<parent>.nested_ns` of the stage it runs inside
+/// on this thread, so self time is `ns - nested_ns`. A stage running on a
+/// pool worker has no parent.
+class StageTimer {
+ public:
+  /// `stage` (e.g. "flow.stage.tune") must outlive the timer.
+  explicit StageTimer(const char* stage) {
+    if (!obs::metricsEnabled()) return;
+    stage_ = stage;
+    parent_ = std::exchange(top(), this);
+    start_ = obs::monotonicNanos();
+  }
+  ~StageTimer() {
+    if (stage_ == nullptr) return;
+    const std::uint64_t elapsed = obs::monotonicNanos() - start_;
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    registry.counter(std::string(stage_) + ".ns").add(elapsed);
+    if (parent_ != nullptr) {
+      registry.counter(std::string(parent_->stage_) + ".nested_ns")
+          .add(elapsed);
+    }
+    top() = parent_;
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  static StageTimer*& top() {
+    static thread_local StageTimer* innermost = nullptr;
+    return innermost;
+  }
+  const char* stage_ = nullptr;
+  StageTimer* parent_ = nullptr;
+  std::uint64_t start_ = 0;
+};
 
 /// Process-wide single-flight group over stage digests (DESIGN.md §14):
 /// concurrent flows sharing cache tiers (the daemon's sessions) coalesce
@@ -41,22 +80,17 @@ inline artifact::SingleFlight& stageSingleFlight() {
 ///
 /// `stageName` must be a string literal (e.g. "flow.stage.nominal"): it names
 /// the trace span and prefixes the per-stage instruments
-/// `<stage>.{probes,hits,mem_hits,misses,stores,ns}` that the CLI's
-/// per-stage table reads back out of the metrics snapshot.
+/// `<stage>.{probes,hits,mem_hits,misses,stores}` and the StageTimer's
+/// `<stage>.{ns,nested_ns}` that the CLI's per-stage table reads back out
+/// of the metrics snapshot.
 template <class T, class ComputeFn, class EncodeFn, class DecodeFn>
 T cachedStage(artifact::ArtifactStore* store, artifact::MemoryArtifactCache* mem,
               const char* stageName, const artifact::Digest& key,
               ComputeFn&& compute, EncodeFn&& encode, DecodeFn&& decode) {
   obs::TraceSpan span(stageName);
+  const StageTimer timer(stageName);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   const std::string prefix(stageName);
-  obs::Counter& durationNs = registry.counter(prefix + ".ns");
-  const bool timed = obs::metricsEnabled();
-  const std::uint64_t start = timed ? obs::monotonicNanos() : 0;
-  const auto finish = [&](T value) {
-    if (timed) durationNs.add(obs::monotonicNanos() - start);
-    return value;
-  };
   const auto probe = [&]() -> std::optional<T> {
     if (mem != nullptr) {
       if (std::shared_ptr<const artifact::SctbReader> reader = mem->get(key)) {
@@ -87,10 +121,10 @@ T cachedStage(artifact::ArtifactStore* store, artifact::MemoryArtifactCache* mem
     return std::nullopt;
   };
 
-  if (store == nullptr && mem == nullptr) return finish(compute());
+  if (store == nullptr && mem == nullptr) return compute();
 
   registry.counter(prefix + ".probes").inc();
-  if (std::optional<T> value = probe()) return finish(std::move(*value));
+  if (std::optional<T> value = probe()) return std::move(*value);
   // lock() without a deadline always yields a guard.
   const std::optional<artifact::SingleFlight::Guard> guard =
       stageSingleFlight().lock(key);
@@ -99,7 +133,7 @@ T cachedStage(artifact::ArtifactStore* store, artifact::MemoryArtifactCache* mem
     // visible. When it failed (no publication), we inherit leadership.
     if (std::optional<T> value = probe()) {
       registry.counter("flow.singleflight.coalesced").inc();
-      return finish(std::move(*value));
+      return std::move(*value);
     }
   }
   registry.counter(prefix + ".misses").inc();
@@ -114,7 +148,7 @@ T cachedStage(artifact::ArtifactStore* store, artifact::MemoryArtifactCache* mem
                       artifact::SctbReader::fromBytes(bytes)));
   }
   registry.counter(prefix + ".stores").inc();
-  return finish(std::move(value));
+  return value;
 }
 
 }  // namespace sct::core

@@ -77,9 +77,7 @@ CandidateFitness computeFitness(core::TuningFlow& flow, double period,
       tuning::constrainWithThresholds(flow.statLibrary(), thresholds);
   const synth::Synthesizer synthesizer(flow.nominalLibrary(), &constraints);
   const core::DesignMeasurement m =
-      flow.measure(synthesizer.run(flow.subject(), flow.clockAt(period),
-                                   flow.config().synthesis),
-                   period);
+      flow.measure(flow.synthesize(synthesizer, period), period);
 
   CandidateFitness fitness;
   fitness.feasible = m.success();

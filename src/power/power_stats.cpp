@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "numeric/statistics.hpp"
@@ -78,39 +80,56 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
                                const charlib::Characterizer& characterizer,
                                const PowerModel& model, double activity,
                                std::size_t samples, std::uint64_t seed) {
+  // Operating point and stream tag of every bound instance, on the pool:
+  // they only read the design and the STA.
+  struct Point {
+    double slew = 0.0;  ///< worst input slew
+    double load = 0.0;  ///< total driven load
+    std::uint64_t tag = 0;  ///< fork tag of the instance name
+  };
+  const std::vector<Point> points =
+      parallel::parallelMap(design.instanceCount(), [&](std::size_t i) {
+        const netlist::Instance& inst =
+            design.instance(static_cast<netlist::InstIndex>(i));
+        Point point;
+        if (!inst.alive || inst.cell == nullptr) return point;
+        point.slew = sta.clock().clockSlew;
+        for (netlist::NetIndex in : inst.inputs) {
+          point.slew = std::max(point.slew, sta.netSlew(in));
+        }
+        for (netlist::NetIndex outNet : inst.outputs) {
+          point.load += sta.netLoad(outNet);
+        }
+        point.tag = numeric::Rng::hashTag(inst.name);
+        return point;
+      });
+
   // One counted instance: its operating point and its own mismatch stream.
   struct Site {
     const charlib::CellSpec* spec;
-    double slew;  ///< worst input slew
-    double load;  ///< total driven load
+    double slew;
+    double load;
     numeric::Rng rng;
   };
 
-  // Serial pre-pass in instance order. Rng::fork() advances `master`, so
+  // Serial fork walk in instance order. Rng::fork() advances `master`, so
   // each counted instance's stream depends on how many were forked before
   // it: forking here, in order, keeps every stream independent of the
   // thread count. Skipped instances (dead, unmapped, outside the
-  // catalogue) consume no fork.
+  // catalogue) consume no fork. Each bound cell's spec is looked up once.
+  std::unordered_map<const liberty::Cell*, const charlib::CellSpec*> specOf;
   numeric::Rng master(seed);
   std::vector<Site> sites;
   for (std::size_t i = 0; i < design.instanceCount(); ++i) {
     const netlist::Instance& inst =
         design.instance(static_cast<netlist::InstIndex>(i));
     if (!inst.alive || inst.cell == nullptr) continue;
-    const charlib::CellSpec* spec =
-        characterizer.specs().find(inst.cell->name());
-    if (spec == nullptr) continue;  // cells outside the catalogue
-
-    double slew = sta.clock().clockSlew;
-    for (netlist::NetIndex in : inst.inputs) {
-      slew = std::max(slew, sta.netSlew(in));
-    }
-    double load = 0.0;
-    for (netlist::NetIndex outNet : inst.outputs) {
-      load += sta.netLoad(outNet);
-    }
+    const auto [entry, inserted] = specOf.try_emplace(inst.cell, nullptr);
+    if (inserted) entry->second = characterizer.specs().find(inst.cell->name());
+    if (entry->second == nullptr) continue;  // cells outside the catalogue
+    const Point& point = points[i];
     sites.push_back(
-        {spec, slew, load, master.fork(numeric::Rng::hashTag(inst.name))});
+        {entry->second, point.slew, point.load, master.fork(point.tag)});
   }
 
   // Per-instance energy statistics from fresh mismatch draws: the bulk of

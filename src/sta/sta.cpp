@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -34,6 +35,7 @@ constexpr std::uint8_t kNetEpStale = 8;    ///< endpoint minimum to refold
 constexpr std::uint8_t kInstDirty = 1;     ///< seeds the forward drain
 constexpr std::uint8_t kInstEdited = 2;    ///< named by a pending edit
 constexpr std::uint8_t kInstQueued = 4;    ///< in the forward worklist
+constexpr std::uint8_t kInstRelevel = 8;   ///< in the level splice's heap
 
 /// Instances that time through their data inputs: not sequential (clock
 /// launched) and not tie cells.
@@ -49,6 +51,7 @@ struct StaMetrics {
   obs::Counter& updateCalls;
   obs::Counter& fullFallbacks;  ///< update() bailed to a from-scratch pass
   obs::Counter& fullSweeps;     ///< adaptive large-batch full-sweep path
+  obs::Counter& levelEvals;     ///< computeLevel calls of the level splice
   obs::Histogram& dirtyInstances;
   obs::Histogram& forwardEvals;
   obs::Histogram& backwardEvals;
@@ -61,6 +64,7 @@ struct StaMetrics {
         obs::MetricsRegistry::global().counter("sta.update.calls"),
         obs::MetricsRegistry::global().counter("sta.update.full_fallbacks"),
         obs::MetricsRegistry::global().counter("sta.update.full_sweeps"),
+        obs::MetricsRegistry::global().counter("sta.update.level_evals"),
         obs::MetricsRegistry::global().histogram("sta.update.dirty_instances",
                                                  kWorklistBounds),
         obs::MetricsRegistry::global().histogram("sta.update.forward_evals",
@@ -95,12 +99,12 @@ std::string_view outputPinName(const Instance& inst,
 TimingAnalyzer::TimingAnalyzer(const Design& design,
                                const liberty::Library& library,
                                ClockSpec clock)
-    : design_(design), library_(library), clock_(clock), views_(library) {}
+    : design_(&design), library_(library), clock_(clock), views_(library) {}
 
 void TimingAnalyzer::refreshInstanceViews() {
-  inst_view_.assign(design_.instanceCount(), nullptr);
-  for (std::size_t i = 0; i < design_.instanceCount(); ++i) {
-    const Instance& inst = design_.instance(static_cast<InstIndex>(i));
+  inst_view_.assign(design_->instanceCount(), nullptr);
+  for (std::size_t i = 0; i < design_->instanceCount(); ++i) {
+    const Instance& inst = design_->instance(static_cast<InstIndex>(i));
     if (inst.alive && inst.cell != nullptr) {
       inst_view_[i] = &views_.of(*inst.cell);
     }
@@ -108,11 +112,11 @@ void TimingAnalyzer::refreshInstanceViews() {
 }
 
 double TimingAnalyzer::recomputeNetLoad(NetIndex n) const {
-  const netlist::Net& net = design_.net(n);
+  const netlist::Net& net = design_->net(n);
   double load = net.isPrimaryOutput ? clock_.outputLoad : 0.0;
   std::size_t fanout = 0;
   for (const netlist::SinkRef& sink : net.sinks) {
-    const Instance& inst = design_.instance(sink.instance);
+    const Instance& inst = design_->instance(sink.instance);
     if (!inst.alive || inst.cell == nullptr) continue;
     load += inst_view_[sink.instance]->inputCap(netlist::isSequential(inst.op),
                                                 sink.inputSlot);
@@ -122,8 +126,8 @@ double TimingAnalyzer::recomputeNetLoad(NetIndex n) const {
 }
 
 void TimingAnalyzer::computeLoads() {
-  load_.assign(design_.netCount(), 0.0);
-  for (NetIndex n = 0; n < design_.netCount(); ++n) {
+  load_.assign(design_->netCount(), 0.0);
+  for (NetIndex n = 0; n < design_->netCount(); ++n) {
     load_[n] = recomputeNetLoad(n);
   }
 }
@@ -131,9 +135,9 @@ void TimingAnalyzer::computeLoads() {
 std::uint32_t TimingAnalyzer::computeLevel(const Instance& inst) const {
   std::uint32_t level = 0;
   for (NetIndex in : inst.inputs) {
-    const InstIndex d = design_.net(in).driver;
+    const InstIndex d = design_->net(in).driver;
     if (d == kNoInst) continue;
-    if (!design_.instance(d).alive) continue;
+    if (!design_->instance(d).alive) continue;
     level = std::max(level, level_[d] + 1u);
   }
   return level;
@@ -146,7 +150,7 @@ void TimingAnalyzer::rebuildTopoFromLevels() const {
   std::vector<std::size_t> offset;
   std::size_t alive = 0;
   for (std::size_t i = 0; i < instCount; ++i) {
-    if (!design_.instance(static_cast<InstIndex>(i)).alive) continue;
+    if (!design_->instance(static_cast<InstIndex>(i)).alive) continue;
     const std::size_t bucket = std::size_t{level_[i]} + 1;
     if (bucket >= offset.size()) offset.resize(bucket + 1, 0);
     ++offset[bucket];
@@ -155,7 +159,7 @@ void TimingAnalyzer::rebuildTopoFromLevels() const {
   for (std::size_t l = 1; l < offset.size(); ++l) offset[l] += offset[l - 1];
   topo_.resize(alive);
   for (std::size_t i = 0; i < instCount; ++i) {
-    if (!design_.instance(static_cast<InstIndex>(i)).alive) continue;
+    if (!design_->instance(static_cast<InstIndex>(i)).alive) continue;
     topo_[offset[level_[i]]++] = static_cast<InstIndex>(i);
   }
   topo_stale_ = false;
@@ -167,8 +171,8 @@ const std::vector<InstIndex>& TimingAnalyzer::topoOrder() const {
 }
 
 void TimingAnalyzer::growArcDelays() {
-  for (std::size_t i = arc_offset_.size(); i < design_.instanceCount(); ++i) {
-    const Instance& inst = design_.instance(static_cast<InstIndex>(i));
+  for (std::size_t i = arc_offset_.size(); i < design_->instanceCount(); ++i) {
+    const Instance& inst = design_->instance(static_cast<InstIndex>(i));
     arc_offset_.push_back(static_cast<std::uint32_t>(arc_delay_.size()));
     if (isCombinational(inst)) {
       arc_delay_.resize(arc_delay_.size() +
@@ -214,9 +218,26 @@ void TimingAnalyzer::LevelWorklist::drainDescending(Visit&& visit) {
   hi_ = 0;
 }
 
+template <class Visit>
+void TimingAnalyzer::LevelWorklist::drainLowestFirst(Visit&& visit) {
+  // A push below lo_ lowers it, so the loop always takes from the lowest
+  // occupied bucket.
+  while (lo_ <= hi_) {
+    if (buckets_[lo_].empty()) {
+      ++lo_;
+      continue;
+    }
+    const std::uint32_t item = buckets_[lo_].back();
+    buckets_[lo_].pop_back();
+    visit(item);
+  }
+  lo_ = UINT32_MAX;
+  hi_ = 0;
+}
+
 void TimingAnalyzer::evalInstance(InstIndex index,
                                   std::vector<NetIndex>* changedNets) {
-  const Instance& inst = design_.instance(index);
+  const Instance& inst = design_->instance(index);
   if (!inst.alive || inst.cell == nullptr) return;
   const CompiledCell* view = inst_view_[index];
   assert(view != nullptr);
@@ -291,12 +312,12 @@ void TimingAnalyzer::evalInstance(InstIndex index,
 }
 
 void TimingAnalyzer::propagateArrivals() {
-  arrival_.assign(design_.netCount(), 0.0);
-  min_arrival_.assign(design_.netCount(), 0.0);
-  slew_.assign(design_.netCount(), clock_.inputSlew);
-  pred_.assign(design_.netCount(), Pred{});
+  arrival_.assign(design_->netCount(), 0.0);
+  min_arrival_.assign(design_->netCount(), 0.0);
+  slew_.assign(design_->netCount(), clock_.inputSlew);
+  pred_.assign(design_->netCount(), Pred{});
 
-  for (const netlist::Port& port : design_.ports()) {
+  for (const netlist::Port& port : design_->ports()) {
     if (port.direction == netlist::PortDirection::kInput) {
       arrival_[port.net] = clock_.inputDelay;
       min_arrival_[port.net] = clock_.inputDelay;
@@ -305,7 +326,7 @@ void TimingAnalyzer::propagateArrivals() {
   }
 
   for (InstIndex index : topoOrder()) {
-    assert(design_.instance(index).cell != nullptr &&
+    assert(design_->instance(index).cell != nullptr &&
            "STA requires a mapped design");
     evalInstance(index, nullptr);
   }
@@ -316,7 +337,7 @@ void TimingAnalyzer::collectEndpoints() {
   worst_slack_ = kInf;
   worst_hold_slack_ = kInf;
   tns_ = 0.0;
-  ep_required_.assign(design_.netCount(), kInf);
+  ep_required_.assign(design_->netCount(), kInf);
 
   auto finish = [&](const Endpoint& ep0) {
     Endpoint ep = ep0;
@@ -327,8 +348,8 @@ void TimingAnalyzer::collectEndpoints() {
     endpoints_.push_back(ep);
   };
 
-  for (std::size_t i = 0; i < design_.instanceCount(); ++i) {
-    const Instance& inst = design_.instance(static_cast<InstIndex>(i));
+  for (std::size_t i = 0; i < design_->instanceCount(); ++i) {
+    const Instance& inst = design_->instance(static_cast<InstIndex>(i));
     if (!inst.alive || !netlist::isSequential(inst.op)) continue;
     for (std::uint32_t slot = 0; slot < inst.inputs.size(); ++slot) {
       Endpoint ep;
@@ -346,8 +367,8 @@ void TimingAnalyzer::collectEndpoints() {
       finish(ep);
     }
   }
-  for (std::size_t p = 0; p < design_.ports().size(); ++p) {
-    const netlist::Port& port = design_.ports()[p];
+  for (std::size_t p = 0; p < design_->ports().size(); ++p) {
+    const netlist::Port& port = design_->ports()[p];
     if (port.direction != netlist::PortDirection::kOutput) continue;
     Endpoint ep;
     ep.net = port.net;
@@ -363,7 +384,7 @@ void TimingAnalyzer::propagateRequired() {
   required_ = ep_required_;
   const std::vector<InstIndex>& order = topoOrder();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Instance& inst = design_.instance(*it);
+    const Instance& inst = design_->instance(*it);
     if (!isCombinational(inst)) continue;
     const CompiledCell* view = inst_view_[*it];
     const double* delays = arcDelays(*it);
@@ -383,8 +404,8 @@ void TimingAnalyzer::propagateRequired() {
 
 double TimingAnalyzer::recomputeRequired(NetIndex n) const {
   double r = ep_required_[n];
-  for (const netlist::SinkRef& sink : design_.net(n).sinks) {
-    const Instance& inst = design_.instance(sink.instance);
+  for (const netlist::SinkRef& sink : design_->net(n).sinks) {
+    const Instance& inst = design_->instance(sink.instance);
     if (!inst.alive || inst.cell == nullptr) continue;
     if (!isCombinational(inst)) continue;
     const CompiledCell* view = inst_view_[sink.instance];
@@ -410,19 +431,19 @@ bool TimingAnalyzer::analyze() {
   changes_.slews.clear();
   // A mapped design is a precondition; fail cleanly on unmapped instances
   // (e.g. when synthesis could not find usable cells for every function).
-  for (std::size_t i = 0; i < design_.instanceCount(); ++i) {
-    const Instance& inst = design_.instance(static_cast<InstIndex>(i));
+  for (std::size_t i = 0; i < design_->instanceCount(); ++i) {
+    const Instance& inst = design_->instance(static_cast<InstIndex>(i));
     if (inst.alive && inst.cell == nullptr) return false;
   }
   refreshInstanceViews();
   computeLoads();
-  if (!netlist::levelize(design_, topo_, level_)) return false;
+  if (!netlist::levelize(*design_, topo_, level_)) return false;
   topo_stale_ = false;
   arc_offset_.clear();
   arc_delay_.clear();
   growArcDelays();
-  net_mark_.assign(design_.netCount(), 0);
-  inst_mark_.assign(design_.instanceCount(), 0);
+  net_mark_.assign(design_->netCount(), 0);
+  inst_mark_.assign(design_->instanceCount(), 0);
   propagateArrivals();
   collectEndpoints();
   propagateRequired();
@@ -459,7 +480,7 @@ void TimingAnalyzer::refreshEndpoints(std::vector<NetIndex>& seeds) {
   bool refold = false;
   for (Endpoint& ep : endpoints_) {
     if (ep.instance != kNoInst) {
-      const Instance& inst = design_.instance(ep.instance);
+      const Instance& inst = design_->instance(ep.instance);
       const NetIndex net = inst.inputs[ep.inputSlot];
       if ((inst_mark_[ep.instance] & kInstEdited) != 0 ||
           (net_mark_[net] & kNetChanged) != 0) {
@@ -502,8 +523,8 @@ bool TimingAnalyzer::update() {
   StaMetrics& metrics = StaMetrics::get();
   metrics.updateCalls.inc();
 
-  const std::size_t netCount = design_.netCount();
-  const std::size_t instCount = design_.instanceCount();
+  const std::size_t netCount = design_->netCount();
+  const std::size_t instCount = design_->instanceCount();
 
   // Grow per-net / per-instance state for netlist growth since the baseline;
   // defaults match the initial values of a full propagation.
@@ -546,7 +567,7 @@ bool TimingAnalyzer::update() {
   };
 
   for (const PendingEdit& edit : pending_) {
-    const Instance& inst = design_.instance(edit.instance);
+    const Instance& inst = design_->instance(edit.instance);
     if (!inst.alive || inst.cell == nullptr ||
         (edit.kind == PendingEdit::Kind::kNewInstance &&
          netlist::isSequential(inst.op))) {
@@ -588,9 +609,9 @@ bool TimingAnalyzer::update() {
     if (load == load_[n]) continue;
     load_[n] = load;
     changes_.loads.push_back(n);
-    const InstIndex d = design_.net(n).driver;
+    const InstIndex d = design_->net(n).driver;
     if (d == kNoInst) continue;
-    const Instance& drv = design_.instance(d);
+    const Instance& drv = design_->instance(d);
     if (!drv.alive || drv.cell == nullptr) continue;
     markDirty(d);
     for (NetIndex in : drv.inputs) backwardSeeds.push_back(in);
@@ -599,30 +620,54 @@ bool TimingAnalyzer::update() {
   // --- levelization splice --------------------------------------------------
   // Structural edits move instances between levels; relax the affected
   // region forward to a fixpoint instead of re-running Kahn globally. The
-  // topological order is rebuilt from the levels only when next needed.
+  // region is drained lowest current level first, and the worklist holds
+  // each instance at most once, so an instance is re-levelled after the
+  // fanins that move before it instead of once per fanin move. Any visit
+  // order reaches the same fixpoint. The topological order is rebuilt from
+  // the levels only when next needed.
   if (structural) {
     topo_stale_ = true;
-    std::vector<InstIndex> queue(dirtyInsts);
+    const auto enqueueLevel = [&](InstIndex i) {
+      if ((inst_mark_[i] & kInstRelevel) != 0) return;
+      inst_mark_[i] |= kInstRelevel;
+      forward_.push(level_[i], i);
+    };
+    for (InstIndex i : dirtyInsts) enqueueLevel(i);
     std::size_t relaxations = 0;
+    std::uint64_t levelEvals = 0;
     const std::size_t relaxationCap = 16 * instCount + 64;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      if (++relaxations > relaxationCap) {
-        metrics.fullFallbacks.inc();
-        return analyze();  // combinational cycle introduced by edits
+    bool cyclic = false;
+    forward_.drainLowestFirst([&](InstIndex index) {
+      inst_mark_[index] &= static_cast<std::uint8_t>(~kInstRelevel);
+      // Past the cap (a combinational cycle introduced by edits) the rest
+      // of the worklist is only emptied.
+      if (cyclic || ++relaxations > relaxationCap) {
+        cyclic = true;
+        return;
       }
-      const InstIndex index = queue[head];
-      const Instance& inst = design_.instance(index);
-      if (!inst.alive || !isCombinational(inst)) continue;  // sources: 0
+      const Instance& inst = design_->instance(index);
+      if (!inst.alive || !isCombinational(inst)) return;  // sources: 0
+      ++levelEvals;
       const std::uint32_t level = computeLevel(inst);
-      if (level == level_[index]) continue;
+      if (level == level_[index]) return;
+      // No level of an acyclic netlist reaches its instance count.
+      if (level >= instCount) {
+        cyclic = true;
+        return;
+      }
       level_[index] = level;
       for (NetIndex out : inst.outputs) {
-        for (const netlist::SinkRef& sink : design_.net(out).sinks) {
-          const Instance& target = design_.instance(sink.instance);
+        for (const netlist::SinkRef& sink : design_->net(out).sinks) {
+          const Instance& target = design_->instance(sink.instance);
           if (!target.alive || !isCombinational(target)) continue;
-          queue.push_back(sink.instance);
+          enqueueLevel(sink.instance);
         }
       }
+    });
+    metrics.levelEvals.add(levelEvals);
+    if (cyclic) {
+      metrics.fullFallbacks.inc();
+      return analyze();
     }
   }
 
@@ -668,8 +713,8 @@ bool TimingAnalyzer::update() {
         net_mark_[out] |= kNetChanged;
         backwardSeeds.push_back(out);
       }
-      for (const netlist::SinkRef& sink : design_.net(out).sinks) {
-        const Instance& target = design_.instance(sink.instance);
+      for (const netlist::SinkRef& sink : design_->net(out).sinks) {
+        const Instance& target = design_->instance(sink.instance);
         if (!target.alive || target.cell == nullptr) continue;
         // Endpoints: the census below picks up the new arrival.
         if (!isCombinational(target)) continue;
@@ -692,7 +737,7 @@ bool TimingAnalyzer::update() {
   const auto enqueueBwd = [&](NetIndex n) {
     if ((net_mark_[n] & kNetQueued) != 0) return;
     net_mark_[n] |= kNetQueued;
-    const InstIndex d = design_.net(n).driver;
+    const InstIndex d = design_->net(n).driver;
     backward_.push(d == kNoInst ? 0u : level_[d] + 1u, n);
   };
   for (NetIndex n : backwardSeeds) enqueueBwd(n);
@@ -704,9 +749,9 @@ bool TimingAnalyzer::update() {
     const double r = recomputeRequired(n);
     if (r == required_[n]) return;
     required_[n] = r;
-    const InstIndex d = design_.net(n).driver;
+    const InstIndex d = design_->net(n).driver;
     if (d == kNoInst) return;
-    const Instance& drv = design_.instance(d);
+    const Instance& drv = design_->instance(d);
     if (!drv.alive || !isCombinational(drv)) return;
     for (NetIndex in : drv.inputs) enqueueBwd(in);
   });
@@ -730,13 +775,23 @@ std::string endpointName(const Design& design, const Endpoint& endpoint) {
 }
 
 std::string TimingAnalyzer::endpointName(const Endpoint& endpoint) const {
-  return sta::endpointName(design_, endpoint);
+  return sta::endpointName(*design_, endpoint);
 }
 
 bool TimingAnalyzer::crossCheckEnabled() {
   static const bool enabled = env::parseFlag(
       "SCT_STA_CHECK", env::get("SCT_STA_CHECK").value_or(""), false);
   return enabled;
+}
+
+void TimingAnalyzer::crossCheck(const char* what) const {
+  if (!crossCheckEnabled()) return;
+  const std::string diff = diffAgainstReference();
+  if (diff.empty()) return;
+  std::fprintf(stderr,
+               "SCT_STA_CHECK: %s diverged from full analyze(): %s\n", what,
+               diff.c_str());
+  std::abort();
 }
 
 namespace {
@@ -752,7 +807,7 @@ std::string describeDiff(const char* what, std::size_t index, double got,
 }  // namespace
 
 std::string TimingAnalyzer::diffAgainstReference() const {
-  TimingAnalyzer ref(design_, library_, clock_);
+  TimingAnalyzer ref(*design_, library_, clock_);
   if (!ref.analyze()) return "reference analyze() failed";
 
   const auto diffVec = [](const char* what, const std::vector<double>& got,
@@ -835,7 +890,7 @@ TimingPath TimingAnalyzer::worstPathTo(const Endpoint& endpoint) const {
   while (net != kNoNet) {
     const Pred& pred = pred_[net];
     if (pred.instance == kNoInst || pred.arc == nullptr) break;  // PI or tie
-    const Instance& inst = design_.instance(pred.instance);
+    const Instance& inst = design_->instance(pred.instance);
     path.steps.push_back(PathStep{pred.instance, inst.cell, pred.arc,
                                   pred.inputSlew, load_[net], pred.delay});
     if (netlist::isSequential(inst.op)) break;  // launching flip-flop
@@ -881,7 +936,7 @@ std::vector<TimingPath> TimingAnalyzer::kWorstPathsTo(
     ++expansions;
     Partial p = queue.top();
     queue.pop();
-    const netlist::Net& net = design_.net(p.net);
+    const netlist::Net& net = design_->net(p.net);
 
     auto emit = [&](std::vector<PathStep> steps, double arrivalAtSource) {
       std::reverse(steps.begin(), steps.end());
@@ -897,7 +952,7 @@ std::vector<TimingPath> TimingAnalyzer::kWorstPathsTo(
       emit(p.reversedSteps, clock_.inputDelay);  // primary-input launch
       continue;
     }
-    const Instance& drv = design_.instance(net.driver);
+    const Instance& drv = design_->instance(net.driver);
     if (netlist::numInputs(drv.op) == 0) {
       emit(p.reversedSteps, 0.0);  // tie cell
       continue;

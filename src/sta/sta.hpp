@@ -183,6 +183,13 @@ class TimingAnalyzer {
   }
 
   [[nodiscard]] const ClockSpec& clock() const noexcept { return clock_; }
+  [[nodiscard]] const liberty::Library& library() const noexcept {
+    return library_;
+  }
+  /// Points the analyzer at `design`, which must be the netlist it
+  /// analyzed, moved to a new address (a moved synthesis result,
+  /// DESIGN.md §9). The timing state is kept as it is.
+  void rebind(const netlist::Design& design) noexcept { design_ = &design; }
   void setClock(const ClockSpec& clock) noexcept {
     clock_ = clock;
     baseline_valid_ = false;  // every net annotation depends on the clock
@@ -255,6 +262,9 @@ class TimingAnalyzer {
   /// (arc delays, per-net endpoint required times) are compared too, so a
   /// stale entry shows on the drain that left it.
   [[nodiscard]] std::string diffAgainstReference() const;
+  /// With SCT_STA_CHECK=1, aborts with a message naming `what` when
+  /// diffAgainstReference() finds a difference; otherwise does nothing.
+  void crossCheck(const char* what) const;
 
   // --- paths ------------------------------------------------------------------
   /// Backtracks the worst path into the endpoint.
@@ -303,6 +313,11 @@ class TimingAnalyzer {
     /// at levels below the one it is visiting.
     template <class Visit>
     void drainDescending(Visit&& visit);
+    /// Visits every item, lowest occupied level first. `visit` may push
+    /// items at any level; an item pushed below the level being visited is
+    /// visited next.
+    template <class Visit>
+    void drainLowestFirst(Visit&& visit);
 
    private:
     std::vector<std::vector<std::uint32_t>> buckets_;
@@ -349,7 +364,7 @@ class TimingAnalyzer {
     return arc_delay_.data() + arc_offset_[index];
   }
 
-  const netlist::Design& design_;
+  const netlist::Design* design_;  ///< never null; moved by rebind()
   const liberty::Library& library_;
   ClockSpec clock_;
   TimingViewRegistry views_;

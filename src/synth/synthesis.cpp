@@ -6,11 +6,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "netlist/analysis.hpp"
 #include "obs/metrics.hpp"
@@ -64,7 +67,9 @@ Synthesizer::Synthesizer(const liberty::Library& library,
   if (constraints != nullptr && !constraints->empty()) {
     compiled_.emplace(*constraints, library_);
   }
-  for (PrimOp op : kAllOps) {
+  static_assert(std::size(kAllOps) <= 64, "usableOps() is a 64-bit mask");
+  for (std::size_t k = 0; k < std::size(kAllOps); ++k) {
+    const PrimOp op = kAllOps[k];
     std::vector<const Cell*> cells =
         library_.family(netlist::defaultFunction(op));
     if (constraints != nullptr) {
@@ -72,6 +77,7 @@ Synthesizer::Synthesizer(const liberty::Library& library,
         return !constraints->cellUsable(c->name());
       });
     }
+    if (!cells.empty()) usable_ |= std::uint64_t{1} << k;
     families_[op] = std::move(cells);
   }
 }
@@ -95,7 +101,9 @@ class Session {
         design_(design),
         options_(options),
         result_(result),
-        analyzer_(design, synth.library(), clock) {
+        ownedAnalyzer_(std::make_unique<sta::TimingAnalyzer>(
+            design, synth.library(), clock)),
+        analyzer_(*ownedAnalyzer_) {
     // Every cell a sizing decision can look at is a family member. Compile
     // their timing views and sum their input caps up front, so the decide
     // phase of a stage only reads shared state.
@@ -109,9 +117,17 @@ class Session {
     }
   }
 
-  bool mapInitial();
+  /// Binds every alive instance to its family's smallest usable cell;
+  /// false when some op has no usable cell.
+  bool bindInitial();
   void optimize();
   void finalize();
+  /// The analyzer, when the last refresh left it valid: its state is then
+  /// bit-identical to a fresh analyze() of the final design.
+  [[nodiscard]] std::unique_ptr<sta::TimingAnalyzer> releaseTiming() {
+    if (!timingValid_) return nullptr;
+    return std::move(ownedAnalyzer_);
+  }
 
  private:
   // --- constraint helpers ---------------------------------------------------
@@ -313,6 +329,7 @@ class Session {
   /// cross-checked against a fresh full analysis.
   bool refreshTiming() {
     const bool ok = analyzer_.update();
+    timingValid_ = ok;
     const sta::TimingAnalyzer::DrainChanges& changes = analyzer_.lastChanges();
     if (changes.full) {
       std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{1});
@@ -324,16 +341,7 @@ class Session {
         }
       }
     }
-    if (ok && sta::TimingAnalyzer::crossCheckEnabled()) {
-      const std::string diff = analyzer_.diffAgainstReference();
-      if (!diff.empty()) {
-        std::fprintf(stderr,
-                     "SCT_STA_CHECK: incremental STA diverged from full "
-                     "analyze(): %s\n",
-                     diff.c_str());
-        std::abort();
-      }
-    }
+    if (ok) analyzer_.crossCheck("incremental STA");
     return ok;
   }
 
@@ -386,7 +394,9 @@ class Session {
   Design& design_;
   const SynthesisOptions& options_;
   SynthesisResult& result_;
-  sta::TimingAnalyzer analyzer_;
+  std::unique_ptr<sta::TimingAnalyzer> ownedAnalyzer_;
+  sta::TimingAnalyzer& analyzer_;  ///< *ownedAnalyzer_ until released
+  bool timingValid_ = false;  ///< the last refreshTiming() succeeded
   /// Summed input-pin capacitance per family cell (upsizing cost).
   std::unordered_map<const Cell*, double> inputCap_;
   std::set<InstIndex> noDownsize_;
@@ -406,18 +416,7 @@ class Session {
   std::size_t analyzedNets_ = 0;
 };
 
-bool Session::mapInitial() {
-  // Remove logic no output or register observes (generated subject graphs
-  // carry unused carry-outs etc.); real synthesis sweeps these too.
-  netlist::sweepDeadLogic(design_);
-  const auto usable = [this](PrimOp op) { return !synth_.family(op).empty(); };
-  const long rewritten = decomposeUnusable(design_, usable);
-  if (rewritten < 0) return false;
-  result_.decomposed = static_cast<std::size_t>(rewritten);
-  // Absorb single-fanout inverters into B-variant cells and collapse
-  // 2-level mux trees into MUX4 (classic mapping patterns; see Fig. 9).
-  result_.patternRewrites = mapPatterns(design_, usable).total();
-
+bool Session::bindInitial() {
   for (InstIndex i = 0; i < design_.instanceCount(); ++i) {
     const netlist::Instance& inst = design_.instance(i);
     if (!inst.alive) continue;
@@ -877,20 +876,50 @@ bool rebindDesign(Design& design, const liberty::Library& library) {
   return true;
 }
 
+MappedSubject Synthesizer::map(const Design& subject) const {
+  SCT_TRACE_SPAN("synth.map");
+  MappedSubject mapped;
+  mapped.design = subject;  // work on a copy
+  // Remove logic no output or register observes (generated subject graphs
+  // carry unused carry-outs etc.); real synthesis sweeps these too.
+  netlist::sweepDeadLogic(mapped.design);
+  const auto usable = [this](PrimOp op) { return !family(op).empty(); };
+  const long rewritten = decomposeUnusable(mapped.design, usable);
+  if (rewritten < 0) return mapped;
+  mapped.decomposed = static_cast<std::size_t>(rewritten);
+  // Absorb single-fanout inverters into B-variant cells and collapse
+  // 2-level mux trees into MUX4 (classic mapping patterns; see Fig. 9).
+  mapped.patternRewrites = mapPatterns(mapped.design, usable).total();
+  mapped.mappable = true;
+  return mapped;
+}
+
 SynthesisResult Synthesizer::run(const Design& subject,
                                  const sta::ClockSpec& clock,
                                  const SynthesisOptions& options) const {
+  return run(map(subject), clock, options);
+}
+
+SynthesisResult Synthesizer::run(MappedSubject mapped,
+                                 const sta::ClockSpec& clock,
+                                 const SynthesisOptions& options) const {
   SynthesisResult result;
-  result.design = subject;  // work on a copy
+  result.design = std::move(mapped.design);
+  if (!mapped.mappable) return result;
+  result.decomposed = mapped.decomposed;
+  result.patternRewrites = mapped.patternRewrites;
   Session session(*this, result.design, clock, options, result);
-  if (!session.mapInitial()) {
-    result.timingMet = false;
-    result.legal = false;
-    return result;
-  }
+  if (!session.bindInitial()) return result;
   session.optimize();
   session.finalize();
+  result.timing = FinalTiming(session.releaseTiming());
   return result;
+}
+
+std::unique_ptr<sta::TimingAnalyzer> FinalTiming::take(
+    const Design& design) noexcept {
+  if (analyzer_) analyzer_->rebind(design);
+  return std::move(analyzer_);
 }
 
 std::optional<double> Synthesizer::findMinPeriod(

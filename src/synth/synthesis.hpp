@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
@@ -34,8 +36,40 @@ struct SynthesisOptions {
   }
 };
 
+/// The synthesis analyzer's final timing state, carried by a result to
+/// the measurement that follows it (DESIGN.md §9). A copy carries none, so
+/// two results never share one analyzer; a move takes it along.
+class FinalTiming {
+ public:
+  FinalTiming() = default;
+  explicit FinalTiming(std::unique_ptr<sta::TimingAnalyzer> analyzer) noexcept
+      : analyzer_(std::move(analyzer)) {}
+  FinalTiming(const FinalTiming&) noexcept {}
+  FinalTiming& operator=(const FinalTiming&) noexcept {
+    analyzer_.reset();
+    return *this;
+  }
+  FinalTiming(FinalTiming&&) noexcept = default;
+  FinalTiming& operator=(FinalTiming&&) noexcept = default;
+
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return analyzer_ != nullptr;
+  }
+  /// Hands the state over, bound to `design`: the netlist it timed, at its
+  /// current address. Empty afterwards.
+  [[nodiscard]] std::unique_ptr<sta::TimingAnalyzer> take(
+      const netlist::Design& design) noexcept;
+
+ private:
+  std::unique_ptr<sta::TimingAnalyzer> analyzer_;
+};
+
 struct SynthesisResult {
   netlist::Design design;  ///< mapped (and possibly restructured) netlist
+  /// Analysis of `design` bit-identical to a fresh analyze(), when the run
+  /// ended with valid timing. Not a stored field: a decoded result has
+  /// none, and a change to `design` must be followed by `timing = {}`.
+  FinalTiming timing;
   bool timingMet = false;
   bool legal = false;  ///< no residual window/electrical violations
   double worstSlack = 0.0;
@@ -48,7 +82,8 @@ struct SynthesisResult {
   std::size_t resizes = 0;
   std::size_t violations = 0;  ///< residual violation count
 
-  /// The scalars; the design has its own codec (artifact/codecs.hpp).
+  /// The scalars; the design has its own codec (artifact/codecs.hpp), and
+  /// the timing state is never stored.
   template <class S, class V>
   static void fields(S& s, V&& v) {
     v("timingMet", s.timingMet);
@@ -75,16 +110,38 @@ struct SynthesisResult {
 /// Returns false and leaves the design untouched when a cell is missing.
 bool rebindDesign(netlist::Design& design, const liberty::Library& library);
 
+/// A subject after the part of mapping that depends only on which
+/// primitive ops are usable: dead-logic sweep, decomposition of unusable
+/// ops and pattern mapping. No cell is bound yet.
+struct MappedSubject {
+  netlist::Design design;
+  bool mappable = false;  ///< decomposition found a usable form for every op
+  std::size_t decomposed = 0;
+  std::size_t patternRewrites = 0;
+};
+
 class Synthesizer {
  public:
   /// constraints may be null (untuned baseline library).
   Synthesizer(const liberty::Library& library,
               const tuning::LibraryConstraints* constraints = nullptr);
 
-  /// Maps and optimizes a copy of the subject graph against the clock.
+  /// Maps and optimizes a copy of the subject graph against the clock:
+  /// run(map(subject), clock, options).
   [[nodiscard]] SynthesisResult run(const netlist::Design& subject,
                                     const sta::ClockSpec& clock,
                                     const SynthesisOptions& options = {}) const;
+  /// Binds and optimizes a mapped subject. `mapped` must come from map()
+  /// of a synthesizer with the same usableOps().
+  [[nodiscard]] SynthesisResult run(MappedSubject mapped,
+                                    const sta::ClockSpec& clock,
+                                    const SynthesisOptions& options = {}) const;
+
+  /// Bit i is set when family() of the i-th primitive op is not empty. The
+  /// mapping step depends on the library and constraints only through it.
+  [[nodiscard]] std::uint64_t usableOps() const noexcept { return usable_; }
+  /// The usable-op dependent part of mapping, on a copy of the subject.
+  [[nodiscard]] MappedSubject map(const netlist::Design& subject) const;
 
   /// Smallest clock period (within `tolerance` ns) at which run() succeeds,
   /// by bisection; mirrors the paper's "reduce the clock period until the
@@ -114,6 +171,7 @@ class Synthesizer {
   std::optional<tuning::CompiledConstraintView> compiled_;
   /// Per-PrimOp usable family, ascending drive strength.
   std::map<netlist::PrimOp, std::vector<const liberty::Cell*>> families_;
+  std::uint64_t usable_ = 0;
 };
 
 }  // namespace sct::synth

@@ -1,7 +1,9 @@
 #include "variation/path_stats.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "parallel/parallel.hpp"
 
@@ -55,10 +57,77 @@ PathStats PathStatistics::pathStats(const sta::TimingPath& path) const {
   return out;
 }
 
+namespace {
+
+/// Same cell, arc and operating point, bit for bit: stepStats() of the two
+/// is the same value.
+bool sameStep(const sta::PathStep& a, const sta::PathStep& b) noexcept {
+  return a.cell == b.cell && a.arc == b.arc &&
+         std::bit_cast<std::uint64_t>(a.inputSlew) ==
+             std::bit_cast<std::uint64_t>(b.inputSlew) &&
+         std::bit_cast<std::uint64_t>(a.load) ==
+             std::bit_cast<std::uint64_t>(b.load);
+}
+
+}  // namespace
+
 std::vector<PathStats> PathStatistics::allPathStats(
     std::span<const sta::TimingPath> paths) const {
-  return parallel::parallelMap(
-      paths.size(), [&](std::size_t i) { return pathStats(paths[i]); });
+  // Worst paths share their steps: a step is fixed by its output net's
+  // winning predecessor, and each instance lies on tens of endpoint paths.
+  // Number the distinct steps (grouped by instance, compared bit for bit),
+  // evaluate each once, then convolve every path from the shared values in
+  // its own step order.
+  constexpr std::uint32_t kNone = UINT32_MAX;
+  std::vector<const sta::PathStep*> unique;
+  std::vector<std::uint32_t> sameInstance;  ///< per unique step: next one
+  std::vector<std::uint32_t> firstOf;       ///< per instance: first one
+  std::vector<std::size_t> offset(paths.size() + 1, 0);
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    offset[p + 1] = offset[p] + paths[p].steps.size();
+  }
+  std::vector<std::uint32_t> slot(offset.back());
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    std::uint32_t* out = slot.data() + offset[p];
+    for (const sta::PathStep& step : paths[p].steps) {
+      std::uint32_t* link = nullptr;
+      if (step.instance != netlist::kNoInst) {
+        if (step.instance >= firstOf.size()) {
+          firstOf.resize(std::size_t{step.instance} + 1, kNone);
+        }
+        link = &firstOf[step.instance];
+        while (*link != kNone && !sameStep(*unique[*link], step)) {
+          link = &sameInstance[*link];
+        }
+        if (*link != kNone) {
+          *out++ = *link;
+          continue;
+        }
+      }
+      const auto id = static_cast<std::uint32_t>(unique.size());
+      if (link != nullptr) *link = id;
+      unique.push_back(&step);
+      sameInstance.push_back(kNone);
+      *out++ = id;
+    }
+  }
+  const std::vector<numeric::NormalSummary> values = parallel::parallelMap(
+      unique.size(), [&](std::size_t u) { return stepStats(*unique[u]); });
+  return parallel::parallelMap(paths.size(), [&](std::size_t p) {
+    const std::size_t depth = paths[p].steps.size();
+    std::vector<double> means(depth);
+    std::vector<double> sigmas(depth);
+    for (std::size_t k = 0; k < depth; ++k) {
+      const numeric::NormalSummary& s = values[slot[offset[p] + k]];
+      means[k] = s.mean;
+      sigmas[k] = s.sigma;
+    }
+    PathStats out;
+    out.depth = depth;
+    out.mean = convolveMean(means);
+    out.sigma = convolveSigma(sigmas, rho_);
+    return out;
+  });
 }
 
 DesignStats PathStatistics::designStats(

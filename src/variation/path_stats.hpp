@@ -42,8 +42,10 @@ class PathStatistics {
   /// Convolution along one traced path.
   [[nodiscard]] PathStats pathStats(const sta::TimingPath& path) const;
 
-  /// pathStats() of every path, out[i] for paths[i], computed on the
-  /// parallel pool (bit-identical for any thread count).
+  /// pathStats() of every path, out[i] for paths[i], bit for bit. Steps
+  /// equal in instance, cell, arc and operating point are evaluated once;
+  /// the step values and the paths are computed on the parallel pool
+  /// (bit-identical for any thread count).
   [[nodiscard]] std::vector<PathStats> allPathStats(
       std::span<const sta::TimingPath> paths) const;
 

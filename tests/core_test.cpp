@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/env.hpp"
 #include "core/flow.hpp"
 #include "core/flow_job.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sct::core {
@@ -166,6 +170,9 @@ TEST(FlowJobThreads, ReportsByteIdenticalAcrossThreadCounts) {
   FlowJob tuned = baseline;
   tuned.method = "sigma-ceiling";
   tuned.value = 0.02;
+  // Another period: the flow's mapping of the subject is reused.
+  FlowJob tighter = baseline;
+  tighter.period = 6.0;
 
   const std::size_t previous = parallel::threadCount();
   std::vector<std::string> reports[2];
@@ -173,18 +180,165 @@ TEST(FlowJobThreads, ReportsByteIdenticalAcrossThreadCounts) {
     parallel::setThreadCount(side == 0 ? 0 : 4);
     // A fresh flow per side so nothing is served from the memory tier.
     TuningFlow flow(makeFlowConfig(baseline));
-    for (const FlowJob& job : {baseline, tuned}) {
+    for (const FlowJob& job : {baseline, tuned, tighter}) {
       const FlowJobResult result = runFlowJob(flow, job);
       EXPECT_TRUE(result.success);
       reports[side].push_back(result.report);
     }
   }
   parallel::setThreadCount(previous);
-  ASSERT_EQ(reports[0].size(), 2u);
+  ASSERT_EQ(reports[0].size(), 3u);
   EXPECT_FALSE(reports[0][0].empty());
   EXPECT_EQ(reports[0][0], reports[1][0]);
   EXPECT_EQ(reports[0][1], reports[1][1]);
+  EXPECT_EQ(reports[0][2], reports[1][2]);
   EXPECT_NE(reports[0][0], reports[0][1]);
+  EXPECT_NE(reports[0][0], reports[0][2]);
+}
+
+// ---- per-flow mapping memo and the synthesis -> measure hand-over ---------
+
+/// Every reported number of a measurement, %a-exact, in one string.
+std::string fingerprint(const DesignMeasurement& m) {
+  std::string out;
+  char line[512];
+  const synth::SynthesisResult& r = m.synthesis;
+  std::snprintf(line, sizeof line,
+                "met %d legal %d wns %a tns %a area %a gates %zu buffers %zu "
+                "resizes %zu decomposed %zu patterns %zu sigma %a mean %a "
+                "power %a %a %zu\n",
+                r.timingMet, r.legal, r.worstSlack, r.tns, r.area,
+                r.design.gateCount(), r.buffersInserted, r.resizes,
+                r.decomposed, r.patternRewrites, m.design.sigma,
+                m.design.mean, m.power.meanPower, m.power.sigmaPower,
+                m.power.cells);
+  out += line;
+  for (const PathRecord& p : m.paths) {
+    std::snprintf(line, sizeof line, "%s %zu %a %a %a %a\n",
+                  p.endpoint.c_str(), p.depth, p.mean, p.sigma, p.arrival,
+                  p.slack);
+    out += line;
+  }
+  return out;
+}
+
+std::uint64_t counterValue(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Turns metrics on for one test and restores the previous setting.
+struct ScopedMetrics {
+  bool previous = obs::metricsEnabled();
+  ScopedMetrics() { obs::setMetricsEnabled(true); }
+  ~ScopedMetrics() { obs::setMetricsEnabled(previous); }
+};
+
+FlowConfig memoConfig() {
+  FlowJob job;
+  job.profile = "small";
+  job.mcCount = 4;
+  job.lintMode = "off";
+  return makeFlowConfig(job);
+}
+
+/// Constraints under which no MUX2 cell is usable: mapping must decompose
+/// every mux of the subject.
+tuning::LibraryConstraints withoutMux2(const liberty::Library& library) {
+  tuning::LibraryConstraints constraints;
+  for (const liberty::Cell* cell : library.cells()) {
+    if (cell->function() == liberty::CellFunction::kMux2) {
+      constraints.markUnusable(cell->name());
+    }
+  }
+  return constraints;
+}
+
+/// The MUX2-free job on `flow`, through the flow's synthesize().
+DesignMeasurement measureWithoutMux2(TuningFlow& flow, double period) {
+  const tuning::LibraryConstraints constraints =
+      withoutMux2(flow.nominalLibrary());
+  const synth::Synthesizer synthesizer(flow.nominalLibrary(), &constraints);
+  return flow.measure(flow.synthesize(synthesizer, period), period);
+}
+
+TEST(FlowMapMemo, OneMappingPerUsableOpSetAndReportsMatchFreshFlows) {
+  FlowJob baseline;
+  baseline.profile = "small";
+  baseline.mcCount = 4;
+  baseline.lintMode = "off";
+  baseline.period = 8.0;
+  const ScopedMetrics metrics;
+
+  // Baseline, a job with the MUX2 family emptied (a second usable-op set,
+  // with real decompositions), then the baseline again, on one flow.
+  TuningFlow shared(memoConfig());
+  (void)shared.subject();
+  const std::uint64_t probes = counterValue("flow.stage.map.probes");
+  const std::uint64_t misses = counterValue("flow.stage.map.misses");
+  const std::string first = runFlowJob(shared, baseline).report;
+  const DesignMeasurement noMux = measureWithoutMux2(shared, 8.0);
+  const std::string again = runFlowJob(shared, baseline).report;
+  EXPECT_EQ(counterValue("flow.stage.map.probes") - probes, 3u);
+  EXPECT_EQ(counterValue("flow.stage.map.misses") - misses, 2u);
+  ASSERT_TRUE(noMux.synthesis.legal);
+  EXPECT_GT(noMux.synthesis.decomposed, 0u);
+
+  TuningFlow freshBaseline(memoConfig());
+  EXPECT_EQ(first, runFlowJob(freshBaseline, baseline).report);
+  EXPECT_EQ(again, first);
+  TuningFlow freshNoMux(memoConfig());
+  const std::string expected =
+      fingerprint(measureWithoutMux2(freshNoMux, 8.0));
+  EXPECT_EQ(fingerprint(noMux), expected);
+  EXPECT_NE(fingerprint(noMux), fingerprint(freshBaseline.synthesizeBaseline(
+                                    8.0)));
+}
+
+TEST(FlowHandOver, MeasureAdoptsSynthesisTimingInsteadOfAnalyzing) {
+  const ScopedMetrics metrics;
+  TuningFlow flow(memoConfig());
+  const synth::Synthesizer synthesizer(flow.nominalLibrary());
+  synth::SynthesisResult result = flow.synthesize(synthesizer, 8.0);
+  ASSERT_TRUE(result.timing);
+  // A copy carries no timing state; the original's follows its design
+  // through two moves.
+  synth::SynthesisResult copy = result;
+  EXPECT_FALSE(copy.timing);
+  synth::SynthesisResult moved = std::move(result);
+  std::uint64_t analyses = counterValue("sta.analyze.calls");
+  const DesignMeasurement adopted = flow.measure(std::move(moved), 8.0);
+  EXPECT_EQ(counterValue("sta.analyze.calls") - analyses, 0u);
+
+  synth::SynthesisResult other = copy;
+  analyses = counterValue("sta.analyze.calls");
+  const DesignMeasurement analyzed = flow.measure(std::move(copy), 8.0);
+  EXPECT_EQ(counterValue("sta.analyze.calls") - analyses, 1u);
+  EXPECT_EQ(fingerprint(adopted), fingerprint(analyzed));
+  EXPECT_FALSE(adopted.paths.empty());
+
+  // Timing at another period is not the state of this measurement.
+  synth::SynthesisResult atEight = flow.synthesize(synthesizer, 8.0);
+  analyses = counterValue("sta.analyze.calls");
+  const DesignMeasurement atSix = flow.measure(std::move(atEight), 6.0);
+  EXPECT_EQ(counterValue("sta.analyze.calls") - analyses, 1u);
+  EXPECT_EQ(fingerprint(atSix), fingerprint(flow.measure(std::move(other),
+                                                         6.0)));
+}
+
+TEST(FlowHandOver, OneAnalysisPerUncachedFlowJob) {
+  FlowJob job;
+  job.profile = "small";
+  job.mcCount = 4;
+  job.lintMode = "off";
+  job.period = 8.0;
+  job.method = "sigma-ceiling";
+  job.value = 0.02;
+  const ScopedMetrics metrics;
+  TuningFlow flow(makeFlowConfig(job));
+  const std::uint64_t analyses = counterValue("sta.analyze.calls");
+  EXPECT_TRUE(runFlowJob(flow, job).success);
+  // Synthesis' first refresh; measure() adopts its final state.
+  EXPECT_EQ(counterValue("sta.analyze.calls") - analyses, 1u);
 }
 
 // ---- shared environment parsing (env.hpp) --------------------------------

@@ -11,8 +11,11 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "charlib/characterizer.hpp"
@@ -449,7 +452,7 @@ TEST_F(ParallelDeterminismTest, DesignPowerMatchesSerialOracle) {
   const power::DesignPower expected =
       serialDesignPowerOracle(design, sta, m.chr, model, 0.2, 50, 7);
   EXPECT_EQ(expected.cells, design.gateCount() - uncatalogued);
-  for (std::size_t threads : {std::size_t{0}, std::size_t{8}}) {
+  for (std::size_t threads : {0, 1, 4, 8}) {
     const ScopedThreads scope(threads);
     const power::DesignPower pooled =
         power::analyzeDesignPower(design, sta, m.chr, model, 0.2, 50, 7);
@@ -500,6 +503,75 @@ TEST_F(ParallelDeterminismTest, DesignStatsBitIdentical) {
   EXPECT_EQ(threaded.mean, mean);
   EXPECT_EQ(serial.sigma, std::sqrt(varSum));
   EXPECT_EQ(threaded.sigma, std::sqrt(varSum));
+}
+
+TEST_F(ParallelDeterminismTest, AllPathStatsMatchesPerPathLoop) {
+  // The worst paths of a reconvergent design share most of their steps.
+  // k-worst paths add other arcs of the same instances, and copies of worst
+  // paths with one step moved to another operating point share instance
+  // and arc but not the values. allPathStats, which evaluates each distinct
+  // step once, must equal the per-path loop bit for bit.
+  const MeasuredChains& m = measuredChains();
+  netlist::RandomDagConfig config;
+  config.scale = 3;
+  config.seed = 11;
+  const synth::SynthesisResult result =
+      synth::Synthesizer(m.lib).run(netlist::generateRandomDag(config),
+                                    m.clock);
+  sta::TimingAnalyzer sta(result.design, m.lib, m.clock);
+  ASSERT_TRUE(sta.analyze());
+  std::vector<sta::TimingPath> paths = sta.endpointWorstPaths();
+  const std::size_t worst = paths.size();
+  for (std::size_t e = 0; e < sta.endpoints().size(); e += 5) {
+    for (sta::TimingPath& path : sta.kWorstPathsTo(sta.endpoints()[e], 3)) {
+      paths.push_back(std::move(path));
+    }
+  }
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < worst; i += 3) {
+    if (paths[i].steps.empty()) continue;
+    sta::TimingPath copy = paths[i];
+    sta::PathStep& step = copy.steps[copy.steps.size() / 2];
+    if (i % 2 == 0) {
+      step.load *= 1.5;
+    } else {
+      step.inputSlew *= 1.5;
+    }
+    paths.push_back(std::move(copy));
+    ++moved;
+  }
+  ASSERT_GT(moved, 0u);
+  ASSERT_GT(paths.size(), 2 * parallel::defaultGrain(paths.size()));
+
+  std::set<std::pair<netlist::InstIndex, const liberty::TimingArc*>> distinct;
+  std::size_t steps = 0;
+  for (const sta::TimingPath& path : paths) {
+    for (const sta::PathStep& step : path.steps) {
+      distinct.emplace(step.instance, step.arc);
+      ++steps;
+    }
+  }
+  EXPECT_LT(distinct.size() * 2, steps) << "the paths share too few steps";
+
+  const variation::PathStatistics stats(m.stat, 0.3);
+  std::vector<variation::PathStats> oracle;
+  for (const sta::TimingPath& path : paths) {
+    oracle.push_back(stats.pathStats(path));
+  }
+  for (std::size_t threads : {0, 1, 4, 8}) {
+    const ScopedThreads scope(threads);
+    const std::vector<variation::PathStats> all = stats.allPathStats(paths);
+    ASSERT_EQ(all.size(), paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      EXPECT_EQ(all[i].depth, oracle[i].depth) << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(all[i].mean),
+                std::bit_cast<std::uint64_t>(oracle[i].mean))
+          << "path " << i << " at " << threads << " threads";
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(all[i].sigma),
+                std::bit_cast<std::uint64_t>(oracle[i].sigma))
+          << "path " << i << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST_F(ParallelDeterminismTest, SynthesisBitIdentical) {

@@ -16,6 +16,7 @@
 
 #include "netlist/builder.hpp"
 #include "netlist/random.hpp"
+#include "obs/metrics.hpp"
 #include "sta/sta.hpp"
 #include "synth/synthesis.hpp"
 #include "test_helpers.hpp"
@@ -421,6 +422,48 @@ TEST_F(IncrementalCaches, RepeatedBufferInsertsOnOnePathStayBitIdentical) {
     ASSERT_EQ(topoOrderProblem(d, inc.topoOrder()), "") << "round " << round;
   }
   EXPECT_EQ(d.validate(), "");
+}
+
+TEST_F(IncrementalCaches, LevelSpliceVisitsEachInstanceOnce) {
+  // A ladder: gate k reads gates k-1 and k-2, so a splice at its foot
+  // moves every gate up a level through two fanins each. The splice
+  // re-levels each gate once, after both fanins moved, instead of once per
+  // fanin move.
+  const synth::Synthesizer synth(library());
+  Design d("ladder");
+  netlist::NetlistBuilder b(d);
+  const NetIndex launch = b.dff(b.inputPort("din"), PrimOp::kDff);
+  const NetIndex foot = b.inv(launch);
+  NetIndex previous = foot;
+  NetIndex node = b.inv(foot);
+  constexpr int kRungs = 40;
+  for (int k = 0; k < kRungs; ++k) {
+    const NetIndex next = b.nand2(node, previous);
+    previous = node;
+    node = next;
+  }
+  b.outputPort("dout", b.dff(node, PrimOp::kDff));
+  bindSmallest(d, synth);
+  ASSERT_EQ(d.validate(), "");
+
+  sta::ClockSpec clock;
+  clock.period = 3.0;
+  sta::TimingAnalyzer inc(d, library(), clock);
+  ASSERT_TRUE(inc.analyze());
+  const bool metrics = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  obs::Counter& levelEvals =
+      obs::MetricsRegistry::global().counter("sta.update.level_evals");
+  const std::uint64_t before = levelEvals.value();
+  spliceBuffer(d, synth, inc, foot);
+  ASSERT_TRUE(inc.update());
+  const std::uint64_t evals = levelEvals.value() - before;
+  obs::setMetricsEnabled(metrics);
+  ASSERT_EQ(inc.diffAgainstReference(), "");
+  ASSERT_EQ(topoOrderProblem(d, inc.topoOrder()), "");
+  // The buffer, the foot inverter (its load changed), the second inverter
+  // and the rungs: each once.
+  EXPECT_EQ(evals, std::uint64_t{kRungs + 3});
 }
 
 TEST_F(IncrementalCaches, TopoOrderIsValidAfterStructuralUpdates) {

@@ -171,24 +171,30 @@ void finishObservability(const ObsOptions& opts) {
 }
 
 /// Per-stage timing / cache-hit table, read back out of the metrics
-/// snapshot. Goes to stdout only — never into the --report file, whose
-/// bytes must not depend on whether observability is on.
+/// snapshot. `self_ms` leaves out the stages nested in a stage on the same
+/// thread (`tune` resolves `stat`, `synth` generates the subject and maps
+/// it); `incl_ms` keeps them. Goes to stdout only — never into the
+/// --report file, whose bytes must not depend on whether observability is
+/// on.
 void printStageTable(const obs::MetricsSnapshot& snapshot) {
   bool header = false;
-  for (const char* stage : {"nominal", "stat", "subject", "tune", "synth",
-                            "measure", "lint"}) {
+  for (const char* stage : {"nominal", "stat", "subject", "map", "tune",
+                            "synth", "measure", "lint"}) {
     const std::string prefix = std::string("flow.stage.") + stage + ".";
     if (!snapshot.hasCounter(prefix + "ns") &&
         !snapshot.hasCounter(prefix + "probes")) {
       continue;
     }
     if (!std::exchange(header, true)) {
-      std::printf("%-10s %10s %7s %5s %7s %7s\n", "stage", "time_ms",
-                  "probes", "hits", "misses", "stores");
+      std::printf("%-10s %10s %10s %7s %5s %7s %7s\n", "stage", "self_ms",
+                  "incl_ms", "probes", "hits", "misses", "stores");
     }
+    const std::uint64_t inclusive = snapshot.counterValue(prefix + "ns");
+    const std::uint64_t nested = snapshot.counterValue(prefix + "nested_ns");
     std::printf(
-        "%-10s %10.2f %7llu %5llu %7llu %7llu\n", stage,
-        static_cast<double>(snapshot.counterValue(prefix + "ns")) / 1e6,
+        "%-10s %10.2f %10.2f %7llu %5llu %7llu %7llu\n", stage,
+        static_cast<double>(inclusive - std::min(nested, inclusive)) / 1e6,
+        static_cast<double>(inclusive) / 1e6,
         static_cast<unsigned long long>(
             snapshot.counterValue(prefix + "probes")),
         static_cast<unsigned long long>(snapshot.counterValue(prefix + "hits")),
