@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
 #include "parallel/parallel.hpp"
 #include "variation/monte_carlo.hpp"
@@ -75,34 +74,22 @@ ClockTuningResult computeClockTuning(
   const std::size_t numRegs = registers.size();
 
   // --- Batched MC: SoA slack matrix, slack[p * trials + t]. ---
-  // Trial t is one die: a shared global factor plus per-(die, path) local
-  // mismatch streams, all counter-derived from (seed, t) so the matrix is
-  // bit-identical for any thread count (same trial structure as
-  // PathMonteCarlo::simulate, with per-path children of the local stream).
-  const variation::PathMonteCarlo mc(characterizer);
-  const charlib::DelayModel& model = characterizer.model();
-  std::vector<std::vector<variation::ResolvedPathStep>> resolved(numPaths);
+  // Trial t is one die of the per-die sampler (shared global factor, one
+  // local draw per instance); its delays become slacks in place.
+  variation::PathMcConfig mc;
+  mc.trials = trials;
+  mc.includeGlobal = true;
+  mc.seed = config.mcSeed;
+  std::vector<double> slack =
+      variation::sampleDieDelays(characterizer, paths, mc);
+  const std::size_t passBefore =
+      variation::countPassingDies(paths, slack, trials);
   for (std::size_t p = 0; p < numPaths; ++p) {
-    resolved[p] = mc.resolvePath(paths[p]);
-  }
-  std::vector<double> slack(numPaths * trials, 0.0);
-  const numeric::Rng master(config.mcSeed);
-  const std::uint64_t globalTag = numeric::Rng::hashTag("global");
-  const std::uint64_t localTag = numeric::Rng::hashTag("local");
-  parallel::parallelFor(trials, [&](std::size_t t) {
-    const numeric::Rng trial = master.child(t);
-    numeric::Rng globalRng = trial.child(globalTag);
-    const numeric::Rng localBase = trial.child(localTag);
-    const double globalDraw = model.drawGlobalFactor(globalRng);
-    const double globalFactor = config.includeGlobal ? globalDraw : 1.0;
-    for (std::size_t p = 0; p < numPaths; ++p) {
-      numeric::Rng localRng = localBase.child(p);
-      const double delay =
-          mc.evaluateResolved(resolved[p], config.corner, globalFactor,
-                              &localRng);
-      slack[p * trials + t] = paths[p].endpoint.required - delay;
+    for (std::size_t t = 0; t < trials; ++t) {
+      double& s = slack[p * trials + t];
+      s = paths[p].endpoint.required - s;
     }
-  });
+  }
 
   // --- Per-register path index lists (capture and launch sides). ---
   std::vector<std::vector<std::size_t>> capturePaths(numRegs);
@@ -144,17 +131,13 @@ ClockTuningResult computeClockTuning(
     if (launchReg[p] != kNoReg) s -= assign[launchReg[p] * trials + t];
     return s;
   };
-  std::size_t passBefore = 0;
   std::size_t passAfter = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    bool okBefore = true;
-    bool okAfter = true;
-    for (std::size_t p = 0; p < numPaths; ++p) {
-      if (slack[p * trials + t] < -kSlackEps) okBefore = false;
-      if (tunedSlack(p, t) < -kSlackEps) okAfter = false;
+    bool ok = true;
+    for (std::size_t p = 0; p < numPaths && ok; ++p) {
+      ok = tunedSlack(p, t) >= -kSlackEps;
     }
-    passBefore += okBefore ? 1u : 0u;
-    passAfter += okAfter ? 1u : 0u;
+    passAfter += ok ? 1u : 0u;
   }
   out.designYieldBefore =
       static_cast<double>(passBefore) / static_cast<double>(trials);

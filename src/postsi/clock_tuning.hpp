@@ -4,8 +4,8 @@
 // its clock branch (clocktree::TuningElementSpec). After manufacturing, each
 // die programs its elements from measured slack; pre-silicon we compute, per
 // register, the *distribution* of assignments across Monte-Carlo die
-// instances — driven by the same path-MC machinery as Figs. 15/16, batched
-// over instances via GridBatch-style structure-of-arrays delay matrices.
+// instances — sampled by variation::sampleDieDelays, the per-die sampler
+// behind Figs. 15/16, into a structure-of-arrays slack matrix.
 //
 // Model per die (trial) t:
 //   slack[p][t]  = required_p - mcDelay_p(t)          (path p, die t)
@@ -21,8 +21,10 @@
 // a passing die into a failing one, so designYieldAfter >= designYieldBefore
 // by construction.
 //
-// Deterministic and thread-count independent: trial streams are
-// counter-based children of (seed, t) exactly like PathMonteCarlo::simulate.
+// Each die is sampled at the typical corner with the shared per-die global
+// factor and one local mismatch draw per (die, instance), so a cell on
+// several paths shifts all of them together. Every draw is a pure function
+// of (mcSeed, die, instance): the result is the same for any thread count.
 
 #include <cstdint>
 #include <string>
@@ -39,8 +41,6 @@ struct ClockTuningConfig {
   clocktree::TuningElementSpec element{};
   std::size_t trials = 200;  ///< Monte-Carlo die instances (paper: N = 200)
   std::uint64_t mcSeed = 2014;
-  bool includeGlobal = true;  ///< shared per-die global factor
-  charlib::ProcessCorner corner = charlib::ProcessCorner::typical();
 };
 
 /// Statistical tuning range of one register's delay element.

@@ -10,10 +10,10 @@
 #include "artifact/hash.hpp"
 #include "core/fmt17.hpp"
 #include "core/stage_cache.hpp"
+#include "postsi/buffer_sampling.hpp"
 #include "postsi/clock_tuning.hpp"
 #include "power/power_model.hpp"
 #include "power/power_stats.hpp"
-#include "synth/buffer_sampling.hpp"
 #include "tuning/methods.hpp"
 #include "variation/path_stats.hpp"
 
@@ -22,7 +22,7 @@ namespace {
 
 using core::fmt17;
 
-constexpr std::uint32_t kScenarioSchema = 1;
+constexpr std::uint32_t kScenarioSchema = 2;
 
 std::vector<std::string> parseScenarios(const std::string& list) {
   std::vector<std::string> out;
@@ -110,10 +110,10 @@ ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
   // "buffers": sampling-based insertion on top of the synthesized design,
   // then clock tuning over the buffered paths (cumulative scenario).
   const sta::ClockSpec clock = flow.clockAt(period);
-  synth::BufferSamplingOptions options;
+  BufferSamplingOptions options;
   options.trials = trials;
   options.seed = job.mcSeed;
-  const synth::BufferSamplingResult sampled = synth::sampleBufferInsertion(
+  const BufferSamplingResult sampled = sampleBufferInsertion(
       m.synthesis.design, flow.nominalLibrary(), flow.statLibrary(),
       flow.characterizer(), clock,
       m.constraints ? &*m.constraints : nullptr, options);

@@ -1,15 +1,20 @@
 #pragma once
-// Monte-Carlo simulation of extracted timing paths (paper section VII.C,
-// Figs. 15 and 16): re-evaluates each path cell through the analytic delay
-// model with fresh local mismatch draws per trial, optionally adding a
-// shared per-die global factor, at any process corner. This substitutes the
-// paper's transistor-level Monte Carlo on extracted data paths.
+// Per-die Monte Carlo of extracted timing paths (paper section VII.C,
+// Figs. 15 and 16, and the post-silicon yields of src/postsi): re-evaluates
+// each path cell through the analytic delay model with fresh local mismatch
+// draws per die, optionally adding a shared per-die global factor, at any
+// process corner. This substitutes the paper's transistor-level Monte Carlo
+// on extracted data paths.
 //
-// Trials are embarrassingly parallel: trial t draws from counter-based RNG
-// streams derived purely from (config.seed, t) — see Rng::child — so the
-// sample vector and summary are bit-identical for any thread count.
+// sampleDieDelays is the one sampler. Die t draws its global factor from
+// Rng(seed).child(t).child("global") and each distinct instance's local
+// mismatch once, from Rng(seed).child(t).child("local").child(instance), so
+// a cell shared by several paths shifts all of them by the same draw on that
+// die. Every draw is a pure function of (seed, die, instance): the delays
+// are bit-identical for any thread count.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "charlib/characterizer.hpp"
@@ -19,12 +24,25 @@
 namespace sct::variation {
 
 struct PathMcConfig {
-  std::size_t trials = 200;  ///< paper uses N = 200
+  std::size_t trials = 200;  ///< dies; the paper uses N = 200
   bool includeLocal = true;
   bool includeGlobal = false;
   charlib::ProcessCorner corner = charlib::ProcessCorner::typical();
   std::uint64_t seed = 1;
 };
+
+/// Samples config.trials dies of `paths` (traced by one analyzer, so every
+/// step carries its instance) and returns the path-major delay matrix
+/// delay[p * config.trials + t] [ns].
+[[nodiscard]] std::vector<double> sampleDieDelays(
+    const charlib::Characterizer& characterizer,
+    std::span<const sta::TimingPath> paths, const PathMcConfig& config);
+
+/// Number of dies on which every path meets its required time, over a
+/// matrix from sampleDieDelays with `trials` dies.
+[[nodiscard]] std::size_t countPassingDies(
+    std::span<const sta::TimingPath> paths, const std::vector<double>& delay,
+    std::size_t trials);
 
 /// Result of one Monte-Carlo run: summary plus the raw samples (for
 /// histograms).
@@ -33,37 +51,11 @@ struct PathMcResult {
   std::vector<double> samples;
 };
 
-/// One path step with everything the delay model needs pre-resolved:
-/// catalogue spec and deterministic arc factor are looked up once per path
-/// instead of once per trial.
-struct ResolvedPathStep {
-  const charlib::CellSpec* spec = nullptr;
-  double arcFactor = 1.0;  ///< arcDelayFactor of the step's worst (rise) edge
-  double inputSlew = 0.0;
-  double load = 0.0;
-};
-
+/// The one-path caller of the sampler (Figs. 15 and 16).
 class PathMonteCarlo {
  public:
   explicit PathMonteCarlo(const charlib::Characterizer& characterizer)
       : characterizer_(characterizer) {}
-
-  /// Resolves the per-step specs and arc factors of a path once, for reuse
-  /// across trials.
-  [[nodiscard]] std::vector<ResolvedPathStep> resolvePath(
-      const sta::TimingPath& path) const;
-
-  /// One deterministic path delay evaluation for a single trial's draws.
-  [[nodiscard]] double evaluateOnce(const sta::TimingPath& path,
-                                    const charlib::ProcessCorner& corner,
-                                    double globalFactor,
-                                    numeric::Rng* localRng) const;
-
-  /// Same evaluation over a pre-resolved path (the per-trial hot loop).
-  [[nodiscard]] double evaluateResolved(
-      const std::vector<ResolvedPathStep>& steps,
-      const charlib::ProcessCorner& corner, double globalFactor,
-      numeric::Rng* localRng) const;
 
   /// Full Monte-Carlo run on a path.
   [[nodiscard]] PathMcResult simulate(const sta::TimingPath& path,

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "charlib/characterizer.hpp"
+#include "clocktree/clock_tree.hpp"
 #include "core/flow_job.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/random.hpp"
@@ -26,6 +27,8 @@
 #include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
 #include "parallel/parallel.hpp"
+#include "postsi/buffer_sampling.hpp"
+#include "postsi/clock_tuning.hpp"
 #include "power/power_stats.hpp"
 #include "statlib/stat_library.hpp"
 #include "sta/sta.hpp"
@@ -281,40 +284,6 @@ TEST_F(ParallelDeterminismTest, TuningWindowsBitIdentical) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, PathMonteCarloBitIdentical) {
-  const charlib::Characterizer chr = characterizer();
-  const liberty::Library lib =
-      chr.characterizeNominal(charlib::ProcessCorner::typical());
-  const synth::Synthesizer synth(lib);
-  sta::ClockSpec clock;
-  clock.period = 8.0;
-  const synth::SynthesisResult result =
-      synth.run(test::makeInvChain(12), clock);
-  ASSERT_TRUE(result.success());
-  sta::TimingAnalyzer sta(result.design, lib, clock);
-  ASSERT_TRUE(sta.analyze());
-  const auto paths = sta.endpointWorstPaths();
-  const sta::TimingPath* longest = &paths.front();
-  for (const auto& p : paths) {
-    if (p.depth() > longest->depth()) longest = &p;
-  }
-
-  const variation::PathMonteCarlo mc(chr);
-  variation::PathMcConfig config;
-  config.trials = 300;
-  config.seed = 2014;
-  for (const bool includeGlobal : {false, true}) {
-    config.includeGlobal = includeGlobal;
-    const ScopedThreads serialScope(1);
-    const variation::PathMcResult serial = mc.simulate(*longest, config);
-    parallel::setThreadCount(8);
-    const variation::PathMcResult threaded = mc.simulate(*longest, config);
-    EXPECT_EQ(serial.samples, threaded.samples);
-    EXPECT_EQ(serial.summary.mean, threaded.summary.mean);
-    EXPECT_EQ(serial.summary.sigma, threaded.summary.sigma);
-  }
-}
-
 /// `width` independent FF -> INV x depth -> FF chains: enough instances and
 /// endpoints that the per-instance and per-path maps span several chunks.
 netlist::Design makeParallelChains(std::size_t width, std::size_t depth) {
@@ -459,6 +428,107 @@ TEST_F(ParallelDeterminismTest, DesignPowerMatchesSerialOracle) {
     EXPECT_EQ(pooled.cells, expected.cells);
     EXPECT_EQ(pooled.meanPower, expected.meanPower);
     EXPECT_EQ(pooled.sigmaPower, expected.sigmaPower);
+  }
+}
+
+TEST_F(ParallelDeterminismTest, PathMonteCarloBitIdentical) {
+  const charlib::Characterizer chr = characterizer();
+  const liberty::Library lib =
+      chr.characterizeNominal(charlib::ProcessCorner::typical());
+  const synth::Synthesizer synth(lib);
+  sta::ClockSpec clock;
+  clock.period = 8.0;
+  const synth::SynthesisResult result =
+      synth.run(test::makeInvChain(12), clock);
+  ASSERT_TRUE(result.success());
+  sta::TimingAnalyzer sta(result.design, lib, clock);
+  ASSERT_TRUE(sta.analyze());
+  const auto paths = sta.endpointWorstPaths();
+  const sta::TimingPath* longest = &paths.front();
+  for (const auto& p : paths) {
+    if (p.depth() > longest->depth()) longest = &p;
+  }
+
+  const variation::PathMonteCarlo mc(chr);
+  variation::PathMcConfig config;
+  config.trials = 300;
+  config.seed = 2014;
+  for (const bool includeGlobal : {false, true}) {
+    config.includeGlobal = includeGlobal;
+    const ScopedThreads serialScope(1);
+    const variation::PathMcResult serial = mc.simulate(*longest, config);
+    parallel::setThreadCount(8);
+    const variation::PathMcResult threaded = mc.simulate(*longest, config);
+    EXPECT_EQ(serial.samples, threaded.samples);
+    EXPECT_EQ(serial.summary.mean, threaded.summary.mean);
+    EXPECT_EQ(serial.summary.sigma, threaded.summary.sigma);
+  }
+
+  // The post-silicon callers of the same sampler, on a reconvergent design
+  // at a period inside its per-die delay spread (yields strictly between 0
+  // and 1, several buffer candidates).
+  const MeasuredChains& m = measuredChains();
+  netlist::RandomDagConfig dag;
+  dag.scale = 3;
+  dag.seed = 11;
+  const synth::SynthesisResult mapped =
+      synth::Synthesizer(m.lib).run(netlist::generateRandomDag(dag), m.clock);
+  ASSERT_TRUE(mapped.success());
+  sta::ClockSpec tight = m.clock;
+  {
+    sta::TimingAnalyzer relaxed(mapped.design, m.lib, m.clock);
+    ASSERT_TRUE(relaxed.analyze());
+    tight.period = m.clock.period - relaxed.worstSlack();
+  }
+  sta::TimingAnalyzer tightSta(mapped.design, m.lib, tight);
+  ASSERT_TRUE(tightSta.analyze());
+  const std::vector<sta::TimingPath> tightPaths = tightSta.endpointWorstPaths();
+  postsi::ClockTuningConfig tuning;
+  tuning.element = clocktree::TuningElementSpec{0.0, 0.3, 0.05, 2.0};
+  tuning.trials = 96;
+  ASSERT_GT(tuning.trials, 2 * parallel::defaultGrain(tuning.trials));
+  postsi::BufferSamplingOptions buffering;
+  buffering.trials = 96;
+
+  postsi::ClockTuningResult tunedRef;
+  postsi::BufferSamplingResult bufferedRef;
+  {
+    const ScopedThreads scope(0);
+    tunedRef =
+        postsi::computeClockTuning(m.chr, mapped.design, tightPaths, tuning);
+    bufferedRef = postsi::sampleBufferInsertion(mapped.design, m.lib, m.stat,
+                                                m.chr, tight, nullptr,
+                                                buffering);
+  }
+  EXPECT_GT(tunedRef.designYieldBefore, 0.0);
+  EXPECT_LT(tunedRef.designYieldBefore, 1.0);
+  EXPECT_GT(bufferedRef.evaluated, 1u);
+  for (const std::size_t threads : {1, 4, 8}) {
+    const ScopedThreads scope(threads);
+    const postsi::ClockTuningResult tuned =
+        postsi::computeClockTuning(m.chr, mapped.design, tightPaths, tuning);
+    EXPECT_EQ(tuned.designYieldBefore, tunedRef.designYieldBefore);
+    EXPECT_EQ(tuned.designYieldAfter, tunedRef.designYieldAfter);
+    ASSERT_EQ(tuned.registers.size(), tunedRef.registers.size());
+    for (std::size_t r = 0; r < tuned.registers.size(); ++r) {
+      const postsi::RegisterTuning& a = tuned.registers[r];
+      const postsi::RegisterTuning& b = tunedRef.registers[r];
+      EXPECT_EQ(a.slackMean, b.slackMean) << a.instance;
+      EXPECT_EQ(a.slackSigma, b.slackSigma) << a.instance;
+      EXPECT_EQ(a.assignMean, b.assignMean) << a.instance;
+      EXPECT_EQ(a.assignSigma, b.assignSigma) << a.instance;
+      EXPECT_EQ(a.assignMax, b.assignMax) << a.instance;
+    }
+    const postsi::BufferSamplingResult buffered =
+        postsi::sampleBufferInsertion(mapped.design, m.lib, m.stat, m.chr,
+                                      tight, nullptr, buffering);
+    EXPECT_EQ(buffered.evaluated, bufferedRef.evaluated);
+    EXPECT_EQ(buffered.inserted, bufferedRef.inserted);
+    EXPECT_EQ(buffered.yieldBefore, bufferedRef.yieldBefore);
+    EXPECT_EQ(buffered.yieldAfter, bufferedRef.yieldAfter);
+    EXPECT_EQ(buffered.worstPathSigmaAfter, bufferedRef.worstPathSigmaAfter);
+    EXPECT_EQ(buffered.design.instanceCount(),
+              bufferedRef.design.instanceCount());
   }
 }
 

@@ -15,11 +15,11 @@
 #include "clocktree/clock_tree.hpp"
 #include "core/flow_job.hpp"
 #include "netlist/builder.hpp"
+#include "postsi/buffer_sampling.hpp"
 #include "postsi/clock_tuning.hpp"
 #include "postsi/scenario.hpp"
 #include "statlib/stat_library.hpp"
 #include "sta/sta.hpp"
-#include "synth/buffer_sampling.hpp"
 #include "synth/synthesis.hpp"
 #include "test_helpers.hpp"
 
@@ -209,6 +209,54 @@ TEST_F(PostSiTest, ClockTuningIsDeterministic) {
   }
 }
 
+TEST_F(PostSiTest, DuplicatePathHasIdenticalSlackOnEveryDie) {
+  // Both copies of a path hold the same instances, so the per-die sampler
+  // gives them the same slack on every die, and the duplicated list tunes
+  // exactly like the single path. Copies with their own mismatch draws
+  // would lower the capture register's worst slack on some dies.
+  const netlist::Design& design = mapped(test::makeInvChain(10));
+  sta::ClockSpec clock;
+  clock.period = marginalPeriod(design);
+  sta::TimingAnalyzer sta(design, *lib_, clock);
+  ASSERT_TRUE(sta.analyze());
+  const std::vector<sta::TimingPath> paths = sta.endpointWorstPaths();
+  const sta::TimingPath* longest = &paths.front();
+  for (const sta::TimingPath& p : paths) {
+    if (p.depth() > longest->depth()) longest = &p;
+  }
+  ClockTuningConfig config;
+  config.element = clocktree::TuningElementSpec{0.0, 4.0, 0.05, 2.0};
+  config.trials = 64;
+  const ClockTuningResult once =
+      computeClockTuning(*chr_, design, {*longest}, config);
+  const ClockTuningResult twice =
+      computeClockTuning(*chr_, design, {*longest, *longest}, config);
+  EXPECT_EQ(once.designYieldBefore, twice.designYieldBefore);
+  EXPECT_EQ(once.designYieldAfter, twice.designYieldAfter);
+  ASSERT_EQ(once.registers.size(), twice.registers.size());
+  for (std::size_t r = 0; r < once.registers.size(); ++r) {
+    const RegisterTuning& a = once.registers[r];
+    const RegisterTuning& b = twice.registers[r];
+    EXPECT_EQ(a.instance, b.instance);
+    EXPECT_EQ(a.slackMean, b.slackMean);
+    EXPECT_EQ(a.slackSigma, b.slackSigma);
+    EXPECT_EQ(a.assignMean, b.assignMean);
+    EXPECT_EQ(a.assignSigma, b.assignSigma);
+    EXPECT_EQ(a.yieldBefore, b.yieldBefore);
+    EXPECT_EQ(a.yieldAfter, b.yieldAfter);
+  }
+  // The capture register sees a spread of slacks, so a second draw would
+  // have shown.
+  const std::string capture = design.instance(longest->endpoint.instance).name;
+  bool seen = false;
+  for (const RegisterTuning& reg : once.registers) {
+    if (reg.instance != capture) continue;
+    seen = true;
+    EXPECT_GT(reg.slackSigma, 0.0);
+  }
+  EXPECT_TRUE(seen);
+}
+
 // --------------------------------------------------- buffer insertion ----
 
 /// FF -> stem inverter fanning out to a deep chain and a short branch; the
@@ -231,9 +279,9 @@ TEST_F(PostSiTest, BufferSamplingEvaluatesAndNeverHurtsYield) {
   const netlist::Design& design = mapped(makeFanoutDesign());
   sta::ClockSpec clock;
   clock.period = 4.0;
-  synth::BufferSamplingOptions options;
+  BufferSamplingOptions options;
   options.trials = 32;
-  const synth::BufferSamplingResult result = synth::sampleBufferInsertion(
+  const BufferSamplingResult result = sampleBufferInsertion(
       design, *lib_, *stat_, *chr_, clock, nullptr, options);
   EXPECT_GE(result.evaluated, 1u);
   EXPECT_GE(result.yieldAfter, result.yieldBefore);
@@ -247,11 +295,11 @@ TEST_F(PostSiTest, BufferSamplingIsDeterministicAndNonMutating) {
   const std::size_t netsBefore = design.netCount();
   sta::ClockSpec clock;
   clock.period = 4.0;
-  synth::BufferSamplingOptions options;
+  BufferSamplingOptions options;
   options.trials = 32;
-  const synth::BufferSamplingResult a = synth::sampleBufferInsertion(
+  const BufferSamplingResult a = sampleBufferInsertion(
       design, *lib_, *stat_, *chr_, clock, nullptr, options);
-  const synth::BufferSamplingResult b = synth::sampleBufferInsertion(
+  const BufferSamplingResult b = sampleBufferInsertion(
       design, *lib_, *stat_, *chr_, clock, nullptr, options);
   EXPECT_EQ(a.evaluated, b.evaluated);
   EXPECT_EQ(a.inserted, b.inserted);

@@ -204,7 +204,9 @@ TEST_F(SynthesisTest, MapsEveryInstance) {
   const SynthesisResult result =
       synth.run(netlist::generateAccumulator(8), clock);
   for (const auto& inst : result.design.instances()) {
-    if (inst.alive) EXPECT_NE(inst.cell, nullptr);
+    if (inst.alive) {
+      EXPECT_NE(inst.cell, nullptr);
+    }
   }
   EXPECT_EQ(result.design.validate(), "");
 }
@@ -570,7 +572,9 @@ TEST_F(SynthesisTest, RebindDesignFailsOnMissingCell) {
   EXPECT_FALSE(rebindDesign(design, sparse));
   // Untouched: still bound into the original library.
   for (const auto& inst : design.instances()) {
-    if (inst.alive) EXPECT_NE(inst.cell, nullptr);
+    if (inst.alive) {
+      EXPECT_NE(inst.cell, nullptr);
+    }
   }
 }
 

@@ -292,7 +292,7 @@ TEST_F(PathMcTest, GlobalVariationDominatesDeepPaths) {
       if (p.depth() > longest->depth()) longest = &p;
     }
     PathMcConfig localOnly;
-    localOnly.trials = 800;
+    localOnly.trials = 3200;
     localOnly.seed = 23;
     PathMcConfig both = localOnly;
     both.includeGlobal = true;
@@ -319,6 +319,37 @@ TEST_F(PathMcTest, GlobalPlusLocalExceedsLocalOnly) {
   EXPECT_GT(b.summary.sigma, l.summary.sigma);
   // Means agree (global factor has mean 1).
   EXPECT_NEAR(b.summary.mean, l.summary.mean, 0.05 * l.summary.mean);
+}
+
+TEST_F(PathMcTest, SharedInstancesDrawOncePerDie) {
+  // Each instance draws its mismatch once per die, so a prefix and a suffix
+  // that together hold a path's steps split every die's delay of the whole
+  // path; draws keyed by path would give the three paths unrelated delays.
+  const auto paths = chainPaths(8);
+  const sta::TimingPath& whole = longestOf(paths);
+  ASSERT_GE(whole.depth(), 4u);
+  sta::TimingPath head = whole;
+  head.steps.resize(whole.depth() / 2);
+  sta::TimingPath tail = whole;
+  tail.steps.erase(tail.steps.begin(),
+                   tail.steps.begin() +
+                       static_cast<std::ptrdiff_t>(head.depth()));
+  PathMcConfig config;
+  config.trials = 64;
+  config.includeGlobal = true;
+  config.seed = 3;
+  const std::vector<sta::TimingPath> split{whole, head, tail};
+  const std::vector<double> delay = sampleDieDelays(*chr_, split, config);
+  ASSERT_EQ(delay.size(), 3 * config.trials);
+  const std::size_t n = config.trials;
+  for (std::size_t t = 0; t < n; ++t) {
+    EXPECT_NEAR(delay[t], delay[n + t] + delay[2 * n + t], 1e-9 * delay[t])
+        << "die " << t;
+  }
+  // simulate is the one-path caller of the same sampler.
+  const std::vector<double> wholeRow(
+      delay.begin(), delay.begin() + static_cast<std::ptrdiff_t>(n));
+  EXPECT_EQ(PathMonteCarlo(*chr_).simulate(whole, config).samples, wholeRow);
 }
 
 }  // namespace
