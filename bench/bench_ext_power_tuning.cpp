@@ -13,23 +13,20 @@ int main() {
                      "section III: 'other properties, such as transition "
                      "power'");
 
-  core::TuningFlow flow(bench::standardConfig());
+  core::FlowConfig config = bench::standardConfig();
+  config.powerActivity = 0.15;
+  core::TuningFlow flow(config);
   const bench::ClockSet clocks = bench::paperClockSet(flow);
   const double period = clocks.highPerf;
   const power::PowerModel powerModel(flow.characterizer().model());
-  const double activity = 0.15;
+  const double activity = config.powerActivity;
 
   auto evaluate = [&](const char* label,
                       const tuning::LibraryConstraints* constraints) {
     synth::Synthesizer synth(flow.nominalLibrary(), constraints);
-    sta::ClockSpec clock = flow.config().clock;
-    clock.period = period;
-    synth::SynthesisResult run = synth.run(flow.subject(), clock);
+    synth::SynthesisResult run = synth.run(flow.subject(), flow.clockAt(period));
     const core::DesignMeasurement m = flow.measure(std::move(run), period);
-    sta::TimingAnalyzer sta(m.synthesis.design, flow.nominalLibrary(), clock);
-    sta.analyze();
-    const power::DesignPower p = power::analyzeDesignPower(
-        m.synthesis.design, sta, flow.characterizer(), powerModel, activity);
+    const power::DesignPower& p = m.power;
     std::printf("%-26s %9s %11.4f %11.1f %12.1f %12.3f\n", label,
                 m.success() ? "ok" : "FAIL", m.sigma(), m.area() / 1000.0,
                 p.meanPower, p.sigmaPower);

@@ -53,8 +53,10 @@ int main() {
 
   // --- power ---------------------------------------------------------------
   const power::PowerModel powerModel(flow.characterizer().model());
-  const power::DesignPower pwr = power::analyzeDesignPower(
-      design.synthesis.design, sta, flow.characterizer(), powerModel, 0.15);
+  const power::DesignPower pwr =
+      power::analyzeDesignPower(design.synthesis.design, sta,
+                                flow.characterizer(), powerModel, 0.15,
+                                flow.powerDraws());
   std::printf("\n[power] dynamic power %.1f uW, sigma %.3f uW over %zu cells "
               "(activity 0.15)\n",
               pwr.meanPower, pwr.sigmaPower, pwr.cells);

@@ -150,12 +150,15 @@ void DelayModel::outputSlewBatch(const CellSpec& spec, double slew,
 
 LocalDeltas DelayModel::drawLocal(const CellSpec& spec,
                                   numeric::Rng& rng) const noexcept {
-  LocalDeltas d;
-  d.dDrive = rng.normal(0.0, spec.localSigma);
-  d.dIntrinsic =
-      rng.normal(0.0, spec.localSigma * variation_.intrinsicFraction);
-  d.dSlew = rng.normal(0.0, spec.localSigma * variation_.slewFraction);
-  return d;
+  return scaleLocal(spec, drawNormals(rng));
+}
+
+LocalNormals DelayModel::drawNormals(numeric::Rng& rng) noexcept {
+  LocalNormals z;
+  z.zDrive = rng.normal();
+  z.zIntrinsic = rng.normal();
+  z.zSlew = rng.normal();
+  return z;
 }
 
 double DelayModel::drawGlobalFactor(numeric::Rng& rng) const noexcept {

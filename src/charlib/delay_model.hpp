@@ -41,6 +41,15 @@ struct LocalDeltas {
   double dSlew = 0.0;       ///< relative slew-sensitivity mismatch
 };
 
+/// The standard normals behind one LocalDeltas, in drawing order. Scaling
+/// them by a cell's sigmas (DelayModel::scaleLocal) gives its mismatch, so a
+/// caller can keep the draws and scale them for any cell later.
+struct LocalNormals {
+  double zDrive = 0.0;
+  double zIntrinsic = 0.0;
+  double zSlew = 0.0;
+};
+
 /// Structure-of-arrays mismatch draws of all Monte-Carlo instances of one
 /// cell, the per-instance dimension of the batched characterizer: one
 /// delayBatch() call evaluates one LUT entry across every instance.
@@ -110,9 +119,27 @@ class DelayModel {
                        double globalFactor,
                        std::span<double> out) const noexcept;
 
-  /// Draws fresh local mismatch for one instance of the cell.
+  /// Draws fresh local mismatch for one instance of the cell:
+  /// scaleLocal(spec, drawNormals(rng)).
   [[nodiscard]] LocalDeltas drawLocal(const CellSpec& spec,
                                       numeric::Rng& rng) const noexcept;
+
+  /// The standard normals one drawLocal() consumes: zDrive, zIntrinsic,
+  /// zSlew, in that order.
+  [[nodiscard]] static LocalNormals drawNormals(numeric::Rng& rng) noexcept;
+
+  /// One instance's mismatch from its standard normals: each delta is
+  /// 0.0 + (the cell's sigma of that parameter) * z, the operations of
+  /// Rng::normal(0.0, sigma).
+  [[nodiscard]] LocalDeltas scaleLocal(const CellSpec& spec,
+                                       const LocalNormals& z) const noexcept {
+    LocalDeltas d;
+    d.dDrive = 0.0 + spec.localSigma * z.zDrive;
+    d.dIntrinsic =
+        0.0 + (spec.localSigma * variation_.intrinsicFraction) * z.zIntrinsic;
+    d.dSlew = 0.0 + (spec.localSigma * variation_.slewFraction) * z.zSlew;
+    return d;
+  }
 
   /// Draws a per-die global factor (shared across all cells of the die).
   [[nodiscard]] double drawGlobalFactor(numeric::Rng& rng) const noexcept;

@@ -52,7 +52,8 @@ struct DesignPart {
 
 TuningFlow::TuningFlow(FlowConfig config)
     : config_(std::move(config)),
-      characterizer_(config_.characterization) {
+      characterizer_(config_.characterization),
+      powerDraws_(config_.powerSamples, config_.powerSeed) {
   if (config_.threads >= 0) {
     parallel::setThreadCount(static_cast<std::size_t>(config_.threads));
   }
@@ -359,11 +360,11 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
     // Dynamic-power totals at the measured operating points (satellite of
     // the scenario work: the report and trade-off output carry power
     // alongside sigma/area). Deterministic per-instance streams from
-    // powerSeed.
+    // powerSeed, drawn once per flow.
     const power::PowerModel powerModel(characterizer_.model());
-    out.power = power::analyzeDesignPower(
-        out.synthesis.design, *analyzer, characterizer_, powerModel,
-        config_.powerActivity, config_.powerSamples, config_.powerSeed);
+    out.power = power::analyzeDesignPower(out.synthesis.design, *analyzer,
+                                          characterizer_, powerModel,
+                                          config_.powerActivity, powerDraws_);
   }
   return out;
 }

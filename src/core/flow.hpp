@@ -102,6 +102,7 @@ struct FlowConfig {
   /// Design-power measurement knobs (src/power wired into measure(); the
   /// totals land in the flow report and the scenario trade-off output).
   /// Deterministic: per-instance streams are derived from powerSeed alone.
+  /// The flow's power::DrawTable is built from powerSamples and powerSeed.
   double powerActivity = 0.1;      ///< transitions per clock per cell
   std::size_t powerSamples = 50;   ///< mismatch draws per instance
   std::uint64_t powerSeed = 7;
@@ -270,6 +271,12 @@ class TuningFlow {
   [[nodiscard]] static const SweepPoint* bestUnderAreaCap(
       std::span<const SweepPoint> points, double maxAreaIncreasePct = 10.0);
 
+  /// The mismatch draws of every design-power analysis of this flow
+  /// (config().powerSamples draws per instance from config().powerSeed):
+  /// measure() and the scenario cells read and extend it, so each counted
+  /// position's draws are made once per flow.
+  [[nodiscard]] power::DrawTable& powerDraws() noexcept { return powerDraws_; }
+
   /// Artifact store backing the resumable stages; nullptr when caching is
   /// disabled (empty cacheDir, or a cache directory that could not be
   /// created — the flow then degrades to always computing).
@@ -313,6 +320,7 @@ class TuningFlow {
 
   FlowConfig config_;
   charlib::Characterizer characterizer_;
+  power::DrawTable powerDraws_;
   std::unique_ptr<artifact::ArtifactStore> ownedStore_;
   std::unique_ptr<artifact::MemoryArtifactCache> ownedMem_;
   artifact::ArtifactStore* store_ = nullptr;  ///< owned or shared

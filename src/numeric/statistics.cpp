@@ -7,20 +7,6 @@
 
 namespace sct::numeric {
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -5,6 +5,7 @@
 // variation metric; both are exposed here so the metric ablation can compare
 // them.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -26,7 +27,19 @@ struct NormalSummary {
 /// parallel update), which is what the chunked parallel reductions use.
 class RunningStats {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    if (n_ == 0) {
+      min_ = x;
+      max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   /// Folds another accumulator in, as if its samples had been add()ed here.
   /// Mean and variance match the single-stream result to floating-point

@@ -132,8 +132,7 @@ ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
   const power::PowerModel powerModel(flow.characterizer().model());
   const power::DesignPower power = power::analyzeDesignPower(
       sampled.design, analyzer, flow.characterizer(), powerModel,
-      flow.config().powerActivity, flow.config().powerSamples,
-      flow.config().powerSeed);
+      flow.config().powerActivity, flow.powerDraws());
   cell.powerMean = power.meanPower;
   cell.powerSigma = power.sigmaPower;
 

@@ -1,31 +1,26 @@
 #include "power/power_model.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace sct::power {
 
-double PowerModel::transitionEnergy(const charlib::CellSpec& spec, double slew,
-                                    double load,
-                                    const charlib::LocalDeltas& local,
-                                    double globalFactor) const noexcept {
+EnergyTerms PowerModel::terms(const charlib::CellSpec& spec, double slew,
+                              double load) const noexcept {
   assert(slew >= 0.0 && load >= 0.0);
   const liberty::FunctionTraits& t = liberty::traits(spec.function);
+  EnergyTerms out;
   // Internal (parasitic-capacitance) energy: scales with the topology and
   // the drive strength, inherits the intrinsic-delay mismatch.
-  const double internal = params_.internalEnergy * t.parasitic *
-                          spec.driveStrength *
-                          (1.0 + params_.internalFraction * local.dIntrinsic);
+  out.internal = params_.internalEnergy * t.parasitic * spec.driveStrength;
+  out.internalFraction = params_.internalFraction;
   // Load charging: E = C * Vdd^2 (pF * V^2 = pJ -> x1000 fJ). Pure physics,
   // no mismatch: the load capacitance belongs to the fanout, not this cell.
-  const double charging = load * params_.vdd * params_.vdd * 1e3;
+  out.charging = load * params_.vdd * params_.vdd * 1e3;
   // Short-circuit: crowbar conduction while the input traverses the
   // threshold band; longer for slow edges and weak (high-R) stacks; carries
   // the drive mismatch.
-  const double shortCircuit = params_.shortCircuit * slew * spec.driveRes *
-                              (1.0 + local.dDrive);
-  const double energy = internal + charging + shortCircuit;
-  return std::max(0.0, energy) * globalFactor;
+  out.shortCircuit = params_.shortCircuit * slew * spec.driveRes;
+  return out;
 }
 
 double PowerModel::dynamicPower(const charlib::CellSpec& spec, double slew,

@@ -13,6 +13,8 @@
 // Mismatch enters through the same per-instance deltas as delay, so weak
 // cells have both higher delay sigma and higher power sigma.
 
+#include <algorithm>
+
 #include "charlib/delay_model.hpp"
 
 namespace sct::power {
@@ -24,6 +26,24 @@ struct PowerParams {
   double internalFraction = 0.9; ///< mismatch coupling of the internal term
 };
 
+/// The draw-invariant part of transitionEnergy() at one operating point:
+/// energy(local) repeats only the mismatch-dependent operations, so a caller
+/// evaluating many draws at one point computes the rest once.
+struct EnergyTerms {
+  double internal = 0.0;      ///< internal energy before its mismatch factor
+  double internalFraction = 0.0;
+  double charging = 0.0;
+  double shortCircuit = 0.0;  ///< short-circuit energy before its mismatch
+
+  [[nodiscard]] double energy(const charlib::LocalDeltas& local,
+                              double globalFactor = 1.0) const noexcept {
+    const double energy =
+        internal * (1.0 + internalFraction * local.dIntrinsic) + charging +
+        shortCircuit * (1.0 + local.dDrive);
+    return std::max(0.0, energy) * globalFactor;
+  }
+};
+
 class PowerModel {
  public:
   PowerModel(const charlib::DelayModel& delayModel, PowerParams params = {})
@@ -31,11 +51,18 @@ class PowerModel {
 
   [[nodiscard]] const PowerParams& params() const noexcept { return params_; }
 
-  /// Energy of one output transition [fJ] for a given instance mismatch.
+  /// Energy of one output transition [fJ] for a given instance mismatch:
+  /// terms(spec, slew, load).energy(local, globalFactor).
   [[nodiscard]] double transitionEnergy(const charlib::CellSpec& spec,
                                         double slew, double load,
                                         const charlib::LocalDeltas& local,
-                                        double globalFactor = 1.0) const noexcept;
+                                        double globalFactor = 1.0) const noexcept {
+    return terms(spec, slew, load).energy(local, globalFactor);
+  }
+
+  /// The mismatch-free factors of transitionEnergy() at (slew, load).
+  [[nodiscard]] EnergyTerms terms(const charlib::CellSpec& spec, double slew,
+                                  double load) const noexcept;
 
   /// Average dynamic power [uW] of a cell toggling with the given activity
   /// (transitions per clock) at a clock period [ns].

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "numeric/statistics.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/parallel.hpp"
 #include "tuning/rectangle.hpp"
 
@@ -75,11 +77,32 @@ tuning::LibraryConstraints tuneLibraryOnPower(
   return constraints;
 }
 
+std::size_t DrawTable::size() const {
+  const LockGuard lock(mutex_);
+  return entries_.size();
+}
+
+std::vector<const DrawTable::Entry*> DrawTable::prefix(std::size_t n) const {
+  const LockGuard lock(mutex_);
+  std::vector<const Entry*> out(std::min(n, entries_.size()));
+  for (std::size_t p = 0; p < out.size(); ++p) out[p] = &entries_[p];
+  return out;
+}
+
+void DrawTable::offer(std::size_t position, Entry entry) {
+  const LockGuard lock(mutex_);
+  if (position == entries_.size()) entries_.push_back(std::move(entry));
+}
+
 DesignPower analyzeDesignPower(const netlist::Design& design,
                                const sta::TimingAnalyzer& sta,
                                const charlib::Characterizer& characterizer,
                                const PowerModel& model, double activity,
-                               std::size_t samples, std::uint64_t seed) {
+                               DrawTable& draws) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  static obs::Counter& reused = registry.counter("power.draws.reused");
+  static obs::Counter& drawn = registry.counter("power.draws.drawn");
+
   // Operating point and stream tag of every bound instance, on the pool:
   // they only read the design and the STA.
   struct Point {
@@ -104,12 +127,16 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
         return point;
       });
 
-  // One counted instance: its operating point and its own mismatch stream.
+  // One counted instance: its operating point, its own mismatch stream and,
+  // when the table holds this position with the same tag, that stream's
+  // draws.
   struct Site {
     const charlib::CellSpec* spec;
     double slew;
     double load;
+    std::uint64_t tag;
     numeric::Rng rng;
+    const DrawTable::Entry* stored;
   };
 
   // Serial fork walk in instance order. Rng::fork() advances `master`, so
@@ -117,9 +144,12 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
   // it: forking here, in order, keeps every stream independent of the
   // thread count. Skipped instances (dead, unmapped, outside the
   // catalogue) consume no fork. Each bound cell's spec is looked up once.
+  const std::vector<const DrawTable::Entry*> known =
+      draws.prefix(design.instanceCount());
   std::unordered_map<const liberty::Cell*, const charlib::CellSpec*> specOf;
-  numeric::Rng master(seed);
+  numeric::Rng master(draws.seed());
   std::vector<Site> sites;
+  std::size_t hits = 0;
   for (std::size_t i = 0; i < design.instanceCount(); ++i) {
     const netlist::Instance& inst =
         design.instance(static_cast<netlist::InstIndex>(i));
@@ -128,41 +158,97 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
     if (inserted) entry->second = characterizer.specs().find(inst.cell->name());
     if (entry->second == nullptr) continue;  // cells outside the catalogue
     const Point& point = points[i];
-    sites.push_back(
-        {entry->second, point.slew, point.load, master.fork(point.tag)});
+    const std::size_t position = sites.size();
+    const DrawTable::Entry* stored =
+        position < known.size() && known[position]->tag == point.tag
+            ? known[position]
+            : nullptr;
+    if (stored != nullptr) ++hits;
+    sites.push_back({entry->second, point.slew, point.load, point.tag,
+                     master.fork(point.tag), stored});
   }
+  reused.add(hits);
+  drawn.add(sites.size() - hits);
 
-  // Per-instance energy statistics from fresh mismatch draws: the bulk of
-  // the work, independent per instance, so it runs on the pool.
+  // Per-instance energy statistics, independent per instance, so on the
+  // pool. A site without stored draws draws them from its stream first;
+  // both kinds scale the same standard normals the same way.
+  const std::size_t samples = draws.samples();
+  const charlib::DelayModel& delayModel = characterizer.model();
   struct Energy {
     double mean;
     double stddev;
+    DrawTable::Entry fresh;  ///< the draws of a site without stored ones
   };
-  const std::vector<Energy> energies =
+  std::vector<Energy> energies =
       parallel::parallelMap(sites.size(), [&](std::size_t i) {
         const Site& site = sites[i];
-        numeric::Rng rng = site.rng;
+        Energy out{0.0, 0.0, {}};
+        const double* z = nullptr;
+        if (site.stored != nullptr) {
+          z = site.stored->z.data();
+        } else {
+          out.fresh.tag = site.tag;
+          out.fresh.z.resize(2 * samples);
+          numeric::Rng rng = site.rng;
+          for (std::size_t k = 0; k < samples; ++k) {
+            const charlib::LocalNormals normals =
+                charlib::DelayModel::drawNormals(rng);
+            out.fresh.z[2 * k] = normals.zDrive;
+            out.fresh.z[2 * k + 1] = normals.zIntrinsic;
+          }
+          z = out.fresh.z.data();
+        }
+        const EnergyTerms terms = model.terms(*site.spec, site.slew, site.load);
         numeric::RunningStats energy;
         for (std::size_t k = 0; k < samples; ++k) {
-          energy.add(model.transitionEnergy(
-              *site.spec, site.slew, site.load,
-              characterizer.model().drawLocal(*site.spec, rng)));
+          energy.add(terms.energy(
+              delayModel.scaleLocal(*site.spec, {z[2 * k], z[2 * k + 1], 0.0})));
         }
-        return Energy{energy.mean(), energy.stddev()};
+        out.mean = energy.mean();
+        out.stddev = energy.stddev();
+        return out;
       });
 
   // Ordered fold: the same floating-point operations, in instance order.
+  // Fresh draws go to the table in position order.
   DesignPower out;
   const double toPower = activity / sta.clock().period;  // fJ -> uW
   double varSum = 0.0;  // (uW)^2
-  for (const Energy& energy : energies) {
+  for (std::size_t p = 0; p < energies.size(); ++p) {
+    Energy& energy = energies[p];
     out.meanPower += energy.mean * toPower;
     const double sigmaPower = energy.stddev * toPower;
     varSum += sigmaPower * sigmaPower;
+    if (sites[p].stored == nullptr) draws.offer(p, std::move(energy.fresh));
   }
   out.cells = energies.size();
   out.sigmaPower = std::sqrt(varSum);
   return out;
+}
+
+DesignPower analyzeDesignPower(const netlist::Design& design,
+                               const sta::TimingAnalyzer& sta,
+                               const charlib::Characterizer& characterizer,
+                               const PowerModel& model, double activity,
+                               std::size_t samples, std::uint64_t seed) {
+  // One table per (samples, seed) for the life of the process; std::map
+  // nodes do not move, so a table stays put once made.
+  struct Tables {
+    sct::Mutex mutex;
+    std::map<std::pair<std::size_t, std::uint64_t>, DrawTable> bySeed
+        SCT_GUARDED_BY(mutex);
+  };
+  static Tables tables;
+  DrawTable* draws = nullptr;
+  {
+    const LockGuard lock(tables.mutex);
+    draws = &tables.bySeed
+                 .try_emplace(std::pair{samples, seed}, samples, seed)
+                 .first->second;
+  }
+  return analyzeDesignPower(design, sta, characterizer, model, activity,
+                            *draws);
 }
 
 }  // namespace sct::power

@@ -166,6 +166,27 @@ TEST(DelayModel, DrawLocalScalesWithSpecSigma) {
               0.1 * strong.localSigma);
 }
 
+TEST(DelayModel, ScaledNormalsEqualNormalDeviatesOfTheCellSigmas) {
+  // Kept draws scaled later give the bits of Rng::normal(0, sigma) on the
+  // same stream, in the order zDrive, zIntrinsic, zSlew.
+  const DelayModel model = makeModel();
+  const CellSpec spec = model.makeSpec(CellFunction::kNand2, 1.0);
+  const VariationParams& v = model.variation();
+  numeric::Rng direct(9);
+  numeric::Rng split(9);
+  for (int i = 0; i < 50; ++i) {
+    const double dDrive = direct.normal(0.0, spec.localSigma);
+    const double dIntrinsic =
+        direct.normal(0.0, spec.localSigma * v.intrinsicFraction);
+    const double dSlew = direct.normal(0.0, spec.localSigma * v.slewFraction);
+    const LocalDeltas d =
+        model.scaleLocal(spec, DelayModel::drawNormals(split));
+    EXPECT_EQ(d.dDrive, dDrive);
+    EXPECT_EQ(d.dIntrinsic, dIntrinsic);
+    EXPECT_EQ(d.dSlew, dSlew);
+  }
+}
+
 // ---------------------------------------------------------- catalogue ----
 
 TEST(Catalogue, CensusMatchesAppendixA) {

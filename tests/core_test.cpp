@@ -294,6 +294,44 @@ TEST(FlowMapMemo, OneMappingPerUsableOpSetAndReportsMatchFreshFlows) {
                                     8.0)));
 }
 
+TEST(FlowPowerDraws, JobsOnOneFlowMatchFreshFlows) {
+  // The flow keeps every counted position's power mismatch draws; later
+  // jobs read them instead of drawing again and report the same bytes.
+  FlowJob baseline;
+  baseline.profile = "small";
+  baseline.mcCount = 4;
+  baseline.lintMode = "off";
+  baseline.period = 8.0;
+  FlowJob tuned = baseline;
+  tuned.method = "sigma-ceiling";
+  tuned.value = 0.02;
+  FlowJob tighter = tuned;
+  tighter.period = 6.0;
+  tighter.method = "cell-load";
+  tighter.value = 0.01;
+  const ScopedMetrics metrics;
+
+  TuningFlow shared(memoConfig());
+  std::vector<std::string> reports;
+  std::uint64_t reused = 0;
+  for (const FlowJob& job : {baseline, tuned, tighter}) {
+    const std::uint64_t before = counterValue("power.draws.reused");
+    reports.push_back(runFlowJob(shared, job).report);
+    reused += counterValue("power.draws.reused") - before;
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(shared.powerDraws().size(), 0u);
+  const FlowJob jobs[] = {baseline, tuned, tighter};
+  for (std::size_t i = 0; i < 3; ++i) {
+    TuningFlow fresh(memoConfig());
+    const FlowJobResult expected = runFlowJob(fresh, jobs[i]);
+    EXPECT_TRUE(expected.success);
+    EXPECT_EQ(reports[i], expected.report) << "job " << i;
+  }
+  EXPECT_NE(reports[0], reports[1]);
+  EXPECT_NE(reports[1], reports[2]);
+}
+
 TEST(FlowHandOver, MeasureAdoptsSynthesisTimingInsteadOfAnalyzing) {
   const ScopedMetrics metrics;
   TuningFlow flow(memoConfig());

@@ -15,6 +15,8 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "netlist/verilog_io.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/parallel.hpp"
 #include "postsi/buffer_sampling.hpp"
 #include "postsi/clock_tuning.hpp"
@@ -357,6 +360,13 @@ struct MeasuredChains {
   }();
   synth::SynthesisResult result =
       synth::Synthesizer(lib).run(makeParallelChains(48, 6), clock);
+  /// A second, differently shaped design.
+  synth::SynthesisResult other =
+      synth::Synthesizer(lib).run(makeParallelChains(20, 9), clock);
+  /// A bound cell the characterizer's catalogue does not know.
+  liberty::Cell outside = test::makeSimpleCell(
+      "OUTSIDE_1", liberty::CellFunction::kInv, 1.0, 1.0, 0.001, 0.010, 0.1,
+      4.0);
 };
 
 const MeasuredChains& measuredChains() {
@@ -369,7 +379,8 @@ power::DesignPower designPower(const MeasuredChains& m,
   sta::TimingAnalyzer sta(design, m.lib, m.clock);
   EXPECT_TRUE(sta.analyze());
   const power::PowerModel model(m.chr.model());
-  return power::analyzeDesignPower(design, sta, m.chr, model, 0.2);
+  power::DrawTable draws(50, 7);
+  return power::analyzeDesignPower(design, sta, m.chr, model, 0.2, draws);
 }
 
 TEST_F(ParallelDeterminismTest, DesignPowerBitIdentical) {
@@ -390,16 +401,15 @@ TEST_F(ParallelDeterminismTest, DesignPowerBitIdentical) {
   EXPECT_EQ(serial.sigmaPower, threaded.sigmaPower);
 }
 
-TEST_F(ParallelDeterminismTest, DesignPowerMatchesSerialOracle) {
-  // Dead instances and cells outside the catalogue early in the instance
-  // order: if either consumed a fork, every later stream would shift.
-  const MeasuredChains& m = measuredChains();
+/// The chains with dead instances and cells outside the catalogue early in
+/// the instance order: every later counted position shifts, so a table
+/// filled from the intact chains holds other tags there. `uncatalogued`
+/// receives the number of instances moved outside the catalogue.
+netlist::Design withEarlyGaps(const MeasuredChains& m,
+                              std::size_t& uncatalogued) {
   netlist::Design design = m.result.design;
-  const liberty::Cell outside = test::makeSimpleCell(
-      "OUTSIDE_1", liberty::CellFunction::kInv, 1.0, 1.0, 0.001, 0.010, 0.1,
-      4.0);
   std::size_t dead = 0;
-  std::size_t uncatalogued = 0;
+  uncatalogued = 0;
   for (std::size_t i = 0; i < design.instanceCount() && i < 24; ++i) {
     netlist::Instance& inst =
         design.instance(static_cast<netlist::InstIndex>(i));
@@ -408,26 +418,194 @@ TEST_F(ParallelDeterminismTest, DesignPowerMatchesSerialOracle) {
       inst.alive = false;
       ++dead;
     } else if (i % 3 == 1) {
-      inst.cell = &outside;
+      inst.cell = &m.outside;
       ++uncatalogued;
     }
   }
-  ASSERT_GT(dead, 0u);
-  ASSERT_GT(uncatalogued, 0u);
+  EXPECT_GT(dead, 0u);
+  EXPECT_GT(uncatalogued, 0u);
+  return design;
+}
 
+/// The chains plus `count` inverters appended at the end of the instance
+/// order, each driving a fresh net from the first inverter's input.
+netlist::Design withAppendedInverters(const MeasuredChains& m,
+                                      std::size_t count) {
+  netlist::Design design = m.result.design;
+  const netlist::Instance* inverter = nullptr;
+  for (std::size_t i = 0; i < design.instanceCount(); ++i) {
+    const netlist::Instance& inst =
+        design.instance(static_cast<netlist::InstIndex>(i));
+    if (inst.alive && inst.cell != nullptr && inst.op == netlist::PrimOp::kInv) {
+      inverter = &inst;
+      break;
+    }
+  }
+  EXPECT_NE(inverter, nullptr);
+  const netlist::NetIndex input = inverter->inputs.front();
+  const liberty::Cell* cell = inverter->cell;
+  for (std::size_t k = 0; k < count; ++k) {
+    const netlist::NetIndex out =
+        design.addNet("appended_net" + std::to_string(k));
+    design.bindCell(design.addInstance("appended_inv" + std::to_string(k),
+                                       netlist::PrimOp::kInv, {input}, {out}),
+                    cell);
+  }
+  return design;
+}
+
+/// Power of `design` (analyzed by `sta`) through `draws` equals the serial
+/// oracle at the table's samples and seed, bit for bit.
+void expectOraclePower(const MeasuredChains& m, const netlist::Design& design,
+                       const sta::TimingAnalyzer& sta,
+                       power::DrawTable& draws) {
+  const power::PowerModel model(m.chr.model());
+  const power::DesignPower expected = serialDesignPowerOracle(
+      design, sta, m.chr, model, 0.2, draws.samples(), draws.seed());
+  const power::DesignPower pooled =
+      power::analyzeDesignPower(design, sta, m.chr, model, 0.2, draws);
+  EXPECT_GT(expected.cells, 0u);
+  EXPECT_EQ(pooled.cells, expected.cells);
+  EXPECT_EQ(pooled.meanPower, expected.meanPower);
+  EXPECT_EQ(pooled.sigmaPower, expected.sigmaPower);
+}
+
+TEST_F(ParallelDeterminismTest, DesignPowerMatchesSerialOracle) {
+  // Dead instances and cells outside the catalogue early in the instance
+  // order: if either consumed a fork, every later stream would shift.
+  const MeasuredChains& m = measuredChains();
+  std::size_t uncatalogued = 0;
+  const netlist::Design design = withEarlyGaps(m, uncatalogued);
   sta::TimingAnalyzer sta(m.result.design, m.lib, m.clock);
   ASSERT_TRUE(sta.analyze());
   const power::PowerModel model(m.chr.model());
-  const power::DesignPower expected =
-      serialDesignPowerOracle(design, sta, m.chr, model, 0.2, 50, 7);
-  EXPECT_EQ(expected.cells, design.gateCount() - uncatalogued);
+  EXPECT_EQ(serialDesignPowerOracle(design, sta, m.chr, model, 0.2, 50, 7)
+                .cells,
+            design.gateCount() - uncatalogued);
   for (std::size_t threads : {0, 1, 4, 8}) {
     const ScopedThreads scope(threads);
-    const power::DesignPower pooled =
-        power::analyzeDesignPower(design, sta, m.chr, model, 0.2, 50, 7);
-    EXPECT_EQ(pooled.cells, expected.cells);
-    EXPECT_EQ(pooled.meanPower, expected.meanPower);
-    EXPECT_EQ(pooled.sigmaPower, expected.sigmaPower);
+    power::DrawTable cold(50, 7);
+    expectOraclePower(m, design, sta, cold);
+    EXPECT_EQ(cold.size(), design.gateCount() - uncatalogued);
+  }
+}
+
+struct DrawCounts {
+  std::uint64_t reused = 0;
+  std::uint64_t drawn = 0;
+};
+
+/// Turns metrics on for one test and restores the previous setting.
+struct ScopedMetrics {
+  bool previous = obs::metricsEnabled();
+  ScopedMetrics() { obs::setMetricsEnabled(true); }
+  ~ScopedMetrics() { obs::setMetricsEnabled(previous); }
+};
+
+DrawCounts drawCounts() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  return {registry.counter("power.draws.reused").value(),
+          registry.counter("power.draws.drawn").value()};
+}
+
+TEST_F(ParallelDeterminismTest, DesignPowerWarmTableMatchesSerialOracle) {
+  const ScopedMetrics metrics;
+  const MeasuredChains& m = measuredChains();
+  ASSERT_TRUE(m.other.success());
+  const netlist::Design& chains = m.result.design;
+  std::size_t uncatalogued = 0;
+  const netlist::Design gapped = withEarlyGaps(m, uncatalogued);
+  const netlist::Design appended = withAppendedInverters(m, 5);
+  sta::TimingAnalyzer chainsSta(chains, m.lib, m.clock);
+  sta::TimingAnalyzer otherSta(m.other.design, m.lib, m.clock);
+  sta::TimingAnalyzer appendedSta(appended, m.lib, m.clock);
+  ASSERT_TRUE(chainsSta.analyze());
+  ASSERT_TRUE(otherSta.analyze());
+  ASSERT_TRUE(appendedSta.analyze());
+  const std::size_t positions = chains.gateCount();
+
+  for (std::size_t threads : {0, 1, 4, 8}) {
+    const ScopedThreads scope(threads);
+    // Warmed by another design, in both orders.
+    power::DrawTable draws(50, 7);
+    expectOraclePower(m, m.other.design, otherSta, draws);
+    expectOraclePower(m, chains, chainsSta, draws);
+    expectOraclePower(m, m.other.design, otherSta, draws);
+    EXPECT_EQ(draws.size(), std::max(positions, m.other.design.gateCount()));
+
+    // Shifted positions read none of the chains' draws and replace none.
+    power::DrawTable shifted(50, 7);
+    expectOraclePower(m, chains, chainsSta, shifted);
+    DrawCounts before = drawCounts();
+    expectOraclePower(m, gapped, chainsSta, shifted);
+    EXPECT_EQ(drawCounts().reused - before.reused, 0u);
+    EXPECT_EQ(shifted.size(), positions);
+    before = drawCounts();
+    expectOraclePower(m, chains, chainsSta, shifted);
+    EXPECT_EQ(drawCounts().reused - before.reused, positions);
+    EXPECT_EQ(drawCounts().drawn - before.drawn, 0u);
+
+    // Appended instances draw and store only the new positions.
+    power::DrawTable grown(50, 7);
+    expectOraclePower(m, chains, chainsSta, grown);
+    before = drawCounts();
+    expectOraclePower(m, appended, appendedSta, grown);
+    EXPECT_EQ(drawCounts().reused - before.reused, positions);
+    EXPECT_EQ(drawCounts().drawn - before.drawn, 5u);
+    EXPECT_EQ(grown.size(), positions + 5);
+    expectOraclePower(m, chains, chainsSta, grown);
+  }
+}
+
+TEST_F(ParallelDeterminismTest, DesignPowerTableSharedByConcurrentDesigns) {
+  // Two callers measure different designs through one table at once, as
+  // evolve's candidates do through their flow's table.
+  const MeasuredChains& m = measuredChains();
+  std::size_t uncatalogued = 0;
+  const netlist::Design gapped = withEarlyGaps(m, uncatalogued);
+  sta::TimingAnalyzer chainsSta(m.result.design, m.lib, m.clock);
+  sta::TimingAnalyzer otherSta(m.other.design, m.lib, m.clock);
+  ASSERT_TRUE(chainsSta.analyze());
+  ASSERT_TRUE(otherSta.analyze());
+  for (std::size_t threads : {0, 1, 4, 8}) {
+    const ScopedThreads scope(threads);
+    power::DrawTable draws(50, 7);
+    for (int round = 0; round < 2; ++round) {  // cold, then warm
+      std::thread first(
+          [&] { expectOraclePower(m, m.result.design, chainsSta, draws); });
+      std::thread second(
+          [&] { expectOraclePower(m, m.other.design, otherSta, draws); });
+      expectOraclePower(m, gapped, chainsSta, draws);
+      first.join();
+      second.join();
+    }
+    EXPECT_EQ(draws.size(), std::max(m.result.design.gateCount(),
+                                     m.other.design.gateCount()));
+  }
+}
+
+TEST_F(ParallelDeterminismTest, DesignPowerWithoutTableSharesProcessDraws) {
+  // The (samples, seed) entry point keeps one table per pair for the
+  // process: a second call reads every position, and its results equal a
+  // private table's.
+  const ScopedMetrics metrics;
+  const MeasuredChains& m = measuredChains();
+  sta::TimingAnalyzer sta(m.result.design, m.lib, m.clock);
+  ASSERT_TRUE(sta.analyze());
+  const power::PowerModel model(m.chr.model());
+  power::DrawTable draws(40, 11);
+  const power::DesignPower expected = power::analyzeDesignPower(
+      m.result.design, sta, m.chr, model, 0.2, draws);
+  for (int call = 0; call < 2; ++call) {
+    const DrawCounts before = drawCounts();
+    const power::DesignPower shared = power::analyzeDesignPower(
+        m.result.design, sta, m.chr, model, 0.2, 40, 11);
+    if (call == 1) {
+      EXPECT_EQ(drawCounts().reused - before.reused, expected.cells);
+    }
+    EXPECT_EQ(shared.cells, expected.cells);
+    EXPECT_EQ(shared.meanPower, expected.meanPower);
+    EXPECT_EQ(shared.sigmaPower, expected.sigmaPower);
   }
 }
 

@@ -166,8 +166,9 @@ TEST_F(PowerTest, DesignPowerAnalysis) {
   ASSERT_TRUE(result.success());
   sta::TimingAnalyzer sta(result.design, *lib_, clock);
   ASSERT_TRUE(sta.analyze());
+  DrawTable draws(30, 7);
   const DesignPower power =
-      analyzeDesignPower(result.design, sta, *chr_, *model_, 0.15, 30);
+      analyzeDesignPower(result.design, sta, *chr_, *model_, 0.15, draws);
   EXPECT_GT(power.meanPower, 0.0);
   EXPECT_GT(power.sigmaPower, 0.0);
   EXPECT_LT(power.sigmaPower, power.meanPower);  // many independent cells
@@ -182,10 +183,12 @@ TEST_F(PowerTest, DesignPowerDeterministic) {
       synth.run(netlist::generateAccumulator(8), clock);
   sta::TimingAnalyzer sta(result.design, *lib_, clock);
   ASSERT_TRUE(sta.analyze());
+  // A cold table, then the table the first call filled.
+  DrawTable draws(20, 7);
   const DesignPower a =
-      analyzeDesignPower(result.design, sta, *chr_, *model_, 0.15, 20);
+      analyzeDesignPower(result.design, sta, *chr_, *model_, 0.15, draws);
   const DesignPower b =
-      analyzeDesignPower(result.design, sta, *chr_, *model_, 0.15, 20);
+      analyzeDesignPower(result.design, sta, *chr_, *model_, 0.15, draws);
   EXPECT_EQ(a.meanPower, b.meanPower);
   EXPECT_EQ(a.sigmaPower, b.sigmaPower);
 }
