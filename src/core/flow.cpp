@@ -1,12 +1,16 @@
 #include "core/flow.hpp"
 
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "artifact/codecs.hpp"
 #include "artifact/fields.hpp"
@@ -47,6 +51,16 @@ struct DesignPart {
     v("synthesis", s.synthesis);
   }
 };
+
+/// A synthesis result's stored bytes (every field and the design) and
+/// whether it carries final timing: what a replayed run must reproduce.
+std::vector<std::byte> resultBytes(const synth::SynthesisResult& result) {
+  artifact::SctbWriter writer;
+  artifact::encodeSynthesisResult(writer, result);
+  writer.beginSection("timing");
+  writer.boolean(static_cast<bool>(result.timing));
+  return writer.finish();
+}
 
 }  // namespace
 
@@ -277,6 +291,49 @@ synth::SynthesisResult TuningFlow::synthesize(
                          config_.synthesis);
 }
 
+synth::SynthesisResult TuningFlow::synthesizeFromPrefix(
+    const synth::Synthesizer& synthesizer, double period,
+    const tuning::TuningConfig* config) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  static obs::Counter& probes = registry.counter("flow.stage.prefix.probes");
+  static obs::Counter& hits = registry.counter("flow.stage.prefix.hits");
+  static obs::Counter& misses = registry.counter("flow.stage.prefix.misses");
+  // Sizing reads the period only through slacks, which no prefix pass
+  // reads: the key is the synthesis key with the period neutralized.
+  const artifact::Digest key = synthKey(0.0, config);
+  std::shared_ptr<const synth::SizingPrefix> known;
+  {
+    const LockGuard lock(prefixMutex_);
+    probes.inc();
+    if (const auto it = prefixes_.find(key); it != prefixes_.end()) {
+      known = it->second;
+    }
+  }
+  (known ? hits : misses).inc();
+  const synth::MappedSubject& mapped = mappedSubject(synthesizer);
+  const sta::ClockSpec clock = clockAt(period);
+  synth::SizingPrefix prefix = known ? *known : synth::SizingPrefix{};
+  synth::SynthesisResult result =
+      synthesizer.run(mapped, clock, config_.synthesis, prefix);
+  if (!known) {
+    if (prefix.complete) {
+      const LockGuard lock(prefixMutex_);
+      prefixes_.try_emplace(key, std::make_shared<const synth::SizingPrefix>(
+                                     std::move(prefix)));
+    }
+  } else if (sta::TimingAnalyzer::crossCheckEnabled() &&
+             resultBytes(result) !=
+                 resultBytes(synthesizer.run(mapped, clock,
+                                             config_.synthesis))) {
+    std::fprintf(stderr,
+                 "SCT_STA_CHECK: synthesis replayed from a %zu-pass sizing "
+                 "prefix differs from a fresh run at period %.17g\n",
+                 known->passes, period);
+    std::abort();
+  }
+  return result;
+}
+
 synth::SynthesisResult TuningFlow::synthesizeCached(
     double period, const tuning::TuningConfig* config,
     const tuning::LibraryConstraints* constraints) {
@@ -284,7 +341,8 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
   return cachedStage<synth::SynthesisResult>(
       store_, mem_, "flow.stage.synth", synthKey(period, config),
       [&] {
-        return synthesize(synth::Synthesizer(library, constraints), period);
+        return synthesizeFromPrefix(synth::Synthesizer(library, constraints),
+                                    period, config);
       },
       artifact::encodeSynthesisResult,
       [&library](const artifact::SctbReader& reader) {
@@ -360,20 +418,28 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
     // Dynamic-power totals at the measured operating points (satellite of
     // the scenario work: the report and trade-off output carry power
     // alongside sigma/area). Deterministic per-instance streams from
-    // powerSeed, drawn once per flow.
+    // powerSeed. A flow that measures once (a CLI run, a daemon request)
+    // would never read what it stores, so the first measurement only reads.
     const power::PowerModel powerModel(characterizer_.model());
-    out.power = power::analyzeDesignPower(out.synthesis.design, *analyzer,
-                                          characterizer_, powerModel,
-                                          config_.powerActivity, powerDraws_);
+    if (measures_.fetch_add(1) == 0) {
+      out.power = power::analyzeDesignPower(
+          out.synthesis.design, *analyzer, characterizer_, powerModel,
+          config_.powerActivity, std::as_const(powerDraws_));
+    } else {
+      out.power = power::analyzeDesignPower(
+          out.synthesis.design, *analyzer, characterizer_, powerModel,
+          config_.powerActivity, powerDraws_);
+    }
   }
   return out;
 }
 
 std::optional<double> TuningFlow::findMinPeriod(double lo, double hi,
                                                 double tolerance) {
-  synth::Synthesizer synthesizer(nominalLibrary());
-  return synthesizer.findMinPeriod(subject(), config_.clock, lo, hi, tolerance,
-                                   config_.synthesis);
+  const synth::Synthesizer synthesizer(nominalLibrary());
+  return synth::bisectMinPeriod(lo, hi, tolerance, [&](double period) {
+    return synthesizeFromPrefix(synthesizer, period, nullptr).success();
+  });
 }
 
 std::vector<TuningFlow::SweepPoint> TuningFlow::sweepMethod(

@@ -4,6 +4,7 @@
 //   restrict LUTs -> synthesize under constraints -> measure design sigma.
 // Every bench and example drives this facade.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -14,6 +15,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "artifact/mem_cache.hpp"
@@ -240,7 +242,8 @@ class TuningFlow {
   /// nominal library at this period; otherwise (a result decoded from the
   /// cache, or one without timing) analyzes afresh. With SCT_STA_CHECK=1
   /// adopted timing is checked against a fresh analysis (abort on any
-  /// difference).
+  /// difference). The flow's first measurement reads powerDraws() but
+  /// stores no draws: only a later one could read them.
   DesignMeasurement measure(synth::SynthesisResult result, double period);
 
   /// Traced endpoint worst paths of a synthesized design (for Monte-Carlo
@@ -248,7 +251,8 @@ class TuningFlow {
   [[nodiscard]] std::vector<sta::TimingPath> tracePaths(
       const synth::SynthesisResult& result, double period) const;
 
-  /// Minimum feasible clock period of the baseline (Table 1 protocol).
+  /// Minimum feasible clock period of the baseline (Table 1 protocol). The
+  /// probes synthesize through the mapping and sizing-prefix memos.
   std::optional<double> findMinPeriod(double lo = 0.5, double hi = 14.0,
                                       double tolerance = 0.02);
 
@@ -273,8 +277,9 @@ class TuningFlow {
 
   /// The mismatch draws of every design-power analysis of this flow
   /// (config().powerSamples draws per instance from config().powerSeed):
-  /// measure() and the scenario cells read and extend it, so each counted
-  /// position's draws are made once per flow.
+  /// measure() from its second call on and the scenario cells read and
+  /// extend it, so each counted position's draws are made at most twice
+  /// per flow.
   [[nodiscard]] power::DrawTable& powerDraws() noexcept { return powerDraws_; }
 
   /// Artifact store backing the resumable stages; nullptr when caching is
@@ -318,6 +323,16 @@ class TuningFlow {
   const synth::MappedSubject& mappedSubject(
       const synth::Synthesizer& synthesizer);
 
+  /// synthesize(synthesizer, period) through the sizing-prefix memo: the
+  /// first period of a (config, options) pair records its prefix, every
+  /// other replays it (DESIGN.md §9). `synthesizer` must be the nominal
+  /// library under tune(*config), or untuned when config is null. With
+  /// SCT_STA_CHECK=1 a replayed result is compared with a fresh run, bit
+  /// for bit (abort on any difference).
+  synth::SynthesisResult synthesizeFromPrefix(
+      const synth::Synthesizer& synthesizer, double period,
+      const tuning::TuningConfig* config);
+
   FlowConfig config_;
   charlib::Characterizer characterizer_;
   power::DrawTable powerDraws_;
@@ -332,6 +347,15 @@ class TuningFlow {
   /// Keyed by Synthesizer::usableOps().
   std::map<std::uint64_t, synth::MappedSubject> mapped_
       SCT_GUARDED_BY(mapMutex_);
+  sct::Mutex prefixMutex_;
+  /// Keyed by synthKey at period 0: sizing never reads the period in a
+  /// prefix. Recorded outside the lock; the first insert wins, and entries
+  /// never change once inserted.
+  std::unordered_map<artifact::Digest,
+                     std::shared_ptr<const synth::SizingPrefix>,
+                     artifact::DigestHash>
+      prefixes_ SCT_GUARDED_BY(prefixMutex_);
+  std::atomic<std::size_t> measures_{0};  ///< measure() calls so far
 };
 
 }  // namespace sct::core

@@ -94,11 +94,15 @@ void DrawTable::offer(std::size_t position, Entry entry) {
   if (position == entries_.size()) entries_.push_back(std::move(entry));
 }
 
-DesignPower analyzeDesignPower(const netlist::Design& design,
-                               const sta::TimingAnalyzer& sta,
-                               const charlib::Characterizer& characterizer,
-                               const PowerModel& model, double activity,
-                               DrawTable& draws) {
+namespace {
+
+/// Both analyzeDesignPower table overloads: reads `draws`, and stores the
+/// fresh draws in `store` (the same table) unless it is null.
+DesignPower analyzeWithTable(const netlist::Design& design,
+                             const sta::TimingAnalyzer& sta,
+                             const charlib::Characterizer& characterizer,
+                             const PowerModel& model, double activity,
+                             const DrawTable& draws, DrawTable* store) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   static obs::Counter& reused = registry.counter("power.draws.reused");
   static obs::Counter& drawn = registry.counter("power.draws.drawn");
@@ -171,8 +175,9 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
   drawn.add(sites.size() - hits);
 
   // Per-instance energy statistics, independent per instance, so on the
-  // pool. A site without stored draws draws them from its stream first;
-  // both kinds scale the same standard normals the same way.
+  // pool. A site without stored draws draws them from its stream, keeping
+  // them only for `store`; both kinds scale the same standard normals the
+  // same way.
   const std::size_t samples = draws.samples();
   const charlib::DelayModel& delayModel = characterizer.model();
   struct Energy {
@@ -184,26 +189,30 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
       parallel::parallelMap(sites.size(), [&](std::size_t i) {
         const Site& site = sites[i];
         Energy out{0.0, 0.0, {}};
-        const double* z = nullptr;
+        const EnergyTerms terms = model.terms(*site.spec, site.slew, site.load);
+        numeric::RunningStats energy;
+        const auto add = [&](double zDrive, double zIntrinsic) {
+          energy.add(terms.energy(
+              delayModel.scaleLocal(*site.spec, {zDrive, zIntrinsic, 0.0})));
+        };
         if (site.stored != nullptr) {
-          z = site.stored->z.data();
+          const double* z = site.stored->z.data();
+          for (std::size_t k = 0; k < samples; ++k) add(z[2 * k], z[2 * k + 1]);
         } else {
-          out.fresh.tag = site.tag;
-          out.fresh.z.resize(2 * samples);
+          if (store != nullptr) {
+            out.fresh.tag = site.tag;
+            out.fresh.z.resize(2 * samples);
+          }
           numeric::Rng rng = site.rng;
           for (std::size_t k = 0; k < samples; ++k) {
             const charlib::LocalNormals normals =
                 charlib::DelayModel::drawNormals(rng);
-            out.fresh.z[2 * k] = normals.zDrive;
-            out.fresh.z[2 * k + 1] = normals.zIntrinsic;
+            if (store != nullptr) {
+              out.fresh.z[2 * k] = normals.zDrive;
+              out.fresh.z[2 * k + 1] = normals.zIntrinsic;
+            }
+            add(normals.zDrive, normals.zIntrinsic);
           }
-          z = out.fresh.z.data();
-        }
-        const EnergyTerms terms = model.terms(*site.spec, site.slew, site.load);
-        numeric::RunningStats energy;
-        for (std::size_t k = 0; k < samples; ++k) {
-          energy.add(terms.energy(
-              delayModel.scaleLocal(*site.spec, {z[2 * k], z[2 * k + 1], 0.0})));
         }
         out.mean = energy.mean();
         out.stddev = energy.stddev();
@@ -220,11 +229,33 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
     out.meanPower += energy.mean * toPower;
     const double sigmaPower = energy.stddev * toPower;
     varSum += sigmaPower * sigmaPower;
-    if (sites[p].stored == nullptr) draws.offer(p, std::move(energy.fresh));
+    if (store != nullptr && sites[p].stored == nullptr) {
+      store->offer(p, std::move(energy.fresh));
+    }
   }
   out.cells = energies.size();
   out.sigmaPower = std::sqrt(varSum);
   return out;
+}
+
+}  // namespace
+
+DesignPower analyzeDesignPower(const netlist::Design& design,
+                               const sta::TimingAnalyzer& sta,
+                               const charlib::Characterizer& characterizer,
+                               const PowerModel& model, double activity,
+                               DrawTable& draws) {
+  return analyzeWithTable(design, sta, characterizer, model, activity, draws,
+                          &draws);
+}
+
+DesignPower analyzeDesignPower(const netlist::Design& design,
+                               const sta::TimingAnalyzer& sta,
+                               const charlib::Characterizer& characterizer,
+                               const PowerModel& model, double activity,
+                               const DrawTable& draws) {
+  return analyzeWithTable(design, sta, characterizer, model, activity, draws,
+                          nullptr);
 }
 
 DesignPower analyzeDesignPower(const netlist::Design& design,

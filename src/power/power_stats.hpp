@@ -91,6 +91,14 @@ class DrawTable {
     const charlib::Characterizer& characterizer, const PowerModel& model,
     double activity, DrawTable& draws);
 
+/// The same, reading the draws `draws` holds but storing none: for a
+/// caller that will not analyze through the table again. The result equals
+/// the storing overload's.
+[[nodiscard]] DesignPower analyzeDesignPower(
+    const netlist::Design& design, const sta::TimingAnalyzer& sta,
+    const charlib::Characterizer& characterizer, const PowerModel& model,
+    double activity, const DrawTable& draws);
+
 /// The same through the process's table of (samples, seed), for callers
 /// that hold no flow: repeated calls share its draws the way one flow's
 /// measurements share the flow's table.

@@ -48,6 +48,16 @@ obs::Counter& electricalDecisions() {
   return counter;
 }
 
+/// Sizing passes a run took from a replayed prefix instead of running them.
+obs::Counter& replayedPasses() {
+  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
+      "synth.prefix.replayed_passes");
+  return counter;
+}
+
+static_assert(sizeof(SizingPrefix::Edit) == 16,
+              "one 16-byte record per prefix edit");
+
 /// All primitive ops, for family construction.
 constexpr PrimOp kAllOps[] = {
     PrimOp::kConst0, PrimOp::kConst1, PrimOp::kInv,    PrimOp::kBuf,
@@ -120,7 +130,9 @@ class Session {
   /// Binds every alive instance to its family's smallest usable cell;
   /// false when some op has no usable cell.
   bool bindInitial();
-  void optimize();
+  /// Runs the sizing passes. A complete `prefix` is replayed first and the
+  /// passes continue at prefix.passes; any other is recorded (DESIGN.md §9).
+  void optimize(SizingPrefix& prefix);
   void finalize();
   /// The analyzer, when the last refresh left it valid: its state is then
   /// bit-identical to a fresh analyze() of the final design.
@@ -317,6 +329,7 @@ class Session {
   }
 
   void resize(InstIndex index, const Cell* cell) {
+    if (record_ != nullptr) record_->edits.push_back({cell, index, 0});
     design_.bindCell(index, cell);
     analyzer_.notifyCellSwap(index);
     ++result_.resizes;
@@ -388,6 +401,12 @@ class Session {
   }
   void splitNet(NetIndex net, std::size_t groups);
   [[nodiscard]] const Cell* bufferCellFor(double load) const;
+  /// Applies a complete prefix's edits in commit order, as the electrical
+  /// stage committed them: no decision and no drain runs.
+  void replay(const SizingPrefix& prefix);
+  /// Ends the recording, if one runs: the prefix keeps its first `edits`
+  /// edits and resumes at `pass`.
+  void cutPrefix(std::size_t pass, std::size_t edits);
 
   const Synthesizer& synth_;
   const tuning::CompiledConstraintView* view_;
@@ -414,6 +433,8 @@ class Session {
   std::vector<NetIndex> splitNets_;
   std::size_t fanoutNets_ = 0;  ///< net count at the last fixFanout
   std::size_t analyzedNets_ = 0;
+  /// The prefix being recorded; null once it is cut, or when replaying.
+  SizingPrefix* record_ = nullptr;
 };
 
 bool Session::bindInitial() {
@@ -442,6 +463,10 @@ const Cell* Session::bufferCellFor(double load) const {
 }
 
 void Session::splitNet(NetIndex net, std::size_t groups) {
+  if (record_ != nullptr) {
+    record_->edits.push_back(
+        {nullptr, net, static_cast<std::uint32_t>(groups)});
+  }
   const std::size_t fanout = design_.net(net).sinks.size();
   if (fanout < 2 || groups < 2) return;
   groups = std::min(groups, fanout);
@@ -797,14 +822,54 @@ std::size_t Session::recoverArea() {
                          [&](InstIndex i) { return decideDownsize(i); });
 }
 
-void Session::optimize() {
+void Session::replay(const SizingPrefix& prefix) {
+  SCT_TRACE_SPAN("synth.replay");
+  for (const SizingPrefix::Edit& edit : prefix.edits) {
+    if (edit.cell != nullptr) {
+      resize(edit.target, edit.cell);
+      noDownsize_.insert(edit.target);  // electrical resizes pin the size
+    } else {
+      splitNet(edit.target, edit.groups);
+    }
+  }
+  // The next fixFanout visits every net, as a run's first one does. Only a
+  // split net can exceed maxFanout, and the recorded run's fixFanout split
+  // none at this pass (it adds no nets), so this one splits none either.
+  splitNets_.clear();
+  result_.passes = prefix.passes;
+}
+
+void Session::cutPrefix(std::size_t pass, std::size_t edits) {
+  if (record_ == nullptr) return;
+  record_->edits.resize(edits);
+  record_->edits.shrink_to_fit();
+  record_->passes = pass;
+  record_->complete = true;
+  record_ = nullptr;
+}
+
+void Session::optimize(SizingPrefix& prefix) {
+  std::size_t first = 0;
+  if (prefix.complete) {
+    replay(prefix);
+    first = prefix.passes;
+  } else {
+    prefix = {};
+    record_ = &prefix;
+  }
+  replayedPasses().add(first);
   bool converged = false;
-  for (std::size_t pass = 0; pass < options_.maxPasses; ++pass) {
+  for (std::size_t pass = first; pass < options_.maxPasses; ++pass) {
     result_.passes = pass + 1;
-    // Drain the previous pass's edits (or full-analyze when incremental
-    // updates are disabled). Either way every pass starts from timing
-    // state identical to a from-scratch analysis.
-    if (!refreshTiming()) return;  // combinational cycle: give up
+    const std::size_t logged = record_ != nullptr ? record_->edits.size() : 0;
+    // Drain the previous pass's edits. The first pass of a run, and the
+    // first after a replay, has no baseline and analyzes in full; either
+    // way every pass starts from timing state identical to a from-scratch
+    // analysis.
+    if (!refreshTiming()) {  // combinational cycle: give up
+      cutPrefix(pass, logged);
+      return;
+    }
     analyzedNets_ = design_.netCount();
 
     std::size_t changes = fixFanout();
@@ -813,6 +878,8 @@ void Session::optimize() {
     // defer timing/area moves to the next pass so they act on fresh data.
     const bool structuralChange = design_.netCount() > analyzedNets_;
     if (!structuralChange) {
+      // This pass reads slacks: the prefix ends before it.
+      cutPrefix(pass, logged);
       if (analyzer_.worstSlack() < 0.0) {
         changes += improveTiming();
       } else if (changes == 0) {
@@ -824,6 +891,7 @@ void Session::optimize() {
       break;
     }
   }
+  cutPrefix(options_.maxPasses, record_ != nullptr ? record_->edits.size() : 0);
   if (!converged) {
     static obs::Counter& passLimitHits =
         obs::MetricsRegistry::global().counter("synth.pass_limit_hits");
@@ -903,6 +971,14 @@ SynthesisResult Synthesizer::run(const Design& subject,
 SynthesisResult Synthesizer::run(MappedSubject mapped,
                                  const sta::ClockSpec& clock,
                                  const SynthesisOptions& options) const {
+  SizingPrefix prefix;
+  return run(std::move(mapped), clock, options, prefix);
+}
+
+SynthesisResult Synthesizer::run(MappedSubject mapped,
+                                 const sta::ClockSpec& clock,
+                                 const SynthesisOptions& options,
+                                 SizingPrefix& prefix) const {
   SynthesisResult result;
   result.design = std::move(mapped.design);
   if (!mapped.mappable) return result;
@@ -910,7 +986,7 @@ SynthesisResult Synthesizer::run(MappedSubject mapped,
   result.patternRewrites = mapped.patternRewrites;
   Session session(*this, result.design, clock, options, result);
   if (!session.bindInitial()) return result;
-  session.optimize();
+  session.optimize(prefix);
   session.finalize();
   result.timing = FinalTiming(session.releaseTiming());
   return result;
@@ -925,10 +1001,17 @@ std::unique_ptr<sta::TimingAnalyzer> FinalTiming::take(
 std::optional<double> Synthesizer::findMinPeriod(
     const Design& subject, sta::ClockSpec clock, double lo, double hi,
     double tolerance, const SynthesisOptions& options) const {
-  auto feasible = [&](double period) {
+  const MappedSubject mapped = map(subject);
+  SizingPrefix prefix;
+  return bisectMinPeriod(lo, hi, tolerance, [&](double period) {
     clock.period = period;
-    return run(subject, clock, options).success();
-  };
+    return run(mapped, clock, options, prefix).success();
+  });
+}
+
+std::optional<double> bisectMinPeriod(
+    double lo, double hi, double tolerance,
+    const std::function<bool(double)>& feasible) {
   if (!feasible(hi)) return std::nullopt;
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);

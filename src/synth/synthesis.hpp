@@ -7,11 +7,13 @@
 // relaxed timing.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
@@ -120,6 +122,33 @@ struct MappedSubject {
   std::size_t patternRewrites = 0;
 };
 
+/// The period-independent start of a sizing run (DESIGN.md §9): the edits
+/// of every pass before the first one that reads a slack, in commit order.
+/// Those passes read loads, slews and windows but never a required time, so
+/// the same synthesizer, mapped subject and options make the same edits at
+/// every clock period. A run from an empty prefix records it; a run from a
+/// complete one replays the edits and continues at pass `passes`.
+struct SizingPrefix {
+  /// A resize (`cell` set: bind instance `target` to it) or a split (`cell`
+  /// null: split net `target` into `groups` buffered groups).
+  struct Edit {
+    const liberty::Cell* cell = nullptr;
+    std::uint32_t target = 0;
+    std::uint32_t groups = 0;
+  };
+  std::vector<Edit> edits;
+  /// The pass the run resumes at: the first pass that adds no nets, a pass
+  /// whose refresh failed, or maxPasses.
+  std::size_t passes = 0;
+  bool complete = false;  ///< recorded up to its cut point
+};
+
+/// Smallest period in (lo, hi] (within `tolerance` ns) for which `feasible`
+/// holds, by bisection; nullopt when `feasible(hi)` does not hold.
+[[nodiscard]] std::optional<double> bisectMinPeriod(
+    double lo, double hi, double tolerance,
+    const std::function<bool(double)>& feasible);
+
 class Synthesizer {
  public:
   /// constraints may be null (untuned baseline library).
@@ -136,6 +165,15 @@ class Synthesizer {
   [[nodiscard]] SynthesisResult run(MappedSubject mapped,
                                     const sta::ClockSpec& clock,
                                     const SynthesisOptions& options = {}) const;
+  /// The same, starting from `prefix`. A complete prefix, recorded by a run
+  /// of this synthesizer on the same mapped subject and options at any
+  /// period, is replayed, and the result equals run(mapped, clock, options)
+  /// bit for bit. Any other prefix is cleared and, when the run reaches its
+  /// cut point, recorded complete.
+  [[nodiscard]] SynthesisResult run(MappedSubject mapped,
+                                    const sta::ClockSpec& clock,
+                                    const SynthesisOptions& options,
+                                    SizingPrefix& prefix) const;
 
   /// Bit i is set when family() of the i-th primitive op is not empty. The
   /// mapping step depends on the library and constraints only through it.
@@ -145,7 +183,8 @@ class Synthesizer {
 
   /// Smallest clock period (within `tolerance` ns) at which run() succeeds,
   /// by bisection; mirrors the paper's "reduce the clock period until the
-  /// synthesis fails" protocol. Returns nullopt when even `hi` fails.
+  /// synthesis fails" protocol. Returns nullopt when even `hi` fails. Maps
+  /// once, and every probe after the first replays its sizing prefix.
   [[nodiscard]] std::optional<double> findMinPeriod(
       const netlist::Design& subject, sta::ClockSpec clock, double lo,
       double hi, double tolerance = 0.02,

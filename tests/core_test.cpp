@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -294,9 +295,83 @@ TEST(FlowMapMemo, OneMappingPerUsableOpSetAndReportsMatchFreshFlows) {
                                     8.0)));
 }
 
+TEST(FlowPrefixMemo, OnePrefixPerConfigAndReportsMatchFreshFlows) {
+  // The baseline and one tuned config, each at three periods, on one flow:
+  // the first period of each config records its sizing prefix, the other
+  // two replay it, and every report equals a fresh flow's.
+  FlowJob baseline;
+  baseline.profile = "small";
+  baseline.mcCount = 4;
+  baseline.lintMode = "off";
+  FlowJob tuned = baseline;
+  tuned.method = "sigma-ceiling";
+  tuned.value = 0.02;
+  std::vector<FlowJob> jobs;
+  for (const double period : {6.0, 8.0, 10.0}) {
+    for (FlowJob job : {baseline, tuned}) {
+      job.period = period;
+      jobs.push_back(job);
+    }
+  }
+  const ScopedMetrics metrics;
+  TuningFlow shared(memoConfig());
+  const std::uint64_t probes = counterValue("flow.stage.prefix.probes");
+  const std::uint64_t hits = counterValue("flow.stage.prefix.hits");
+  const std::uint64_t misses = counterValue("flow.stage.prefix.misses");
+  std::vector<std::string> reports;
+  for (const FlowJob& job : jobs) {
+    reports.push_back(runFlowJob(shared, job).report);
+  }
+  EXPECT_EQ(counterValue("flow.stage.prefix.probes") - probes, 6u);
+  EXPECT_EQ(counterValue("flow.stage.prefix.hits") - hits, 4u);
+  EXPECT_EQ(counterValue("flow.stage.prefix.misses") - misses, 2u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    TuningFlow fresh(memoConfig());
+    const FlowJobResult expected = runFlowJob(fresh, jobs[i]);
+    EXPECT_TRUE(expected.success) << "job " << i;
+    EXPECT_EQ(reports[i], expected.report) << "job " << i;
+  }
+  EXPECT_NE(reports[0], reports[2]);  // the period reaches the report
+}
+
+TEST(FlowPrefixMemo, ConcurrentJobsOfOneConfigMatchFreshFlows) {
+  // Two threads run one config at two periods on one flow: either may
+  // record the prefix, and both reports equal fresh flows'.
+  FlowJob first;
+  first.profile = "small";
+  first.mcCount = 4;
+  first.lintMode = "off";
+  first.method = "sigma-ceiling";
+  first.value = 0.02;
+  first.period = 6.0;
+  FlowJob second = first;
+  second.period = 10.0;
+  TuningFlow shared(memoConfig());
+  (void)shared.nominalLibrary();
+  (void)shared.statLibrary();
+  (void)shared.subject();
+  std::string firstReport;
+  std::string secondReport;
+  std::thread other([&] { secondReport = runFlowJob(shared, second).report; });
+  firstReport = runFlowJob(shared, first).report;
+  other.join();
+  // A third period replays whichever prefix was kept.
+  FlowJob third = first;
+  third.period = 8.0;
+  const std::string thirdReport = runFlowJob(shared, third).report;
+  const std::pair<const FlowJob*, const std::string*> runs[] = {
+      {&first, &firstReport}, {&second, &secondReport}, {&third, &thirdReport}};
+  for (const auto& [job, report] : runs) {
+    TuningFlow fresh(memoConfig());
+    EXPECT_EQ(*report, runFlowJob(fresh, *job).report)
+        << "period " << job->period;
+  }
+}
+
 TEST(FlowPowerDraws, JobsOnOneFlowMatchFreshFlows) {
-  // The flow keeps every counted position's power mismatch draws; later
-  // jobs read them instead of drawing again and report the same bytes.
+  // From its second measurement on, the flow keeps every counted
+  // position's power mismatch draws; later jobs read them instead of
+  // drawing again and report the same bytes.
   FlowJob baseline;
   baseline.profile = "small";
   baseline.mcCount = 4;
@@ -318,6 +393,8 @@ TEST(FlowPowerDraws, JobsOnOneFlowMatchFreshFlows) {
     const std::uint64_t before = counterValue("power.draws.reused");
     reports.push_back(runFlowJob(shared, job).report);
     reused += counterValue("power.draws.reused") - before;
+    // The first measurement stores nothing: a one-job flow never reads it.
+    if (reports.size() == 1) EXPECT_EQ(shared.powerDraws().size(), 0u);
   }
   EXPECT_GT(reused, 0u);
   EXPECT_GT(shared.powerDraws().size(), 0u);

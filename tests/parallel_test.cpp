@@ -557,6 +557,44 @@ TEST_F(ParallelDeterminismTest, DesignPowerWarmTableMatchesSerialOracle) {
   }
 }
 
+TEST_F(ParallelDeterminismTest, DesignPowerReadOnlyTableStoresNothing) {
+  // Through a const table design power reads what the table holds, draws
+  // the rest and stores nothing; the results equal the serial oracle's.
+  const ScopedMetrics metrics;
+  const MeasuredChains& m = measuredChains();
+  const netlist::Design& chains = m.result.design;
+  const netlist::Design appended = withAppendedInverters(m, 5);
+  sta::TimingAnalyzer chainsSta(chains, m.lib, m.clock);
+  sta::TimingAnalyzer appendedSta(appended, m.lib, m.clock);
+  ASSERT_TRUE(chainsSta.analyze());
+  ASSERT_TRUE(appendedSta.analyze());
+  const power::PowerModel model(m.chr.model());
+  const std::size_t positions = chains.gateCount();
+  for (std::size_t threads : {0, 1, 4, 8}) {
+    const ScopedThreads scope(threads);
+    power::DrawTable draws(50, 7);
+    const auto readOnly = [&](const netlist::Design& design,
+                              const sta::TimingAnalyzer& sta) {
+      const power::DesignPower expected = serialDesignPowerOracle(
+          design, sta, m.chr, model, 0.2, draws.samples(), draws.seed());
+      const power::DesignPower read = power::analyzeDesignPower(
+          design, sta, m.chr, model, 0.2, std::as_const(draws));
+      EXPECT_EQ(read.cells, expected.cells);
+      EXPECT_EQ(read.meanPower, expected.meanPower);
+      EXPECT_EQ(read.sigmaPower, expected.sigmaPower);
+    };
+    readOnly(chains, chainsSta);  // cold
+    EXPECT_EQ(draws.size(), 0u);
+    expectOraclePower(m, chains, chainsSta, draws);
+    ASSERT_EQ(draws.size(), positions);
+    const DrawCounts before = drawCounts();
+    readOnly(appended, appendedSta);  // warm: reads all, draws the new 5
+    EXPECT_EQ(drawCounts().reused - before.reused, positions);
+    EXPECT_EQ(drawCounts().drawn - before.drawn, 5u);
+    EXPECT_EQ(draws.size(), positions);
+  }
+}
+
 TEST_F(ParallelDeterminismTest, DesignPowerTableSharedByConcurrentDesigns) {
   // Two callers measure different designs through one table at once, as
   // evolve's candidates do through their flow's table.

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <initializer_list>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "artifact/codecs.hpp"
 #include "charlib/characterizer.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/mcu.hpp"
@@ -509,6 +514,107 @@ TEST_F(SynthesisTest, WideNetIsSplitAgainAndKeepsSinkOrder) {
   };
   walk(walk, hub);
   EXPECT_EQ(leaves, original);
+}
+
+/// Every stored byte of a result (scalars and design) and whether it
+/// carries final timing.
+std::vector<std::byte> resultBytes(const SynthesisResult& result) {
+  artifact::SctbWriter writer;
+  artifact::encodeSynthesisResult(writer, result);
+  writer.beginSection("timing");
+  writer.boolean(static_cast<bool>(result.timing));
+  return writer.finish();
+}
+
+/// Runs `subject` at each period through one prefix: the first period
+/// records it, the others replay it. Each result must equal a plain run's
+/// bit for bit. Returns the prefix.
+SizingPrefix expectResumedRunsMatch(const Synthesizer& synth,
+                                    const Design& subject,
+                                    std::initializer_list<double> periods,
+                                    const SynthesisOptions& options = {}) {
+  const MappedSubject mapped = synth.map(subject);
+  SizingPrefix prefix;
+  const bool wasEnabled = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  obs::Counter& replayed = obs::MetricsRegistry::global().counter(
+      "synth.prefix.replayed_passes");
+  for (const double period : periods) {
+    sta::ClockSpec clock;
+    clock.period = period;
+    const bool replaying = prefix.complete;
+    const std::uint64_t before = replayed.value();
+    const SynthesisResult resumed = synth.run(mapped, clock, options, prefix);
+    EXPECT_EQ(replayed.value() - before, replaying ? prefix.passes : 0u);
+    EXPECT_TRUE(prefix.complete) << "period " << period;
+    const SynthesisResult plain = synth.run(mapped, clock, options);
+    EXPECT_EQ(resultBytes(resumed), resultBytes(plain)) << "period " << period;
+  }
+  obs::setMetricsEnabled(wasEnabled);
+  return prefix;
+}
+
+/// Resizes and splits among a prefix's edits.
+std::pair<std::size_t, std::size_t> editCensus(const SizingPrefix& prefix) {
+  std::size_t resizes = 0;
+  for (const SizingPrefix::Edit& edit : prefix.edits) {
+    if (edit.cell != nullptr) ++resizes;
+  }
+  return {resizes, prefix.edits.size() - resizes};
+}
+
+TEST_F(SynthesisTest, ResumedRunAfterTwoPassPrefixRecoversArea) {
+  // Fanout splits in pass 0 and their electrical fix-ups in pass 1; pass 2
+  // reads slacks. At 5 ns timing upsizes follow; at the relaxed periods
+  // pass 2 meets timing with no electrical change and runs area recovery,
+  // which must leave the electrically resized instances alone (a driver
+  // upsized for its load before a split could otherwise shrink).
+  const Design subject = netlist::generateMcu(netlist::McuConfig{});
+  const Synthesizer synth(*lib_);
+  const SizingPrefix prefix =
+      expectResumedRunsMatch(synth, subject, {6.5, 5.0, 12.0});
+  EXPECT_EQ(prefix.passes, 2u);
+  const auto [resizes, splits] = editCensus(prefix);
+  EXPECT_GT(resizes, 0u);
+  EXPECT_GT(splits, 0u);
+
+  sta::ClockSpec clock;
+  clock.period = 12.0;
+  const SynthesisResult relaxed = synth.run(subject, clock);
+  EXPECT_TRUE(relaxed.success());
+  EXPECT_EQ(relaxed.passes, prefix.passes + 1);  // the recovery pass
+}
+
+TEST_F(SynthesisTest, ResumedRunAfterPrefixCutByPassLimit) {
+  // Tight windows keep every pass splitting; a pass limit inside that run
+  // cuts the prefix at maxPasses, and the resumed run ends there.
+  const tuning::LibraryConstraints constraints = tuning::tuneLibrary(
+      *stat_,
+      tuning::TuningConfig::forMethod(tuning::TuningMethod::kCellSlewSlope,
+                                      0.005));
+  const Synthesizer synth(*lib_, &constraints);
+  netlist::RandomDagConfig config;
+  config.gates = 1200;
+  config.flipFlops = 60;
+  config.seed = 5;
+  const Design subject = netlist::generateRandomDag(config);
+  SynthesisOptions options;
+  options.maxFanout = 6;
+  options.maxPasses = 3;
+  const SizingPrefix prefix =
+      expectResumedRunsMatch(synth, subject, {2.0, 3.0, 5.0}, options);
+  EXPECT_EQ(prefix.passes, options.maxPasses);
+  EXPECT_GT(editCensus(prefix).second, 0u);
+}
+
+TEST_F(SynthesisTest, ResumedRunAfterEmptyPrefix) {
+  // Nothing to split or fix electrically: the first pass reads slacks, so
+  // the prefix is complete and empty, and a replay is a plain run.
+  const Synthesizer synth(*lib_);
+  const SizingPrefix prefix = expectResumedRunsMatch(
+      synth, netlist::generateAccumulator(8), {0.35, 2.0, 8.0});
+  EXPECT_EQ(prefix.passes, 0u);
+  EXPECT_TRUE(prefix.edits.empty());
 }
 
 TEST_F(SynthesisTest, RelaxedUsesSmallerCellsThanTight) {

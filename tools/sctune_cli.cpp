@@ -178,8 +178,8 @@ void finishObservability(const ObsOptions& opts) {
 /// on.
 void printStageTable(const obs::MetricsSnapshot& snapshot) {
   bool header = false;
-  for (const char* stage : {"nominal", "stat", "subject", "map", "tune",
-                            "synth", "measure", "lint"}) {
+  for (const char* stage : {"nominal", "stat", "subject", "map", "prefix",
+                            "tune", "synth", "measure", "lint"}) {
     const std::string prefix = std::string("flow.stage.") + stage + ".";
     if (!snapshot.hasCounter(prefix + "ns") &&
         !snapshot.hasCounter(prefix + "probes")) {
