@@ -17,7 +17,6 @@
 #include "core/stage_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "power/power_stats.hpp"
 #include "sta/sta.hpp"
 
@@ -68,9 +67,6 @@ TuningFlow::TuningFlow(FlowConfig config)
     : config_(std::move(config)),
       characterizer_(config_.characterization),
       powerDraws_(config_.powerSamples, config_.powerSeed) {
-  if (config_.threads >= 0) {
-    parallel::setThreadCount(static_cast<std::size_t>(config_.threads));
-  }
   if (config_.sharedStore != nullptr) {
     store_ = config_.sharedStore;
   } else if (!config_.cacheDir.empty()) {

@@ -74,11 +74,6 @@ struct FlowConfig {
   sta::ClockSpec clock{};  ///< period is overridden per experiment
   synth::SynthesisOptions synthesis{};
   double rho = 0.0;  ///< pairwise cell correlation in path convolution
-  /// Worker threads for the parallel stages (characterization, stat-library
-  /// merge, tuning, path MC): -1 keeps the process-wide setting (SCT_THREADS
-  /// or hardware concurrency), 0 forces serial, N pins the pool size.
-  /// Results are bit-identical for every setting.
-  int threads = -1;
   /// Root of the content-addressed artifact cache; empty disables caching.
   /// Each pipeline stage (characterize, merge, tune, synthesize) consults
   /// the store before computing and skips to a warm SCTB load on a hit.

@@ -16,11 +16,9 @@
 namespace sct::core {
 
 tuning::TuningMethod tuningMethodByName(const std::string& name) {
-  if (name == "strength-load") return tuning::TuningMethod::kCellStrengthLoadSlope;
-  if (name == "strength-slew") return tuning::TuningMethod::kCellStrengthSlewSlope;
-  if (name == "cell-load") return tuning::TuningMethod::kCellLoadSlope;
-  if (name == "cell-slew") return tuning::TuningMethod::kCellSlewSlope;
-  if (name == "sigma-ceiling") return tuning::TuningMethod::kSigmaCeiling;
+  for (const tuning::MethodName& row : tuning::kMethodNames) {
+    if (row.name == name) return row.method;
+  }
   throw std::runtime_error("unknown method '" + name + "'");
 }
 

@@ -26,8 +26,9 @@ struct FlowJob {
   std::string lintMode = "error";  ///< "error" | "warn" | "off"
 };
 
-/// CLI method-name dictionary (strength-load, strength-slew, cell-load,
-/// cell-slew, sigma-ceiling); throws std::runtime_error on unknown names.
+/// The method named in tuning::kMethodNames (strength-load, strength-slew,
+/// cell-load, cell-slew, sigma-ceiling); throws std::runtime_error on
+/// unknown names.
 [[nodiscard]] tuning::TuningMethod tuningMethodByName(const std::string& name);
 
 /// The job's tuning config (method at `value`); nullopt for a baseline job.

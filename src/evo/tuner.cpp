@@ -29,19 +29,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using core::fmt17;
 
-/// CLI method-name dictionary (matches core::tuningMethodByName), used in
-/// seed origins so a baseline line names the `sctune flow --method` spelling.
-std::string_view cliMethodName(tuning::TuningMethod method) noexcept {
-  switch (method) {
-    case tuning::TuningMethod::kCellStrengthLoadSlope: return "strength-load";
-    case tuning::TuningMethod::kCellStrengthSlewSlope: return "strength-slew";
-    case tuning::TuningMethod::kCellLoadSlope: return "cell-load";
-    case tuning::TuningMethod::kCellSlewSlope: return "cell-slew";
-    case tuning::TuningMethod::kSigmaCeiling: return "sigma-ceiling";
-  }
-  return "?";
-}
-
 /// Candidate cache key: measurement context (everything influencing a
 /// constraints -> synthesize -> measure run at this period) + the genes.
 artifact::Digest candidateKey(const artifact::Digest& context,
@@ -190,15 +177,14 @@ std::vector<Candidate> seedCandidates(
     const statlib::StatLibrary& library,
     const std::vector<std::string>& geneCells) {
   std::vector<Candidate> seeds;
-  for (const tuning::TuningMethod method : tuning::kAllTuningMethods) {
+  for (const auto& [method, methodName] : tuning::kMethodNames) {
     for (const double value : tuning::sweepValues(method)) {
       const tuning::TuningConfig config =
           tuning::TuningConfig::forMethod(method, value);
       const std::map<std::string, tuning::ClusterThreshold> thresholds =
           tuning::extractThresholds(library, config);
       Candidate seed;
-      seed.origin = "seed:" + std::string(cliMethodName(method)) + "@" +
-                    fmt17(value);
+      seed.origin = "seed:" + std::string(methodName) + "@" + fmt17(value);
       seed.genes.reserve(geneCells.size());
       for (const std::string& cellName : geneCells) {
         const statlib::StatCell* cell = library.findCell(cellName);

@@ -2,8 +2,18 @@
 // Standard cell model: pins, timing arcs and per-cell metadata. One timing
 // arc holds the four LUTs of a related-pin/output-pin pair (rise/fall delay
 // and rise/fall output transition), exactly the tables the tuner restricts.
+//
+// Each cell also compiles, once, a slot-indexed timing view (CompiledCell):
+// pin names interned to instance slots and a dense [inputSlot][outputSlot]
+// -> TimingArc table, so the propagation and sizing loops never compare
+// pin-name strings. Each compiled arc also knows whether its four LUTs share
+// axes (they do by construction of the characterizer), in which case one
+// axis search yields the interpolation weights for worst delay, best delay
+// and worst transition at a single (slew, load) operating point.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -50,6 +60,100 @@ struct TimingArc {
     return std::max(riseTransition.lookup(slew, load),
                     fallTransition.lookup(slew, load));
   }
+};
+
+/// Worst/best delay and worst transition of one arc at one operating point.
+struct ArcTiming {
+  double worstDelay = 0.0;
+  double bestDelay = 0.0;
+  double worstTransition = 0.0;
+};
+
+/// One timing arc with precompiled evaluation state.
+class CompiledArc {
+ public:
+  CompiledArc() = default;
+  explicit CompiledArc(const TimingArc* arc);
+
+  [[nodiscard]] const TimingArc* arc() const noexcept { return arc_; }
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return arc_ != nullptr;
+  }
+
+  /// All three propagation quantities with a single axis search (falls back
+  /// to per-table lookups when the LUTs do not share axes). Bit-identical
+  /// to TimingArc::worstDelay/bestDelay/worstTransition.
+  [[nodiscard]] ArcTiming evaluate(double slew, double load) const noexcept;
+  /// max(rise, fall) delay only — one axis search instead of two.
+  [[nodiscard]] double worstDelay(double slew, double load) const noexcept;
+  [[nodiscard]] double worstTransition(double slew,
+                                       double load) const noexcept;
+
+  bool operator==(const CompiledArc&) const = default;
+
+ private:
+  const TimingArc* arc_ = nullptr;
+  bool shared_axes_ = false;  ///< all four LUTs on one axis pair
+  bool shared_delay_axes_ = false;
+  bool shared_transition_axes_ = false;
+};
+
+class Cell;
+
+/// Slot-indexed timing view of one cell (Cell::timing()).
+class CompiledCell {
+ public:
+  CompiledCell() = default;
+  explicit CompiledCell(const Cell& cell);
+
+  /// Arc from combinational data-input slot to output slot (nullptr arc when
+  /// the pair has no arc). Slots follow dataInputNames / outputNames order —
+  /// the netlist instance slot order for mapped cells.
+  [[nodiscard]] const CompiledArc& arc(std::size_t inputSlot,
+                                       std::size_t outputSlot) const noexcept {
+    if (inputSlot >= num_inputs_ || outputSlot >= num_outputs_) {
+      return kNoArc;
+    }
+    return arcs_[inputSlot * num_outputs_ + outputSlot];
+  }
+  /// Clock-to-output launch arc of sequential cells, per output slot.
+  [[nodiscard]] const CompiledArc& clockArc(
+      std::size_t outputSlot) const noexcept {
+    return outputSlot < clock_arcs_.size() ? clock_arcs_[outputSlot] : kNoArc;
+  }
+
+  /// Input capacitance presented by an instance input slot; seq selects the
+  /// sequential naming (D, E) over the combinational data-input names.
+  [[nodiscard]] double inputCap(bool seq, std::size_t slot) const noexcept {
+    if (seq) {
+      return slot < seq_input_cap_.size() ? seq_input_cap_[slot] : 0.0;
+    }
+    return slot < input_cap_.size() ? input_cap_[slot] : 0.0;
+  }
+  /// Capacitance of every input pin summed in declaration order (the
+  /// sizing loop's upsizing cost).
+  [[nodiscard]] double totalInputCap() const noexcept {
+    return total_input_cap_;
+  }
+
+  /// Liberty max_capacitance of an output slot's pin (0 when unspecified).
+  [[nodiscard]] double maxLoad(std::size_t outputSlot) const noexcept {
+    return outputSlot < max_load_.size() ? max_load_[outputSlot] : 0.0;
+  }
+
+  bool operator==(const CompiledCell&) const = default;
+
+ private:
+  static const CompiledArc kNoArc;
+
+  std::size_t num_inputs_ = 0;
+  std::size_t num_outputs_ = 0;
+  std::vector<CompiledArc> arcs_;  ///< dense [input][output], row-major
+  std::array<CompiledArc, 2> clock_arcs_{};
+  std::vector<double> input_cap_;      ///< per combinational data slot
+  std::array<double, 2> seq_input_cap_{};  ///< D, E
+  double total_input_cap_ = 0.0;
+  std::vector<double> max_load_;       ///< per output slot (0 = unspecified)
 };
 
 class Cell {
@@ -128,6 +232,9 @@ class Cell {
   /// Input/output pins in declaration order; cached like fanoutArcs().
   [[nodiscard]] std::span<const Pin* const> inputPins() const;
   [[nodiscard]] std::span<const Pin* const> outputPins() const;
+  /// The cell's compiled timing view, built once with the other derived
+  /// views and shared by every analyzer and thread.
+  [[nodiscard]] const CompiledCell& timing() const;
 
  private:
   /// Derived views of pins_/arcs_, built lazily on first query and dropped
@@ -138,6 +245,7 @@ class Cell {
     std::vector<const Pin*> outputPins;
     /// Arcs grouped per output pin, in arc declaration order.
     std::vector<std::pair<std::string, std::vector<const TimingArc*>>> fanout;
+    CompiledCell timing;
   };
   const DerivedIndex& index() const;
 

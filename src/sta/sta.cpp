@@ -16,6 +16,9 @@
 
 namespace sct::sta {
 
+using liberty::ArcTiming;
+using liberty::CompiledArc;
+using liberty::CompiledCell;
 using netlist::Design;
 using netlist::Instance;
 using netlist::InstIndex;
@@ -99,14 +102,14 @@ std::string_view outputPinName(const Instance& inst,
 TimingAnalyzer::TimingAnalyzer(const Design& design,
                                const liberty::Library& library,
                                ClockSpec clock)
-    : design_(&design), library_(library), clock_(clock), views_(library) {}
+    : design_(&design), library_(library), clock_(clock) {}
 
 void TimingAnalyzer::refreshInstanceViews() {
   inst_view_.assign(design_->instanceCount(), nullptr);
   for (std::size_t i = 0; i < design_->instanceCount(); ++i) {
     const Instance& inst = design_->instance(static_cast<InstIndex>(i));
     if (inst.alive && inst.cell != nullptr) {
-      inst_view_[i] = &views_.of(*inst.cell);
+      inst_view_[i] = &inst.cell->timing();
     }
   }
 }
@@ -271,9 +274,8 @@ void TimingAnalyzer::evalInstance(InstIndex index,
       const CompiledArc& arc = view->clockArc(slot);
       assert(arc);
       const ArcTiming t = arc.evaluate(clock_.clockSlew, load_[out]);
-      const double delay = t.worstDelay * clock_.derateLate;
-      commit(out, delay, t.bestDelay * clock_.derateEarly, t.worstTransition,
-             Pred{index, arc.arc(), 0, delay, clock_.clockSlew});
+      commit(out, t.worstDelay, t.bestDelay, t.worstTransition,
+             Pred{index, arc.arc(), 0, t.worstDelay, clock_.clockSlew});
     }
     return;
   }
@@ -295,15 +297,14 @@ void TimingAnalyzer::evalInstance(InstIndex index,
       }
       const NetIndex in = inst.inputs[i];
       const ArcTiming t = arc.evaluate(slew_[in], load_[out]);
-      const double delay = t.worstDelay * clock_.derateLate;
+      const double delay = t.worstDelay;
       cached = delay;
       const double cand = arrival_[in] + delay;
       if (cand > bestArrival) {
         bestArrival = cand;
         best = Pred{index, arc.arc(), i, delay, slew_[in]};
       }
-      earliest = std::min(earliest,
-                          min_arrival_[in] + t.bestDelay * clock_.derateEarly);
+      earliest = std::min(earliest, min_arrival_[in] + t.bestDelay);
       worstSlew = std::max(worstSlew, t.worstTransition);
     }
     assert(best.arc != nullptr);
@@ -580,12 +581,12 @@ bool TimingAnalyzer::update() {
       case PendingEdit::Kind::kCellSwap:
         // New LUTs and input caps: re-evaluate the instance, re-sum the
         // loads it presents, and redo required times into its inputs.
-        inst_view_[edit.instance] = &views_.of(*inst.cell);
+        inst_view_[edit.instance] = &inst.cell->timing();
         for (NetIndex in : inst.inputs) touchNet(in);
         break;
       case PendingEdit::Kind::kNewInstance:
         structural = true;
-        inst_view_[edit.instance] = &views_.of(*inst.cell);
+        inst_view_[edit.instance] = &inst.cell->timing();
         for (NetIndex in : inst.inputs) touchNet(in);
         for (NetIndex out : inst.outputs) touchNet(out);
         break;
@@ -957,12 +958,11 @@ std::vector<TimingPath> TimingAnalyzer::kWorstPathsTo(
       emit(p.reversedSteps, 0.0);  // tie cell
       continue;
     }
+    const CompiledCell& view = drv.cell->timing();
     if (netlist::isSequential(drv.op)) {
-      const liberty::TimingArc* arc =
-          drv.cell->findArc("CP", outputPinName(drv, net.driverSlot));
+      const liberty::TimingArc* arc = view.clockArc(net.driverSlot).arc();
       if (arc == nullptr) continue;
-      const double delay =
-          arc->worstDelay(clock_.clockSlew, load_[p.net]) * clock_.derateLate;
+      const double delay = arc->worstDelay(clock_.clockSlew, load_[p.net]);
       std::vector<PathStep> steps = p.reversedSteps;
       steps.push_back(PathStep{net.driver, drv.cell, arc, clock_.clockSlew,
                                load_[p.net], delay});
@@ -973,12 +973,10 @@ std::vector<TimingPath> TimingAnalyzer::kWorstPathsTo(
     }
     // Combinational driver: branch over every fan-in arc.
     for (std::uint32_t i = 0; i < drv.inputs.size(); ++i) {
-      const liberty::TimingArc* arc = drv.cell->findArc(
-          inputPinName(drv, i), outputPinName(drv, net.driverSlot));
+      const liberty::TimingArc* arc = view.arc(i, net.driverSlot).arc();
       if (arc == nullptr) continue;
       const NetIndex in = drv.inputs[i];
-      const double delay =
-          arc->worstDelay(slew_[in], load_[p.net]) * clock_.derateLate;
+      const double delay = arc->worstDelay(slew_[in], load_[p.net]);
       Partial next;
       next.net = in;
       next.suffixDelay = p.suffixDelay + delay;

@@ -19,7 +19,6 @@
 
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
-#include "sta/timing_view.hpp"
 
 namespace sct::sta {
 
@@ -63,11 +62,6 @@ struct ClockSpec {
   double inputDelay = 0.0;    ///< external arrival at primary inputs [ns]
   double outputLoad = 0.004;  ///< external load on primary outputs [pF]
   WireLoadModel wireLoad{};   ///< pre-layout net-capacitance estimate
-  /// On-chip-variation derates (the blanket alternative to statistical
-  /// analysis, cf. the paper's reference [10]): every max-path delay is
-  /// multiplied by derateLate, every min-path delay by derateEarly.
-  double derateLate = 1.0;
-  double derateEarly = 1.0;
 
   template <class S, class V>
   static void fields(S& s, V&& v) {
@@ -78,8 +72,6 @@ struct ClockSpec {
     v("inputDelay", s.inputDelay);
     v("outputLoad", s.outputLoad);
     v("wireLoad", s.wireLoad);
-    v("derateLate", s.derateLate);
-    v("derateEarly", s.derateEarly);
   }
 
   /// Data must arrive before this time (excluding per-endpoint setup).
@@ -129,7 +121,8 @@ struct TimingPath {
 class TimingAnalyzer {
  public:
   /// The design must be fully mapped (every alive instance bound to a cell).
-  /// Compiled timing views for every library cell are built here, once.
+  /// Each bound cell's compiled timing view is its own Cell::timing(),
+  /// built once per cell and shared with every other analyzer.
   TimingAnalyzer(const netlist::Design& design, const liberty::Library& library,
                  ClockSpec clock);
 
@@ -193,12 +186,6 @@ class TimingAnalyzer {
   void setClock(const ClockSpec& clock) noexcept {
     clock_ = clock;
     baseline_valid_ = false;  // every net annotation depends on the clock
-  }
-
-  /// Compiled timing views (shared registry; also usable by the synthesis
-  /// sizing loop for candidate evaluation).
-  [[nodiscard]] const TimingViewRegistry& views() const noexcept {
-    return views_;
   }
 
   // --- per-net results -----------------------------------------------------
@@ -367,7 +354,6 @@ class TimingAnalyzer {
   const netlist::Design* design_;  ///< never null; moved by rebind()
   const liberty::Library& library_;
   ClockSpec clock_;
-  TimingViewRegistry views_;
 
   std::vector<double> load_;
   std::vector<double> arrival_;
@@ -376,7 +362,7 @@ class TimingAnalyzer {
   std::vector<double> required_;
   std::vector<double> ep_required_;  ///< min endpoint required per net
   std::vector<Pred> pred_;  ///< winning predecessor per net (path tracing)
-  /// Derated worst delay of every combinational arc at its current
+  /// Worst delay of every combinational arc at its current
   /// operating point, written by evalInstance() and read by the required
   /// times. Valid because update() re-evaluates every instance whose input
   /// slew, output load, cell or input net changed before it drains
@@ -386,7 +372,8 @@ class TimingAnalyzer {
   mutable std::vector<netlist::InstIndex> topo_;
   mutable bool topo_stale_ = false;  ///< structural drain since last rebuild
   std::vector<std::uint32_t> level_;  ///< per instance, 0 for sources
-  std::vector<const CompiledCell*> inst_view_;  ///< per instance, bound cell
+  /// Per instance, the bound cell's compiled view (Cell::timing()).
+  std::vector<const liberty::CompiledCell*> inst_view_;
   std::vector<Endpoint> endpoints_;
   double worst_slack_ = 0.0;
   double tns_ = 0.0;

@@ -10,9 +10,9 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "netlist/analysis.hpp"
@@ -113,19 +113,7 @@ class Session {
         result_(result),
         ownedAnalyzer_(std::make_unique<sta::TimingAnalyzer>(
             design, synth.library(), clock)),
-        analyzer_(*ownedAnalyzer_) {
-    // Every cell a sizing decision can look at is a family member. Compile
-    // their timing views and sum their input caps up front, so the decide
-    // phase of a stage only reads shared state.
-    for (PrimOp op : kAllOps) {
-      for (const Cell* cell : synth_.family(op)) {
-        (void)analyzer_.views().of(*cell);
-        double cap = 0.0;
-        for (const liberty::Pin* p : cell->inputPins()) cap += p->capacitance;
-        inputCap_.emplace(cell, cap);
-      }
-    }
-  }
+        analyzer_(*ownedAnalyzer_) {}
 
   /// Binds every alive instance to its family's smallest usable cell;
   /// false when some op has no usable cell.
@@ -154,7 +142,7 @@ class Session {
   [[nodiscard]] double maxLoadOf(const Cell& cell,
                                  std::uint32_t outSlot) const {
     double limit = kInf;
-    const double mc = analyzer_.views().of(cell).maxLoad(outSlot);
+    const double mc = cell.timing().maxLoad(outSlot);
     if (mc > 0.0) limit = mc;
     if (const auto* w = windowOf(cell, outSlot)) {
       limit = std::min(limit, w->maxLoad);
@@ -228,14 +216,14 @@ class Session {
   [[nodiscard]] double worstDelayAt(const netlist::Instance& inst,
                                     const Cell& cell, std::uint32_t outSlot,
                                     double load) const {
-    const sta::CompiledCell& view = analyzer_.views().of(cell);
+    const liberty::CompiledCell& view = cell.timing();
     if (netlist::isSequential(inst.op)) {
-      const sta::CompiledArc& arc = view.clockArc(outSlot);
+      const liberty::CompiledArc& arc = view.clockArc(outSlot);
       return arc ? arc.worstDelay(analyzer_.clock().clockSlew, load) : 0.0;
     }
     double worst = 0.0;
     for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
-      const sta::CompiledArc& arc = view.arc(i, outSlot);
+      const liberty::CompiledArc& arc = view.arc(i, outSlot);
       if (!arc) continue;
       worst = std::max(
           worst, arc.worstDelay(analyzer_.netSlew(inst.inputs[i]), load));
@@ -247,15 +235,15 @@ class Session {
                                          const Cell& cell,
                                          std::uint32_t outSlot,
                                          double load) const {
-    const sta::CompiledCell& view = analyzer_.views().of(cell);
+    const liberty::CompiledCell& view = cell.timing();
     if (netlist::isSequential(inst.op)) {
-      const sta::CompiledArc& arc = view.clockArc(outSlot);
+      const liberty::CompiledArc& arc = view.clockArc(outSlot);
       return arc ? arc.worstTransition(analyzer_.clock().clockSlew, load)
                  : 0.0;
     }
     double worst = 0.0;
     for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
-      const sta::CompiledArc& arc = view.arc(i, outSlot);
+      const liberty::CompiledArc& arc = view.arc(i, outSlot);
       if (!arc) continue;
       worst = std::max(worst, arc.worstTransition(
                                   analyzer_.netSlew(inst.inputs[i]), load));
@@ -271,19 +259,19 @@ class Session {
   [[nodiscard]] std::pair<double, double> delayAndTransitionAt(
       const netlist::Instance& inst, const Cell& cell, std::uint32_t outSlot,
       double load) const {
-    const sta::CompiledCell& view = analyzer_.views().of(cell);
+    const liberty::CompiledCell& view = cell.timing();
     if (netlist::isSequential(inst.op)) {
-      const sta::CompiledArc& arc = view.clockArc(outSlot);
+      const liberty::CompiledArc& arc = view.clockArc(outSlot);
       if (!arc) return {0.0, 0.0};
-      const sta::ArcTiming t = arc.evaluate(analyzer_.clock().clockSlew, load);
+      const liberty::ArcTiming t = arc.evaluate(analyzer_.clock().clockSlew, load);
       return {t.worstDelay, t.worstTransition};
     }
     double delay = 0.0;
     double trans = 0.0;
     for (std::uint32_t i = 0; i < inst.inputs.size(); ++i) {
-      const sta::CompiledArc& arc = view.arc(i, outSlot);
+      const liberty::CompiledArc& arc = view.arc(i, outSlot);
       if (!arc) continue;
-      const sta::ArcTiming t =
+      const liberty::ArcTiming t =
           arc.evaluate(analyzer_.netSlew(inst.inputs[i]), load);
       delay = std::max(delay, t.worstDelay);
       trans = std::max(trans, t.worstTransition);
@@ -416,8 +404,6 @@ class Session {
   std::unique_ptr<sta::TimingAnalyzer> ownedAnalyzer_;
   sta::TimingAnalyzer& analyzer_;  ///< *ownedAnalyzer_ until released
   bool timingValid_ = false;  ///< the last refreshTiming() succeeded
-  /// Summed input-pin capacitance per family cell (upsizing cost).
-  std::unordered_map<const Cell*, double> inputCap_;
   std::set<InstIndex> noDownsize_;
   /// Per-instance flag of the running timing or area stage: a committed
   /// move changed an input of this instance's decision.
@@ -723,7 +709,7 @@ Session::Move Session::decideUpsize(InstIndex i) const {
         driverSlack < 0.0 ? 1.0 : (driverSlack < 0.05 ? 0.5 : 0.15);
     penaltyPerCap = std::max(penaltyPerCap, r * criticality);
   }
-  const double oldCap = inputCap_.at(inst.cell);
+  const double oldCap = inst.cell->timing().totalInputCap();
   const SlotLimits slewLimits = outputSlewLimits(inst);
 
   const Cell* best = nullptr;
@@ -741,7 +727,7 @@ Session::Move Session::decideUpsize(InstIndex i) const {
     const auto timing = candidateTiming(inst, *c, slewLimits);
     if (!timing) continue;
     const auto [newDelay, newTrans] = *timing;
-    const double newCap = inputCap_.at(c);
+    const double newCap = c->timing().totalInputCap();
     // A sharper output edge also speeds up the downstream stage; weight it
     // with the technology's typical slew-to-delay sensitivity.
     const double benefit = (oldDelay - newDelay) +
@@ -901,6 +887,7 @@ void Session::optimize(SizingPrefix& prefix) {
 }
 
 void Session::finalize() {
+  SCT_TRACE_SPAN("synth.finalize");
   result_.worstSlack = analyzer_.worstSlack();
   result_.tns = analyzer_.totalNegativeSlack();
   result_.timingMet = analyzer_.met();
@@ -984,11 +971,15 @@ SynthesisResult Synthesizer::run(MappedSubject mapped,
   if (!mapped.mappable) return result;
   result.decomposed = mapped.decomposed;
   result.patternRewrites = mapped.patternRewrites;
-  Session session(*this, result.design, clock, options, result);
-  if (!session.bindInitial()) return result;
-  session.optimize(prefix);
-  session.finalize();
-  result.timing = FinalTiming(session.releaseTiming());
+  std::optional<Session> session;
+  {
+    SCT_TRACE_SPAN("synth.setup");
+    session.emplace(*this, result.design, clock, options, result);
+    if (!session->bindInitial()) return result;
+  }
+  session->optimize(prefix);
+  session->finalize();
+  result.timing = FinalTiming(session->releaseTiming());
   return result;
 }
 

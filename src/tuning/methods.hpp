@@ -22,6 +22,20 @@ inline constexpr TuningMethod kAllTuningMethods[] = {
     TuningMethod::kCellLoadSlope, TuningMethod::kCellSlewSlope,
     TuningMethod::kSigmaCeiling};
 
+/// The `--method` spelling of each method, in kAllTuningMethods order: the
+/// one name table of the CLI, the daemon's job requests and evolve's seed
+/// origins.
+struct MethodName {
+  TuningMethod method;
+  std::string_view name;
+};
+inline constexpr MethodName kMethodNames[] = {
+    {TuningMethod::kCellStrengthLoadSlope, "strength-load"},
+    {TuningMethod::kCellStrengthSlewSlope, "strength-slew"},
+    {TuningMethod::kCellLoadSlope, "cell-load"},
+    {TuningMethod::kCellSlewSlope, "cell-slew"},
+    {TuningMethod::kSigmaCeiling, "sigma-ceiling"}};
+
 [[nodiscard]] std::string_view toString(TuningMethod method) noexcept;
 
 /// Whether the method clusters cells by drive strength (vs. individually).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "liberty/function.hpp"
 #include "liberty/liberty_io.hpp"
@@ -138,6 +139,28 @@ TEST(Cell, SequentialAttributes) {
   EXPECT_DOUBLE_EQ(ff.holdTime(), 0.01);
   EXPECT_NE(ff.findArc("CP", "Q"), nullptr);
   EXPECT_TRUE(ff.findPin("CP")->isClock);
+}
+
+TEST(Cell, ConcurrentFirstTimingQueriesShareOneCompiledView) {
+  const liberty::Cell cell = test::makeSimpleCell(
+      "ND2_1", CellFunction::kNand2, 1.0, 1.4, 0.002, 0.01, 0.1, 2.0);
+  // Two threads race to build the fresh cell's derived index; the loser
+  // must adopt the published winner.
+  const CompiledCell* seen[2] = {nullptr, nullptr};
+  std::thread first([&] { seen[0] = &cell.timing(); });
+  std::thread second([&] { seen[1] = &cell.timing(); });
+  first.join();
+  second.join();
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], &cell.timing());
+  EXPECT_EQ(*seen[0], CompiledCell(cell));
+  EXPECT_EQ(seen[0]->arc(1, 0).arc(), cell.findArc("B", "Z"));
+  EXPECT_DOUBLE_EQ(seen[0]->totalInputCap(), 0.004);
+  // A copy compiles its own view over its own arcs.
+  const liberty::Cell copy = cell;
+  EXPECT_EQ(copy.timing().arc(0, 0).arc(), copy.findArc("A", "Z"));
+  EXPECT_NE(copy.timing().arc(0, 0).arc(), cell.findArc("A", "Z"));
 }
 
 // -------------------------------------------------------------- library ----

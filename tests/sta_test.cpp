@@ -329,35 +329,6 @@ TEST(Sta, ScalarSetupFallbackWithoutLut) {
   }
 }
 
-TEST(Sta, OcvDeratesScaleArrivals) {
-  liberty::Library lib = test::makeTinyLibrary();
-  Design d = test::makeInvChain(4);
-  bindAll(d, lib);
-  ClockSpec nominal = tinyClock();
-  ClockSpec derated = nominal;
-  derated.derateLate = 1.10;
-  derated.derateEarly = 0.90;
-  TimingAnalyzer a(d, lib, nominal);
-  TimingAnalyzer b(d, lib, derated);
-  ASSERT_TRUE(a.analyze());
-  ASSERT_TRUE(b.analyze());
-  // Max arrivals scale up by exactly the late derate (slews are underated).
-  // Both analyzers enumerate endpoints of the same design in the same
-  // order, so endpoints pair up by index.
-  ASSERT_EQ(a.endpoints().size(), b.endpoints().size());
-  for (std::size_t i = 0; i < a.endpoints().size(); ++i) {
-    const Endpoint& epA = a.endpoints()[i];
-    const Endpoint& epB = b.endpoints()[i];
-    ASSERT_EQ(a.endpointName(epA), b.endpointName(epB));
-    EXPECT_NEAR(epB.arrival, epA.arrival * 1.10, 1e-12) << a.endpointName(epA);
-    EXPECT_NEAR(epB.minArrival, epA.minArrival * 0.90, 1e-12)
-        << a.endpointName(epA);
-  }
-  // Derating makes hold easier to violate and setup harder to meet.
-  EXPECT_LE(b.worstSlack(), a.worstSlack() + 1e-12);
-  EXPECT_LE(b.worstHoldSlack(), a.worstHoldSlack() + 1e-12);
-}
-
 TEST(StaHold, ZeroInputDelayViolatesHoldAtBoundary) {
   liberty::Library lib = test::makeTinyLibrary();
   Design d = test::makeInvChain(2);

@@ -17,7 +17,6 @@
 #include "artifact/mem_cache.hpp"
 #include "artifact/store.hpp"
 #include "core/flow.hpp"
-#include "parallel/thread_pool.hpp"
 #include "postsi/scenario.hpp"
 #include "server/jobs.hpp"
 
@@ -192,20 +191,17 @@ TEST(StageKeyTest, InactiveWorkloadsSplitNothing) {
 
 TEST(StageKeyTest, ExecutionKnobsSplitNothing) {
   const Keys base = keysOf({});
-  const std::size_t threads = parallel::threadCount();
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "stage_key_store";
   artifact::ArtifactStore store(dir / "shared");
   artifact::MemoryArtifactCache mem(1 << 20);
   Inputs in;
-  in.flow.threads = 1;
   in.flow.cacheDir = (dir / "own").string();
   in.flow.memCacheBytes = 123;
-  expectSplits(base, keysOf(in), kNone, "threads/cacheDir/memCacheBytes");
+  expectSplits(base, keysOf(in), kNone, "cacheDir/memCacheBytes");
   in.flow.sharedStore = &store;
   in.flow.sharedMemCache = &mem;
   expectSplits(base, keysOf(in), kNone, "shared cache tiers");
-  parallel::setThreadCount(threads);
   std::filesystem::remove_all(dir);
 }
 

@@ -227,11 +227,6 @@ charlib::ProcessCorner cornerByName(const std::string& name) {
   throw std::runtime_error("unknown corner '" + name + "' (TT/SS/FF)");
 }
 
-// One method-name dictionary for CLI and daemon (core/flow_job.hpp).
-tuning::TuningMethod methodByName(const std::string& name) {
-  return core::tuningMethodByName(name);
-}
-
 netlist::Design designByName(const std::string& name,
                              const liberty::Library* library) {
   if (core::isWorkload(name)) {
@@ -275,7 +270,8 @@ int cmdTune(const Args& args) {
   const statlib::StatLibrary stat =
       statlib::readStatLibraryFromString(readFile(args.require("stat")));
   const tuning::TuningConfig config = tuning::TuningConfig::forMethod(
-      methodByName(args.require("method")), args.requireDouble("value"));
+      core::tuningMethodByName(args.require("method")),
+      args.requireDouble("value"));
   const tuning::LibraryConstraints constraints =
       tuning::tuneLibrary(stat, config);
   std::printf("tuned %zu cells (%zu unusable)\n", constraints.size(),
